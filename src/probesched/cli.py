@@ -142,7 +142,7 @@ def cmd_evaluate(cfg):
     specs = _components(cfg)
     k = _k(cfg, len(specs))
     horizon = _positive(cfg, "horizon")
-    bound = cfg.get("bound", DEFAULT_BOUND)
+    bound = _positive(cfg, "bound") if "bound" in cfg else DEFAULT_BOUND
     initial = [ArmState(0, 1)] * len(specs)
     header = ["policy", "horizon", "expected_cost"]
     rows = []
@@ -157,20 +157,19 @@ def cmd_oracle(cfg):
     specs = _components(cfg)
     k = _k(cfg, len(specs))
     horizon = _positive(cfg, "horizon")
-    bound = cfg.get("bound", DEFAULT_BOUND)
+    bound = _positive(cfg, "bound") if "bound" in cfg else DEFAULT_BOUND
+    policies = [(name, _exact_policy(name, specs, k)) for name in _policies(cfg)]
     initial = [ArmState(0, 1)] * len(specs)
     ensure_within_guard(specs, initial, k, horizon, bound)
-    names = [p for p in _policies(cfg) if p in ("whittle", "myopic")]
     header = ["horizon", "optimal_cost"]
-    for name in names:
+    for name, _pol in policies:
         header += [f"{name}_cost", f"{name}_rel_gap"]
     rows = []
     for t in range(1, horizon + 1):
         opt, _table = dp_optimal(specs, initial, k, t, bound)
         row = [t, opt]
-        for name in names:
-            val = policy_evaluate_exact(specs, initial, k, t,
-                                        _exact_policy(name, specs, k), bound)
+        for _name, pol in policies:
+            val = policy_evaluate_exact(specs, initial, k, t, pol, bound)
             row += [val, (val - opt) / opt if opt > 0 else 0.0]
         rows.append(row)
     return header, rows
@@ -282,3 +281,7 @@ def main(argv=None) -> int:
 
 def console_main():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

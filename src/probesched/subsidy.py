@@ -16,18 +16,16 @@ boundary exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arm import ArmState
-from .attack import ComponentSpec, MarkovIID, Table, marginal_p
+from .attack import ComponentSpec, Table, marginal_p
 from .whittle import index_values, whittle_index
 
 DEFAULT_T_CAP = 10_000
 _CONVERGENCE_EPS = 1e-12
-_MASS_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,10 @@ class GainResult:
 @dataclass(frozen=True)
 class RelaxedPlan:
     """Common multiplier lam*, per-arm boundary mixing probabilities, and
-    the resulting stopping delays and activation rates."""
+    the resulting stopping delays and activation rates.
+
+    A parked arm (its index stays below lam*, so it is never probed again)
+    reports activation rate 0.0 and t0_star = t_cap."""
 
     lambda_star: float
     mixing: tuple
@@ -62,13 +63,20 @@ def _objective(spec: ComponentSpec, lam: float, t: int, p_t: float, cum: float) 
     return (lam * (t - 1.0 + p_t) - spec.cost * cum) / (t + p_t)
 
 
+def _converged(proc, t: int, p_t: float) -> bool:
+    """True once p is constant from slot t on: past a table's last entry,
+    or within _CONVERGENCE_EPS of 1 for a memoryless process."""
+    if isinstance(proc, Table):
+        return t >= len(proc.values)
+    return 1.0 - p_t <= _CONVERGENCE_EPS
+
+
 def _best_stopping(spec: ComponentSpec, lam: float, t_cap: int):
     """Scan t0 = 1..t_cap for the largest cycle reward, smallest argmax on
     ties.  Once the marginals have converged the tail of the objective is
     monotone toward lam - c p_inf, so the scan can stop (or jump straight
     to the cap when the tail still improves)."""
     proc, c = spec.process, spec.cost
-    table_len = len(proc.values) if isinstance(proc, Table) else None
     best_t, best_v = 1, None
     cum = 0.0
     t = 1
@@ -78,10 +86,7 @@ def _best_stopping(spec: ComponentSpec, lam: float, t_cap: int):
         v = _objective(spec, lam, t, p_t, cum)
         if best_v is None or v > best_v:
             best_t, best_v = t, v
-        converged = (table_len is not None and t >= table_len) or (
-            table_len is None and 1.0 - p_t <= _CONVERGENCE_EPS
-        )
-        if converged:
+        if _converged(proc, t, p_t):
             # In the constant-marginal tail the objective approaches
             # lam - c*p monotonically; its sign of approach is fixed.
             limit = lam - c * p_t
@@ -126,19 +131,6 @@ def activation_rate(spec: ComponentSpec, lam: float, t_cap: int = DEFAULT_T_CAP)
     return 1.0 / (t0 + marginal_p(spec.process, t0))
 
 
-class _IndexCache:
-    """Growable W(0, t) lookup sharing the index_values accumulation."""
-
-    def __init__(self, spec: ComponentSpec):
-        self.spec = spec
-        self.vals = index_values(spec, 64)
-
-    def __getitem__(self, t: int) -> float:
-        while t >= len(self.vals):
-            self.vals = index_values(self.spec, 2 * (len(self.vals) - 1))
-        return self.vals[t]
-
-
 def _activation_prob(w: float, lam: float, gamma: float) -> float:
     if w > lam:
         return 1.0
@@ -148,59 +140,60 @@ def _activation_prob(w: float, lam: float, gamma: float) -> float:
 
 
 def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, start_obs: int,
-                    cache: _IndexCache, walk_cap: int):
+                    t_cap: int):
     """Distribution of the gap until the next probe after an observation.
 
     After a 0-observation the component restarts immediately, so g slots
     later it is abnormal with probability p(g) and the interval accrues
     cost c * sum_{k<=g} p(k).  After a 1-observation the repair lands one
-    slot later and everything shifts by one.  Returns (E[gap],
-    P(next observation = 1), E[interval cost], unprobed residual mass).
+    slot later and everything shifts by one.  Returns (E[gap], P(next
+    observation = 1), E[interval cost]), or None if the arm is parked.
     """
     proc, c = spec.process, spec.cost
     mass = 1.0
     e_gap = p_obs1 = e_cost = 0.0
     cum = 0.0
-    for g in range(1, walk_cap + 1):
-        if start_obs == 0:
-            b = marginal_p(proc, g)
-            cum += b
-            cost_here = cum
-            a = _activation_prob(cache[g], lam, gamma)
-        else:
-            b = marginal_p(proc, g - 1)
-            cum += b
-            cost_here = cum
-            a = _activation_prob(cache[g - 1], lam, gamma)
-        pr = mass * a
-        if pr > 0.0:
-            e_gap += pr * g
-            p_obs1 += pr * b
-            e_cost += pr * cost_here * c
-        mass *= 1.0 - a
-        if mass < _MASS_EPS:
-            mass = 0.0
+    for t in range(1 - start_obs, t_cap + 1):
+        b = marginal_p(proc, t)
+        cum += b
+        a = _activation_prob(whittle_index(spec, ArmState(0, t)), lam, gamma)
+        if t == t_cap or _converged(proc, t, b):
             break
-    return e_gap, p_obs1, e_cost, mass
+        pr = mass * a
+        e_gap += pr * (t + start_obs)
+        p_obs1 += pr * b
+        e_cost += pr * cum * c
+        mass *= 1.0 - a
+        if mass == 0.0:
+            return e_gap, p_obs1, e_cost
+    # From the converged tail (or t_cap) on, a and b are constant: the rest
+    # is probed j >= 1 slots in with probability a (1-a)^(j-1), E[j] = 1/a,
+    # and the cost grows by b per slot after the first.  a = 0 parks the arm.
+    if a == 0.0:
+        return None
+    extra = 1.0 / a - 1.0
+    e_gap += mass * (t + start_obs + extra)
+    p_obs1 += mass * b
+    e_cost += mass * (cum + b * extra) * c
+    return e_gap, p_obs1, e_cost
 
 
 def _policy_rates(spec: ComponentSpec, lam: float, gamma: float,
-                  walk_cap: int = 200_000):
+                  t_cap: int = DEFAULT_T_CAP):
     """Stationary (activation rate, cost rate) of the threshold-with-mixing
     policy: active when the state index exceeds lam, passive below it,
     Bernoulli(gamma) at index-equal states.
 
     Probes form a Markov renewal process alternating interval types by the
     last observation; solving for the stationary observation mix gives the
-    long-run rates.  If the walk leaves unprobed mass the arm is eventually
-    parked forever, so the activation rate is zero.
+    long-run rates.  A parked arm is never probed again, so its activation
+    rate is zero and its belief settles at p(t_cap).
     """
-    cache = _IndexCache(spec)
-    e0, b0, c0, m0 = _interval_stats(spec, lam, gamma, 0, cache, walk_cap)
-    if m0 > 1e-9:
-        p_inf = marginal_p(spec.process, walk_cap)
-        return 0.0, spec.cost * p_inf
-    e1, b1, c1, _ = _interval_stats(spec, lam, gamma, 1, cache, walk_cap)
+    stats0 = _interval_stats(spec, lam, gamma, 0, t_cap)
+    if stats0 is None:
+        return 0.0, spec.cost * marginal_p(spec.process, t_cap)
+    e0, b0, c0 = stats0
+    e1, b1, c1 = _interval_stats(spec, lam, gamma, 1, t_cap)
     denom = 1.0 - b1 + b0
     theta = b0 / denom if denom > 0.0 else 0.0
     e_len = (1.0 - theta) * e0 + theta * e1
@@ -214,8 +207,8 @@ def average_cost_rate(spec: ComponentSpec, lam: float, gamma: float = 0.0) -> fl
     return _policy_rates(spec, lam, gamma)[1]
 
 
-def _total_rate(specs, lam: float, gamma: float) -> float:
-    return sum(_policy_rates(s, lam, gamma)[0] for s in specs)
+def _total_rate(specs, lam: float, gamma: float, t_cap: int) -> float:
+    return sum(_policy_rates(s, lam, gamma, t_cap)[0] for s in specs)
 
 
 def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
@@ -230,12 +223,14 @@ def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
     n = len(specs)
     if not 1 <= K < n:
         raise ValueError(f"need 1 <= K < N, got K={K}, N={n}")
+    if t_cap < 1:
+        raise ValueError(f"t_cap must be >= 1, got {t_cap}")
 
     def solve_gamma(lam: float) -> float:
         lo, hi = 0.0, 1.0
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            if _total_rate(specs, lam, mid) < K:
+            if _total_rate(specs, lam, mid, t_cap) < K:
                 lo = mid
             else:
                 hi = mid
@@ -245,16 +240,16 @@ def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
         g = solve_gamma(lam)
         mixing, t0s, rates = [], [], []
         for s in specs:
-            lo_rate = _policy_rates(s, lam, 0.0)[0]
-            hi_rate = _policy_rates(s, lam, 1.0)[0]
+            lo_rate = _policy_rates(s, lam, 0.0, t_cap)[0]
+            hi_rate = _policy_rates(s, lam, 1.0, t_cap)[0]
             boundary = hi_rate != lo_rate
             mixing.append(g if boundary else 0.0)
             t0s.append(optimal_stopping(s, lam, t_cap).t0_star)
-            rates.append(_policy_rates(s, lam, g if boundary else 0.0)[0])
+            rates.append(_policy_rates(s, lam, g if boundary else 0.0, t_cap)[0])
         return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing),
                            t0_star=tuple(t0s), rates=tuple(rates))
 
-    if _total_rate(specs, 0.0, 0.0) <= K:
+    if _total_rate(specs, 0.0, 0.0, t_cap) <= K:
         return finish(0.0)
 
     t_limit = 64
@@ -264,7 +259,7 @@ def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
             w = index_values(s, min(t_limit, t_cap))
             cands.update(v for v in w[1:] if v > 0.0)
         for lam in sorted(cands):
-            if _total_rate(specs, lam, 0.0) <= K + 1e-12:
+            if _total_rate(specs, lam, 0.0, t_cap) <= K + 1e-12:
                 return finish(lam)
         if t_limit >= t_cap:
             raise RuntimeError(

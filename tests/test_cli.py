@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import probesched
 from probesched.cli import main
 from probesched.presets import FIG2, FIG3, FIG4, PRESETS
 
@@ -270,3 +274,42 @@ def test_output_lines_end_with_lf(tmp_path):
     assert b"\r" not in data
     assert data.endswith(b"\n")
     assert data.splitlines()[0] == b"component,state_i,state_t,index"
+
+
+@pytest.mark.parametrize("command", ["oracle", "evaluate"])
+@pytest.mark.parametrize("bound", ["big", 0, 2.5])
+def test_bad_bound_rejected(tmp_path, capsys, command, bound):
+    cfg = _write_cfg(tmp_path, {
+        "components": [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2,
+        "K": 1,
+        "horizon": 2,
+        "bound": bound,
+    })
+    assert main([command, "--config", cfg]) == 2
+    assert "config.bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["random", "queue"])
+def test_oracle_rejects_inexact_policies(tmp_path, capsys, policy):
+    cfg = _write_cfg(tmp_path, {
+        "components": [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2,
+        "K": 1,
+        "horizon": 2,
+        "policies": ["whittle", policy],
+    })
+    assert main(["oracle", "--config", cfg]) == 2
+    assert "config.policies" in capsys.readouterr().err
+
+
+def test_module_entry_point_prints_csv(tmp_path):
+    src = os.path.dirname(os.path.dirname(probesched.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "probesched.cli", "index", "--preset", "fig2"],
+        capture_output=True, env=env, check=False,
+    )
+    out = tmp_path / "idx.csv"
+    assert main(["index", "--preset", "fig2", "--out", str(out)]) == 0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()

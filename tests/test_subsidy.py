@@ -1,3 +1,6 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,23 @@ from probesched import (
     solve_lambda_star,
     whittle_index,
 )
-from probesched.subsidy import _policy_rates, average_cost_rate, single_arm_q
+from probesched.subsidy import (
+    DEFAULT_T_CAP,
+    _converged,
+    _policy_rates,
+    average_cost_rate,
+    single_arm_q,
+)
 from helpers import concave_spec, markov_spec, random_strict_specs
+
+
+def _criterion_8_specs():
+    """The arm sets of acceptance criterion 8's 20 instances."""
+    rng = np.random.default_rng(88)
+    for trial in range(20):
+        n = int(rng.integers(2, 6))
+        rng.integers(1, n)  # that instance's K, drawn to keep the sequence
+        yield random_strict_specs(n, seed=5_000 + trial)
 
 
 def test_negative_subsidy_probes_immediately():
@@ -236,3 +254,79 @@ def test_invalid_t_cap_rejected():
         optimal_stopping(markov_spec(0.5), 0.2, t_cap=0)
     with pytest.raises(ValueError):
         gain(markov_spec(0.5), 0.2, t_cap=-1)
+    with pytest.raises(ValueError):
+        solve_lambda_star([markov_spec(0.5)] * 2, 1, t_cap=0)
+
+
+def test_walk_matches_renewal_formula_at_index_multipliers():
+    # At lam = W(0, t) the threshold policy probes t0 = t + 1 slots after a
+    # healthy observation when ties stay passive (gamma = 0) and t0 = t when
+    # they activate (gamma = 1); the walk must reproduce 1 / (t0 + p(t0))
+    # and c sum_{k<=t0} p(k) / (t0 + p(t0)).  Where neighbouring indices
+    # are well separated, t0 = t + 1 is also the subsidy-optimal delay.
+    checked = 0
+    for specs in _criterion_8_specs():
+        for spec in specs:
+            p = lambda t: marginal_p(spec.process, t)
+            w = lambda t: whittle_index(spec, ArmState(0, t))
+            t = 1
+            while not _converged(spec.process, t, p(t)) and w(t + 1) > w(t):
+                for gamma, t0 in ((0.0, t + 1), (1.0, t)):
+                    rate, cost_rate = _policy_rates(spec, w(t), gamma)
+                    cycle = t0 + p(t0)
+                    cum = sum(p(k) for k in range(1, t0 + 1))
+                    assert rate == pytest.approx(1.0 / cycle, rel=1e-12, abs=0.0)
+                    assert cost_rate == pytest.approx(spec.cost * cum / cycle,
+                                                      rel=1e-12, abs=0.0)
+                if w(t + 1) - w(t) > 1e-6:
+                    mid = 0.5 * (w(t) + w(t + 1))
+                    assert optimal_stopping(spec, mid).t0_star == t + 1
+                    assert _policy_rates(spec, mid, 0.0)[0] == pytest.approx(
+                        activation_rate(spec, mid), rel=1e-12, abs=0.0)
+                checked += 1
+                t += 1
+    assert checked > 1000
+
+
+def _terminates(fn, *args, seconds=10.0):
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert out, f"{fn.__name__}{args} did not return within {seconds} s"
+    return out[0]
+
+
+@pytest.mark.parametrize("gamma", [1e-30, 0.3, 1.0])
+def test_tie_in_converged_tail_is_a_geometric_series(gamma):
+    # Every index below the table's last entry lies under lam = W(0, L), and
+    # from L on the index equals lam, so each slot probes with probability
+    # gamma: E[gap after 0] = L - 1 + 1/gamma, and the gap after a 1 is one
+    # slot longer with the same cost.  (1 - 1e-30) == 1.0, so a slot-by-slot
+    # walk would never shed the unprobed mass.
+    spec = concave_spec(cost=1.5)
+    big_l = len(spec.process.values)
+    p = lambda t: marginal_p(spec.process, t)
+    lam = whittle_index(spec, ArmState(0, big_l))
+    assert all(whittle_index(spec, ArmState(0, t)) < lam for t in range(big_l))
+    extra = 1.0 / gamma - 1.0
+    if gamma == 0.3:
+        series = sum(gamma * (1.0 - gamma) ** (j - 1) * (j - 1) for j in range(1, 400))
+        assert series == pytest.approx(extra, rel=1e-12)
+    tail_p = p(big_l)
+    e_len = big_l + extra + tail_p  # (1 - theta) e0 + theta (e0 + 1), theta = p_inf
+    cum = sum(p(k) for k in range(1, big_l + 1)) + tail_p * extra
+    rate, cost_rate = _terminates(_policy_rates, spec, lam, gamma)
+    assert math.isfinite(rate) and rate > 0.0
+    assert rate == pytest.approx(1.0 / e_len, rel=1e-12, abs=0.0)
+    assert cost_rate == pytest.approx(spec.cost * cum / e_len, rel=1e-12, abs=0.0)
+
+
+def test_parked_arm_reports_zero_rate_and_cap():
+    # criterion 8's trial 7: arm 2's index never reaches lambda*
+    specs = random_strict_specs(4, seed=5_007)
+    plan = solve_lambda_star(specs, 1)
+    assert plan.rates[2] == 0.0
+    assert plan.t0_star[2] == DEFAULT_T_CAP
+    assert [r > 0.0 for r in plan.rates] == [True, True, False, True]
+    assert sum(plan.rates) == pytest.approx(1.0, abs=1e-6)
