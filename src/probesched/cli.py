@@ -21,7 +21,6 @@ from .oracle import (
     DEFAULT_BOUND,
     SearchSpaceError,
     dp_optimal,
-    ensure_within_guard,
     policy_evaluate_exact,
 )
 from .policies import POLICY_NAMES, myopic_policy, whittle_policy
@@ -160,19 +159,20 @@ def cmd_oracle(cfg):
     bound = _positive(cfg, "bound") if "bound" in cfg else DEFAULT_BOUND
     policies = [(name, _exact_policy(name, specs, k)) for name in _policies(cfg)]
     initial = [ArmState(0, 1)] * len(specs)
-    ensure_within_guard(specs, initial, k, horizon, bound)
     header = ["horizon", "optimal_cost"]
     for name, _pol in policies:
         header += [f"{name}_cost", f"{name}_rel_gap"]
     rows = []
-    for t in range(1, horizon + 1):
+    # Longest horizon first: its reachability pass refuses an oversized
+    # batch before any shorter horizon is solved.
+    for t in range(horizon, 0, -1):
         opt, _table = dp_optimal(specs, initial, k, t, bound)
         row = [t, opt]
         for _name, pol in policies:
             val = policy_evaluate_exact(specs, initial, k, t, pol, bound)
             row += [val, (val - opt) / opt if opt > 0 else 0.0]
         rows.append(row)
-    return header, rows
+    return header, rows[::-1]
 
 
 def cmd_subsidy(cfg):

@@ -1,15 +1,16 @@
 """Exact finite-horizon machinery on small instances.
 
-Backward induction over the joint arm-state space gives the true optimal
-expected cost, and forward expectation over a fixed policy's observation
-tree gives exact policy values.  Both charge each slot the expected
-abnormal cost sum(c_n * P(abnormal)) before the slot's probes take effect;
-the abnormal-probability entries are exact marginals given the arm states,
-so no sampling is involved.
+One backward induction over the reachable joint arm states gives both the
+true optimal expected cost (minimising over every K-subset of arms) and a
+fixed policy's exact value (expanding only the policy's own selection).
+It charges each slot the expected abnormal cost sum(c_n * P(abnormal))
+before the slot's probes take effect; the abnormal-probability entries are
+exact marginals given the arm states, so no sampling is involved.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -31,10 +32,6 @@ class SearchSpaceError(RuntimeError):
             f"search space too large: {count} reachable joint states x horizon "
             f"{horizon} exceeds the bound {bound}"
         )
-
-
-def _as_state_tuple(states) -> tuple:
-    return tuple((st.i, st.t) for st in states)
 
 
 def _belief(spec, i: int, t: int) -> float:
@@ -74,18 +71,17 @@ def _next_state(state: tuple, probed) -> tuple:
     return tuple(nxt)
 
 
-def _reachable(specs, initial: tuple, k: int, horizon: int, bound: int):
-    """Layered reachable sets under every policy, aborting as soon as the
-    union of states times the horizon exceeds the bound."""
-    n = len(specs)
-    selections = list(itertools.combinations(range(n), k))
+def _reachable(specs, initial: tuple, horizon: int, bound: int, choose):
+    """Layered reachable sets when every state expands the selections
+    `choose(state)` returns, aborting as soon as the union of states times
+    the horizon exceeds the bound."""
     layers = [{initial}]
     union = {initial}
     threshold = bound // horizon
     for _ in range(horizon - 1):
         nxt = set()
         for state in layers[-1]:
-            for sel in selections:
+            for sel in choose(state):
                 for omap, _pr in _obs_branches(specs, state, sel):
                     child = _next_state(state, omap)
                     if child not in nxt:
@@ -94,80 +90,68 @@ def _reachable(specs, initial: tuple, k: int, horizon: int, bound: int):
             if len(union) > threshold:
                 raise SearchSpaceError(len(union), horizon, bound)
         layers.append(nxt)
-    return layers, selections
+    return layers
 
 
-def ensure_within_guard(specs, initial, k: int, horizon: int,
-                        bound: int = DEFAULT_BOUND) -> None:
-    """Raise SearchSpaceError if exact evaluation at `horizon` would exceed
-    the bound; used to refuse a batch before doing partial work."""
+def _induct(specs, initial: tuple, horizon: int, bound: int, choose):
+    """Backward induction over the layers reachable under `choose`: each
+    state's value is its slot cost plus the least expected value-to-go over
+    the selections `choose(state)` offers (the first one on ties).  Returns
+    the initial state's value and the table {(slot, state): selection}."""
+    layers = _reachable(specs, initial, horizon, bound, choose)
+    values = {}
+    table = {}
+    for slot in range(horizon - 1, -1, -1):
+        layer_vals = {}
+        for state in layers[slot]:
+            cost = _slot_cost(specs, state)
+            best_v, best_sel = None, None
+            for sel in choose(state):
+                future = sum(
+                    pr * values[_next_state(state, omap)]
+                    for omap, pr in _obs_branches(specs, state, sel)
+                ) if values else 0.0  # nothing follows the last slot
+                if best_v is None or future < best_v - 1e-15:
+                    best_v, best_sel = future, sel
+            layer_vals[state] = cost + best_v
+            table[(slot, state)] = best_sel
+        values = layer_vals
+    return values[initial], table
+
+
+def _setup(specs, initial, k: int, horizon: int):
+    """Validated (specs, initial state tuple, every K-subset of arms)."""
     specs = list(specs)
-    _reachable(specs, _as_state_tuple(initial), k, horizon, bound)
+    if not 1 <= k <= len(specs):
+        raise ValueError(f"need 1 <= K <= N, got K={k}, N={len(specs)}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    selections = list(itertools.combinations(range(len(specs)), k))
+    return specs, tuple((st.i, st.t) for st in initial), selections
 
 
 def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND):
     """Exact minimal expected total cost over `horizon` slots, plus the
     optimal policy table as {(slot, joint state): selection}."""
-    specs = list(specs)
-    if not 1 <= k <= len(specs):
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={len(specs)}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    init = _as_state_tuple(initial)
-    layers, selections = _reachable(specs, init, k, horizon, bound)
-    values = {state: 0.0 for state in layers[-1]}
-    policy = {}
-    for slot in range(horizon - 1, -1, -1):
-        layer_vals = {}
-        terminal = slot == horizon - 1
-        for state in layers[slot]:
-            cost = _slot_cost(specs, state)
-            best_v, best_sel = None, None
-            for sel in selections:
-                if terminal:
-                    future = 0.0
-                else:
-                    future = sum(
-                        pr * values[_next_state(state, omap)]
-                        for omap, pr in _obs_branches(specs, state, sel)
-                    )
-                if best_v is None or future < best_v - 1e-15:
-                    best_v, best_sel = future, sel
-            layer_vals[state] = cost + best_v
-            policy[(slot, state)] = best_sel
-        values = layer_vals
-    return values[init], policy
+    specs, init, selections = _setup(specs, initial, k, horizon)
+    return _induct(specs, init, horizon, bound, lambda state: selections)
 
 
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
                           bound: int = DEFAULT_BOUND) -> float:
     """Exact expected total cost of a stationary deterministic selector:
-    weight every branch of the observation tree by its probability."""
-    specs = list(specs)
-    if not 1 <= k <= len(specs):
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={len(specs)}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    init = _as_state_tuple(initial)
-    _reachable(specs, init, k, horizon, bound)
-    memo = {}
+    weight every branch of the observation tree by its probability.
 
-    def value(state: tuple, remaining: int) -> float:
-        if remaining == 0:
-            return 0.0
-        key = (state, remaining)
-        if key in memo:
-            return memo[key]
-        cost = _slot_cost(specs, state)
-        sel = policy([ArmState(i, t) for i, t in state])
-        future = 0.0
-        if remaining > 1:
-            for omap, pr in _obs_branches(specs, state, sel):
-                future += pr * value(_next_state(state, omap), remaining - 1)
-        memo[key] = cost + future
-        return memo[key]
+    The bound applies to the states reachable under every policy, as for
+    `dp_optimal`, so both refuse the same instances."""
+    specs, init, selections = _setup(specs, initial, k, horizon)
+    _reachable(specs, init, horizon, bound, lambda state: selections)
 
-    return value(init, horizon)
+    @functools.cache
+    def choose(state):
+        return (policy([ArmState(i, t) for i, t in state]),)
+
+    return _induct(specs, init, horizon, bound, choose)[0]
 
 
 def value_monotonicity_probe(specs, k: int, horizon: int, trials: int,

@@ -78,4 +78,7 @@ def queue_network_from_json(obj: dict) -> QueueNetworkSpec:
                 holding_cost=float(c["holding_cost"]),
             )
         )
-    return QueueNetworkSpec(classes=tuple(classes), servers=int(obj["servers"]))
+    servers = obj["servers"]
+    if not isinstance(servers, int) or isinstance(servers, bool):
+        raise ValueError(f"servers must be an integer, got {servers!r}")
+    return QueueNetworkSpec(classes=tuple(classes), servers=servers)

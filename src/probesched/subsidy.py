@@ -50,8 +50,11 @@ class RelaxedPlan:
     """Common multiplier lam*, per-arm boundary mixing probabilities, and
     the resulting stopping delays and activation rates.
 
-    A parked arm (its index stays below lam*, so it is never probed again)
-    reports activation rate 0.0 and t0_star = t_cap."""
+    t0_star is the first t >= 1 at which the plan may probe an arm after a
+    0-observation: W(0, t) > lam*, or W(0, t) = lam* and the arm's mixing
+    is positive, the rule `relaxed_select` applies.  A parked arm (its
+    index stays below lam*, so it is never probed again) reports activation
+    rate 0.0 and t0_star = t_cap."""
 
     lambda_star: float
     mixing: tuple
@@ -139,43 +142,64 @@ def _activation_prob(w: float, lam: float, gamma: float) -> float:
     return 0.0
 
 
-def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, start_obs: int,
-                    t_cap: int):
-    """Distribution of the gap until the next probe after an observation.
+def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, t_cap: int):
+    """Distribution of the gap until the next probe after a 0-observation.
 
-    After a 0-observation the component restarts immediately, so g slots
-    later it is abnormal with probability p(g) and the interval accrues
-    cost c * sum_{k<=g} p(k).  After a 1-observation the repair lands one
-    slot later and everything shifts by one.  Returns (E[gap], P(next
-    observation = 1), E[interval cost]), or None if the arm is parked.
+    The component restarts immediately, so g slots later it is abnormal
+    with probability p(g) and the interval accrues cost c * sum_{k<=g} p(k).
+    Returns (E[gap], P(next observation = 1), E[interval cost], first slot
+    that may probe), or None if the arm is parked.
     """
     proc, c = spec.process, spec.cost
     mass = 1.0
     e_gap = p_obs1 = e_cost = 0.0
     cum = 0.0
-    for t in range(1 - start_obs, t_cap + 1):
+    first = None
+    for t in range(1, t_cap + 1):
         b = marginal_p(proc, t)
         cum += b
         a = _activation_prob(whittle_index(spec, ArmState(0, t)), lam, gamma)
+        if first is None and a > 0.0:
+            first = t
         if t == t_cap or _converged(proc, t, b):
             break
         pr = mass * a
-        e_gap += pr * (t + start_obs)
+        e_gap += pr * t
         p_obs1 += pr * b
         e_cost += pr * cum * c
         mass *= 1.0 - a
         if mass == 0.0:
-            return e_gap, p_obs1, e_cost
+            return e_gap, p_obs1, e_cost, first
     # From the converged tail (or t_cap) on, a and b are constant: the rest
     # is probed j >= 1 slots in with probability a (1-a)^(j-1), E[j] = 1/a,
     # and the cost grows by b per slot after the first.  a = 0 parks the arm.
     if a == 0.0:
         return None
     extra = 1.0 / a - 1.0
-    e_gap += mass * (t + start_obs + extra)
+    e_gap += mass * (t + extra)
     p_obs1 += mass * b
     e_cost += mass * (cum + b * extra) * c
-    return e_gap, p_obs1, e_cost
+    return e_gap, p_obs1, e_cost, first
+
+
+def _renewal(spec: ComponentSpec, lam: float, gamma: float, t_cap: int):
+    """`_policy_rates` plus t0*, the first slot after a 0-observation that
+    may probe (t_cap for a parked arm)."""
+    stats0 = _interval_stats(spec, lam, gamma, t_cap)
+    if stats0 is None:
+        return 0.0, spec.cost * marginal_p(spec.process, t_cap), t_cap
+    e0, b0, c0, t0 = stats0
+    # After a 1-observation the repair lands one slot later: the first slot
+    # sits at index W(0, 0) = 0 and cannot find the component abnormal; if
+    # it does not probe, the 0-observation interval follows, one slot late.
+    s = 1.0 - _activation_prob(0.0, lam, gamma)
+    e1, b1, c1 = 1.0 + s * e0, s * b0, s * c0
+    denom = 1.0 - b1 + b0
+    theta = b0 / denom if denom > 0.0 else 0.0
+    e_len = (1.0 - theta) * e0 + theta * e1
+    rate = 1.0 / e_len
+    cost_rate = ((1.0 - theta) * c0 + theta * c1) / e_len
+    return rate, cost_rate, t0
 
 
 def _policy_rates(spec: ComponentSpec, lam: float, gamma: float,
@@ -189,17 +213,7 @@ def _policy_rates(spec: ComponentSpec, lam: float, gamma: float,
     long-run rates.  A parked arm is never probed again, so its activation
     rate is zero and its belief settles at p(t_cap).
     """
-    stats0 = _interval_stats(spec, lam, gamma, 0, t_cap)
-    if stats0 is None:
-        return 0.0, spec.cost * marginal_p(spec.process, t_cap)
-    e0, b0, c0 = stats0
-    e1, b1, c1 = _interval_stats(spec, lam, gamma, 1, t_cap)
-    denom = 1.0 - b1 + b0
-    theta = b0 / denom if denom > 0.0 else 0.0
-    e_len = (1.0 - theta) * e0 + theta * e1
-    rate = 1.0 / e_len
-    cost_rate = ((1.0 - theta) * c0 + theta * c1) / e_len
-    return rate, cost_rate
+    return _renewal(spec, lam, gamma, t_cap)[:2]
 
 
 def average_cost_rate(spec: ComponentSpec, lam: float, gamma: float = 0.0) -> float:
@@ -238,16 +252,12 @@ def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
 
     def finish(lam: float) -> RelaxedPlan:
         g = solve_gamma(lam)
-        mixing, t0s, rates = [], [], []
-        for s in specs:
-            lo_rate = _policy_rates(s, lam, 0.0, t_cap)[0]
-            hi_rate = _policy_rates(s, lam, 1.0, t_cap)[0]
-            boundary = hi_rate != lo_rate
-            mixing.append(g if boundary else 0.0)
-            t0s.append(optimal_stopping(s, lam, t_cap).t0_star)
-            rates.append(_policy_rates(s, lam, g if boundary else 0.0, t_cap)[0])
-        return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing),
-                           t0_star=tuple(t0s), rates=tuple(rates))
+        mixing = []
+        for s in specs:  # only arms whose rate moves with gamma mix
+            lo, hi = (_policy_rates(s, lam, gamma, t_cap)[0] for gamma in (0.0, 1.0))
+            mixing.append(g if hi != lo else 0.0)
+        rates, _costs, t0s = zip(*(_renewal(s, lam, m, t_cap) for s, m in zip(specs, mixing)))
+        return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates)
 
     if _total_rate(specs, 0.0, 0.0, t_cap) <= K:
         return finish(0.0)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import probesched
 from probesched.cli import main
@@ -313,3 +316,95 @@ def test_module_entry_point_prints_csv(tmp_path):
     assert main(["index", "--preset", "fig2", "--out", str(out)]) == 0
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == out.read_bytes()
+
+
+def test_evaluate_long_horizon_exits_cleanly(tmp_path, capsys):
+    # the exact evaluator once recursed one level per slot and died with a
+    # RecursionError traceback from horizon ~1000 on
+    cfg = _write_cfg(tmp_path, {
+        "components": [{"kind": "markov", "q": 0.3, "cost": 1.0}],
+        "K": 1,
+        "horizon": 3000,
+    })
+    out = tmp_path / "e.csv"
+    assert main(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [r["horizon"] for r in _read_csv(out)] == ["3000"]
+
+
+# Values that no field accepts as valid input of its own kind.
+_JUNK = st.sampled_from([None, "x", -1, 0, 2.5, True, [], {}, float("nan"), float("inf")])
+_PROB = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_COST = st.floats(0.0, 5.0)
+_EXACT = ("evaluate", "oracle")  # a tuple: junk modes may be unhashable
+
+
+@st.composite
+def _config(draw, command):
+    """A small config for `command`: all fields valid, or (half the time)
+    some of them junk, out of range or missing.  Sizes keep every example
+    cheap: R·N·T <= 2·10^4 for simulations, N <= 3 and T <= 12 for the
+    oracle, and T <= 1500 for `evaluate` with N <= 2, except that two arms
+    sharing one probe (whose all-subsets layers grow with T) stop at 60."""
+    dirty = draw(st.booleans())
+
+    def pick(valid):
+        return draw(st.one_of(valid, _JUNK) if dirty else valid)
+
+    def component():
+        if draw(st.booleans()):
+            return {"kind": "markov", "q": pick(_PROB), "cost": pick(_COST)}
+        p = draw(st.lists(st.floats(0.0, 1.0), min_size=0 if dirty else 1, max_size=6))
+        return {"kind": "table", "p": p if dirty else sorted(p), "cost": pick(_COST)}
+
+    mode = command
+    if command == "queueing":
+        mode = pick(st.sampled_from(["simulate", "oracle", "evaluate"]))
+    n_max = 2 if mode == "evaluate" else 3
+    n = draw(st.integers(0 if dirty else (2 if command in ("subsidy", "queueing") else 1),
+                         n_max))
+    specs = [component() for _ in range(n)]
+    k = pick(st.integers(1, max(1, n - 1 if command in ("subsidy", "queueing") else n)))
+    if mode == "evaluate":
+        t_max = 60 if n == 2 and k == 1 else 1500
+    else:
+        t_max = 12 if mode == "oracle" else 200
+    horizon = draw(st.integers(0 if dirty else 1, t_max))
+    if command == "queueing":
+        classes = [{"holding_cost": c.pop("cost"),
+                    "arrival": {**c, "kind": "bernoulli"} if "q" in c else c} for c in specs]
+        cfg = {"queueing": {"servers": k, "classes": classes}, "queueing_mode": mode}
+    else:
+        cfg = {"components": specs, "K": k}
+    cfg["horizon"] = horizon
+    cfg["replications"] = pick(st.integers(1, 20_000 // (max(n, 1) * max(horizon, 1))))
+    cfg["seed"] = pick(st.integers(0, 2**32))
+    names = ["whittle", "myopic"] if mode in _EXACT else ["whittle", "myopic", "queue", "random"]
+    cfg["policies"] = pick(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        cfg["bound"] = pick(st.integers(1, 10**7))
+    if dirty and cfg and draw(st.booleans()):
+        del cfg[draw(st.sampled_from(sorted(cfg)))]
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["index", "simulate", "evaluate", "oracle",
+                                     "subsidy", "queueing"])
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, command):
+    path = tmp_path / "cfg.json"
+    codes = []
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_config(command))
+    def check(cfg):
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+        assert code in (0, 2, 3), (cfg, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        codes.append(code)
+
+    check()
+    assert 0 in codes and 2 in codes  # both valid and invalid configs were run

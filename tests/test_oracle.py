@@ -165,3 +165,25 @@ def test_evaluate_matches_brute_force_enumeration():
     expected = brute(_fresh(2), horizon)
     val = policy_evaluate_exact(specs, _fresh(2), k, horizon, pol)
     assert val == pytest.approx(expected, abs=1e-12)
+
+
+def test_single_arm_policy_value_equals_optimum_bitwise_at_long_horizon():
+    # N = K = 1 leaves one selection, so both passes do the same arithmetic;
+    # a recursive evaluator would exceed the interpreter's stack here
+    specs = [markov_spec(0.3)]
+    opt, _ = dp_optimal(specs, _fresh(1), 1, 3000)
+    assert policy_evaluate_exact(specs, _fresh(1), 1, 3000, whittle_policy(specs, 1)) == opt
+
+
+def test_policy_is_called_once_per_reachable_state():
+    specs = [markov_spec(0.5), markov_spec(0.2), markov_spec(0.35)]
+    pol = whittle_policy(specs, 1)
+    seen = []
+
+    def counting(states):
+        seen.append(tuple(states))
+        return pol(states)
+
+    val = policy_evaluate_exact(specs, _fresh(3), 1, 6, counting)
+    assert val == policy_evaluate_exact(specs, _fresh(3), 1, 6, pol)
+    assert len(seen) == len(set(seen)) > 6

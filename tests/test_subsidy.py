@@ -330,3 +330,44 @@ def test_parked_arm_reports_zero_rate_and_cap():
     assert plan.t0_star[2] == DEFAULT_T_CAP
     assert [r > 0.0 for r in plan.rates] == [True, True, False, True]
     assert sum(plan.rates) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("spec", [markov_spec(0.3, cost=1.5), concave_spec(cost=0.7)])
+@pytest.mark.parametrize("gamma", [0.25, 0.7])
+def test_zero_subsidy_mixes_at_the_fresh_repair(spec, gamma):
+    # At lam = 0 every (0, t) state probes, and the fresh repair (1, 1) sits
+    # at W(0, 0) = 0 = lam, so it probes with probability gamma.  The gap
+    # after a 0 is one slot (abnormal w.p. p(1)); after a 1 it is one slot
+    # w.p. gamma (the repaired component is healthy), else two slots
+    # (abnormal w.p. p(1)).  theta is the stationary share of 1-observations.
+    p1 = marginal_p(spec.process, 1)
+    assert whittle_index(spec, ArmState(0, 1)) > 0.0
+    e0, b0, c0 = 1.0, p1, spec.cost * p1
+    e1, b1, c1 = 2.0 - gamma, (1.0 - gamma) * p1, (1.0 - gamma) * spec.cost * p1
+    theta = b0 / (1.0 - b1 + b0)
+    e_len = (1.0 - theta) * e0 + theta * e1
+    rate, cost_rate = _policy_rates(spec, 0.0, gamma)
+    assert rate == pytest.approx(1.0 / e_len, rel=1e-12, abs=0.0)
+    assert cost_rate == pytest.approx(((1.0 - theta) * c0 + theta * c1) / e_len,
+                                      rel=1e-12, abs=0.0)
+
+
+def test_plan_t0_star_is_the_first_slot_the_plan_may_probe():
+    # relaxed_select probes (0, t) when W(0, t) > lam*, or when W(0, t) =
+    # lam* and the arm mixes; t0_star is the first such t >= 1, and t_cap
+    # for a parked arm.  Criterion 8's 20 instances.
+    rng = np.random.default_rng(88)
+    for trial in range(20):
+        n = int(rng.integers(2, 6))
+        specs = random_strict_specs(n, seed=5_000 + trial)
+        plan = solve_lambda_star(specs, int(rng.integers(1, n)))
+        lam = plan.lambda_star
+        for idx, spec in enumerate(specs):
+            def may_probe(t):
+                w = whittle_index(spec, ArmState(0, t))
+                return w > lam or (w == lam and plan.mixing[idx] > 0.0)
+
+            first = next((t for t in range(1, DEFAULT_T_CAP + 1) if may_probe(t)),
+                         DEFAULT_T_CAP)
+            assert plan.t0_star[idx] == first, (trial, idx, plan)
+            assert (plan.rates[idx] == 0.0) == (not may_probe(first))
