@@ -10,7 +10,6 @@ and solves the time-averaged probe budget via a passivity subsidy.
 
 from .arm import ACTIVE, PASSIVE, ArmState, belief_abnormal, transition
 from .attack import (
-    AttackProcess,
     ComponentSpec,
     MarkovIID,
     Table,
@@ -27,7 +26,6 @@ from .oracle import (
     value_monotonicity_probe,
 )
 from .policies import (
-    QueueState,
     queue_init,
     queue_step,
     select_myopic,
@@ -35,11 +33,8 @@ from .policies import (
     select_whittle,
 )
 from .queueing import CustomerClass, QueueNetworkSpec, to_rmab
-from .sim import CostTrajectory, RunConfig, WorldState, run, world_step
+from .sim import RunConfig, run
 from .subsidy import (
-    GainResult,
-    RelaxedPlan,
-    SubsidyPolicy,
     activation_rate,
     gain,
     indifference_gap,
@@ -53,20 +48,13 @@ __all__ = [
     "ACTIVE",
     "PASSIVE",
     "ArmState",
-    "AttackProcess",
     "ComponentSpec",
-    "CostTrajectory",
     "CustomerClass",
-    "GainResult",
     "MarkovIID",
     "QueueNetworkSpec",
-    "QueueState",
-    "RelaxedPlan",
     "RunConfig",
     "SearchSpaceError",
-    "SubsidyPolicy",
     "Table",
-    "WorldState",
     "activation_rate",
     "belief_abnormal",
     "check_c1",
@@ -93,5 +81,4 @@ __all__ = [
     "value_monotonicity_probe",
     "verify_strict_indexability",
     "whittle_index",
-    "world_step",
 ]

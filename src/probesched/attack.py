@@ -62,8 +62,8 @@ class ComponentSpec:
         if not (isinstance(self.process, (MarkovIID, Table))):
             raise ValueError(f"unsupported process {self.process!r}")
         c = float(self.cost)
-        if math.isnan(c) or c < 0.0:
-            raise ValueError(f"cost must be nonnegative, got {self.cost!r}")
+        if not math.isfinite(c) or c < 0.0:
+            raise ValueError(f"cost must be finite and nonnegative, got {self.cost!r}")
         object.__setattr__(self, "cost", c)
 
 

@@ -1,44 +1,82 @@
 """Slot-by-slot arm selection rules.
 
-All selectors break ties by the same deterministic chain: larger index,
-then larger cost-weighted abnormal belief, then longer time since the last
-probe, then smaller arm id.  The probe-age layer is what makes the index,
-myopic and queue policies coincide selection-for-selection on homogeneous
-components instead of merely up to exchangeable sets.
+Each rule exists once, as a function on (R, N) arrays of R independent
+worlds: the simulator calls them on its whole batch, and the scalar
+selectors below are validated R = 1 views of them.
+
+All index-ranked selectors break ties by the same deterministic chain:
+larger index, then larger cost-weighted abnormal belief, then longer time
+since the last probe, then smaller arm id.  The probe-age layer is what
+makes the index, myopic and queue policies coincide selection-for-selection
+on homogeneous components instead of merely up to exchangeable sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arm import ArmState, belief_abnormal
+import numpy as np
+
+from .arm import belief_abnormal
 from .whittle import whittle_index
 
 POLICY_NAMES = ("whittle", "myopic", "queue", "random")
 
 
-def _validate(specs, states, k: int) -> int:
-    n = len(specs)
-    if len(states) != n:
-        raise ValueError(f"{n} specs but {len(states)} states")
+def top_k(primary, weighted_belief, age, k: int) -> np.ndarray:
+    """Per row, the ids of the K arms first in the tie-break chain, in rank
+    order.  lexsort is stable, so an arm's position -- its id -- settles
+    the ties the three keys leave."""
+    return np.lexsort((-age, -weighted_belief, -primary), axis=-1)[:, :k]
+
+
+def requeue(order, head_abnormal, k: int) -> np.ndarray:
+    """Per row, the probe order after its K head arms were probed: they move
+    to the bottom, those observed healthy above those observed abnormal,
+    each group in arm-id order.
+
+    A probed-abnormal arm is one repair slot behind a probed-healthy one,
+    so it stays below it (and below the next cohort's healthy arms, whose
+    abnormal probability it matches) for the rest of time.  Id-ordering
+    inside each group mirrors the chain's final tie-break, keeping the
+    queue and the index policy aligned arm for arm.
+    """
+    n = order.shape[-1]
+    key = head_abnormal * n + order[:, :k]
+    return np.concatenate([order[:, k:], np.sort(key, axis=-1) % n], axis=-1)
+
+
+def random_k(uniforms, k: int) -> np.ndarray:
+    """Per row, the K arms with the smallest uniforms: a uniform K-subset."""
+    return np.argsort(uniforms, axis=-1)[:, :k]
+
+
+def _check_k(n: int, k: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
-    return n
 
 
-def _take(keys, k: int) -> tuple:
-    keys.sort()
-    return tuple(sorted(key[-1] for key in keys[:k]))
+def _ids(picked) -> tuple:
+    return tuple(sorted(picked[0].tolist()))
+
+
+def _chain(specs, states, k: int, primary) -> tuple:
+    """The chain on one world; `primary` maps (spec, state, belief) to the
+    arm's first key."""
+    if len(states) != len(specs):
+        raise ValueError(f"{len(specs)} specs but {len(states)} states")
+    _check_k(len(specs), k)
+    rows = []
+    for s, st in zip(specs, states):
+        b = belief_abnormal(s, st)
+        rows.append((primary(s, st, b), s.cost * b, st.t))
+    p, wb, age = np.array(rows).T[:, None, :]
+    return _ids(top_k(p, wb, age, k))
 
 
 def select_whittle(specs, states, k: int) -> tuple:
     """The K arms with the largest Whittle indices."""
-    _validate(specs, states, k)
-    keys = [
-        (-whittle_index(s, st), -s.cost * belief_abnormal(s, st), -st.t, idx)
-        for idx, (s, st) in enumerate(zip(specs, states))
-    ]
-    return _take(keys, k)
+    return _chain(specs, states, k, lambda s, st, b: whittle_index(s, st))
 
 
 def select_myopic(specs, states, k: int) -> tuple:
@@ -49,20 +87,14 @@ def select_myopic(specs, states, k: int) -> tuple:
     on homogeneous components and serves as the baseline it is measured
     against elsewhere.
     """
-    _validate(specs, states, k)
-    keys = [
-        (-belief_abnormal(s, st), -s.cost * belief_abnormal(s, st), -st.t, idx)
-        for idx, (s, st) in enumerate(zip(specs, states))
-    ]
-    return _take(keys, k)
+    return _chain(specs, states, k, lambda s, st, b: b)
 
 
 def select_random(n: int, k: int, rng) -> tuple:
-    """A uniform K-subset drawn from the caller's generator."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
-    picked = rng.choice(n, size=k, replace=False)
-    return tuple(sorted(int(a) for a in picked))
+    """A uniform K-subset: one uniform per arm from the caller's generator,
+    the K smallest win."""
+    _check_k(n, k)
+    return _ids(random_k(rng.random((1, n)), k))
 
 
 @dataclass(frozen=True)
@@ -83,18 +115,9 @@ def queue_init(n: int, initial_order) -> QueueState:
 
 
 def queue_step(queue: QueueState, k: int, observations: dict):
-    """Probe the K head arms and requeue them at the bottom, those observed
-    healthy above those observed abnormal, each group in arm-id order.
-
-    A probed-abnormal arm is one repair slot behind a probed-healthy one,
-    so it stays below it (and below the next cohort's healthy arms, whose
-    abnormal probability it matches) for the rest of time.  Id-ordering
-    inside each group mirrors the selectors' final tie-break, keeping the
-    queue and the index policy aligned arm for arm.
-    """
-    n = len(queue.order)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
+    """Probe the K head arms and requeue them by `requeue`; returns the
+    selection and the next queue."""
+    _check_k(len(queue.order), k)
     head = queue.order[:k]
     if set(observations) != set(head):
         raise ValueError(
@@ -103,10 +126,8 @@ def queue_step(queue: QueueState, k: int, observations: dict):
     for a, o in observations.items():
         if o not in (0, 1):
             raise ValueError(f"observation for arm {a} must be 0 or 1, got {o!r}")
-    selection = tuple(sorted(head))
-    healthy = sorted(a for a in head if observations[a] == 0)
-    abnormal = sorted(a for a in head if observations[a] == 1)
-    return selection, QueueState(order=queue.order[k:] + tuple(healthy) + tuple(abnormal))
+    order = requeue(np.array([queue.order]), np.array([[observations[a] for a in head]]), k)
+    return tuple(sorted(head)), QueueState(order=tuple(order[0].tolist()))
 
 
 def whittle_policy(specs, k: int):

@@ -21,20 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import ComponentSpec, hazard, marginal_p
-from .policies import POLICY_NAMES
+from .policies import POLICY_NAMES, random_k, requeue, top_k
 from .whittle import index_values
-
-
-@dataclass
-class WorldState:
-    """True component states and per-component slots since reset."""
-
-    abnormal: np.ndarray  # bool, shape (N,)
-    phase: np.ndarray  # int, shape (N,); flip opportunities since restart
-
-    @classmethod
-    def fresh(cls, n: int):
-        return cls(abnormal=np.zeros(n, dtype=bool), phase=np.zeros(n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -90,7 +78,7 @@ def _index_table(specs, horizon: int) -> np.ndarray:
 
 
 def _advance(abnormal, phase, probe_mask, obs, uniforms, hazards, arm_cols):
-    """Vectorised world transition shared by the scalar and batch paths.
+    """The world transition, on (R, N) arrays of R independent worlds.
 
     probe_mask marks probed arms, obs their current (pre-probe) states.
     Probed-healthy arms restart at clock 0 and immediately face hazard(1);
@@ -105,29 +93,6 @@ def _advance(abnormal, phase, probe_mask, obs, uniforms, hazards, arm_cols):
     next_abnormal = (abnormal & ~probe_mask) | flips
     next_phase = np.where(repaired, 0, clock + 1)
     return next_abnormal, next_phase
-
-
-def world_step(world: WorldState, selection, rng, specs):
-    """Single-world step: returns (next world, observations, slot cost).
-
-    Draws one uniform per arm in arm-id order from the caller's generator.
-    `selection` may be any subset of arms; policies supply K-subsets.
-    """
-    n = len(specs)
-    sel = np.zeros(n, dtype=bool)
-    for a in selection:
-        sel[a] = True
-    costs = np.array([s.cost for s in specs])
-    slot_cost = float(costs[world.abnormal].sum())
-    obs = {int(a) for a in np.nonzero(sel & world.abnormal)[0]}
-    observations = {int(a): (1 if a in obs else 0) for a in selection}
-    uniforms = rng.random(n)
-    hazards = _hazard_table(specs, int(world.phase.max()) + 1)
-    nxt_ab, nxt_ph = _advance(
-        world.abnormal, world.phase, sel, world.abnormal.copy(), uniforms,
-        hazards, np.arange(n),
-    )
-    return WorldState(abnormal=nxt_ab, phase=nxt_ph), observations, slot_cost
 
 
 def _arm_uniforms(seed: int, replications: int, n: int, horizon: int) -> np.ndarray:
@@ -163,7 +128,6 @@ def run(config: RunConfig) -> CostTrajectory:
         pol_u = _policy_uniforms(config.seed, r, n, t_total)
 
     arm_cols = np.broadcast_to(np.arange(n), (r, n))
-    ids2d = arm_cols.astype(np.int64)
     abnormal = np.zeros((r, n), dtype=bool)
     phase = np.zeros((r, n), dtype=np.int64)
     i_state = np.zeros((r, n), dtype=np.int64)
@@ -181,29 +145,21 @@ def run(config: RunConfig) -> CostTrajectory:
     for slot in range(t_total):
         per_slot[:, slot] = (abnormal * costs).sum(axis=1)
 
-        if config.policy == "whittle":
-            w = indices[arm_cols, t_state - i_state]
-            cb = costs * beliefs[arm_cols, t_state - i_state]
-            ranked = np.lexsort((ids2d, -t_state, -cb, -w), axis=-1)
-            sel_idx = ranked[:, :k]
-        elif config.policy == "myopic":
-            b = beliefs[arm_cols, t_state - i_state]
-            ranked = np.lexsort((ids2d, -t_state, -(costs * b), -b), axis=-1)
-            sel_idx = ranked[:, :k]
+        if config.policy in ("whittle", "myopic"):
+            clock = t_state - i_state
+            b = beliefs[arm_cols, clock]
+            primary = indices[arm_cols, clock] if config.policy == "whittle" else b
+            sel_idx = top_k(primary, costs * b, t_state, k)
         elif config.policy == "queue":
             sel_idx = order[:, :k]
         else:  # random
-            sel_idx = np.argsort(pol_u[:, slot, :], axis=-1)[:, :k]
+            sel_idx = random_k(pol_u[:, slot, :], k)
 
         mask = np.zeros((r, n), dtype=bool)
         mask[rows, sel_idx] = True
         obs = abnormal & mask
-
         if config.policy == "queue":
-            # healthy observations requeue above abnormal ones, id order
-            probed = order[:, :k]
-            key = obs[rows, probed] * n + probed
-            order = np.concatenate([order[:, k:], np.sort(key, axis=1) % n], axis=1)
+            order = requeue(order, obs[rows, sel_idx], k)
 
         if slot + 1 < t_total:
             abnormal, phase = _advance(

@@ -117,8 +117,9 @@ def test_process_validation():
         Table((0.5, 0.4))
     with pytest.raises(ValueError):
         Table((0.5, 1.2))
-    with pytest.raises(ValueError):
-        ComponentSpec(MarkovIID(0.5), -1.0)
+    for cost in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="cost"):
+            ComponentSpec(MarkovIID(0.5), cost)
 
 
 def test_component_json_round_trip():

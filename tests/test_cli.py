@@ -304,6 +304,21 @@ def test_oracle_rejects_inexact_policies(tmp_path, capsys, policy):
     assert "config.policies" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["index", "simulate", "evaluate", "oracle", "subsidy"])
+def test_infinite_cost_rejected(tmp_path, capsys, command):
+    # JSON's Infinity once passed validation and came out as nan/inf rows
+    cfg = _write_cfg(tmp_path, {
+        "components": [{"kind": "markov", "q": 0.3, "cost": float("inf")},
+                       {"kind": "markov", "q": 0.5, "cost": 1.0}],
+        "K": 1,
+        "horizon": 3,
+    })
+    assert "Infinity" in (tmp_path / "cfg.json").read_text()
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config.components[0]" in err and "cost" in err
+
+
 def test_module_entry_point_prints_csv(tmp_path):
     src = os.path.dirname(os.path.dirname(probesched.__file__))
     env = dict(os.environ)

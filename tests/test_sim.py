@@ -8,20 +8,23 @@ from probesched import (
     ComponentSpec,
     RunConfig,
     Table,
-    WorldState,
     marginal_p,
     policy_evaluate_exact,
+    queue_init,
+    queue_step,
     run,
+    select_myopic,
+    select_random,
+    select_whittle,
     transition,
-    world_step,
 )
-from probesched.policies import select_whittle, whittle_policy
-from probesched.sim import aggregate, sample_abnormal_marginals
+from probesched.policies import POLICY_NAMES, whittle_policy
+from probesched.sim import _advance, _hazard_table, aggregate, sample_abnormal_marginals
 from helpers import markov_spec
 
 
 class _Replay:
-    """Feeds predetermined uniforms to world_step."""
+    """Feeds predetermined uniforms to _step."""
 
     def __init__(self, values):
         self.values = list(values)
@@ -32,45 +35,66 @@ class _Replay:
         return out
 
 
+def _fresh(n):
+    """One world, all components healthy at clock 0: (1, N) arrays."""
+    return np.zeros((1, n), dtype=bool), np.zeros((1, n), dtype=np.int64)
+
+
+def _step(world, selection, rng, specs):
+    """One slot of one world through `_advance`: returns (next world,
+    observations, slot cost).  Draws one uniform per arm in arm-id order
+    from `rng`; `selection` may be any subset of arms."""
+    abnormal, phase = world
+    n = len(specs)
+    mask = np.zeros((1, n), dtype=bool)
+    mask[0, list(selection)] = True
+    cost = float(np.array([s.cost for s in specs])[abnormal[0]].sum())
+    observations = {a: int(abnormal[0, a]) for a in selection}
+    hazards = _hazard_table(specs, int(phase.max()) + 1)
+    world = _advance(abnormal, phase, mask, abnormal & mask, rng.random(n)[None, :],
+                     hazards, np.arange(n)[None, :])
+    return world, observations, cost
+
+
 def test_world_step_zero_hazard_never_costs():
     specs = [ComponentSpec(Table((0.0,)), 1.0)] * 2
-    world = WorldState.fresh(2)
+    world = _fresh(2)
     rng = np.random.default_rng(0)
     total = 0.0
     for _ in range(20):
-        world, _, cost = world_step(world, (0,), rng, specs)
+        world, _, cost = _step(world, (0,), rng, specs)
         total += cost
     assert total == 0.0
-    assert not world.abnormal.any()
+    assert not world[0].any()
 
 
 def test_world_step_charges_probed_abnormal_then_repairs():
     specs = [markov_spec(0.5, cost=2.0)]
-    world = WorldState(abnormal=np.array([True]), phase=np.array([3]))
-    world2, obs, cost = world_step(world, (0,), _Replay([0.99]), specs)
+    world = (np.array([[True]]), np.array([[3]]))
+    (abnormal, phase), obs, cost = _step(world, (0,), _Replay([0.99]), specs)
     assert cost == 2.0
     assert obs == {0: 1}
-    assert not world2.abnormal[0]  # healthy next slot, no flip after repair
-    assert world2.phase[0] == 0
+    assert not abnormal[0, 0]  # healthy next slot, no flip after repair
+    assert phase[0, 0] == 0
 
 
 def test_world_step_reset_faces_immediate_hazard():
     specs = [markov_spec(0.5)]
-    world = WorldState(abnormal=np.array([False]), phase=np.array([4]))
-    world2, obs, cost = world_step(world, (0,), _Replay([0.0]), specs)
+    world = (np.array([[False]]), np.array([[4]]))
+    (abnormal, phase), obs, cost = _step(world, (0,), _Replay([0.0]), specs)
     assert obs == {0: 0}
     assert cost == 0.0
-    assert world2.abnormal[0]  # flipped with hazard(1) right after the reset
-    assert world2.phase[0] == 1
+    assert abnormal[0, 0]  # flipped with hazard(1) right after the reset
+    assert phase[0, 0] == 1
 
 
 def test_world_step_unprobed_abnormal_is_absorbing():
     specs = [markov_spec(0.9)]
-    world = WorldState(abnormal=np.array([True]), phase=np.array([2]))
+    world = (np.array([[True]]), np.array([[2]]))
     for _ in range(5):
-        world, _, cost = world_step(world, (), _Replay([0.999]), specs)
+        world, _, cost = _step(world, (), _Replay([0.999]), specs)
         assert cost == 1.0
-        assert world.abnormal[0]
+        assert world[0][0, 0]
 
 
 def test_run_is_deterministic():
@@ -146,13 +170,13 @@ def test_bisimulation_with_arm_transitions():
     # the simulator's implied (i, t) ledger must follow the arm update rule
     specs = [markov_spec(0.5), markov_spec(0.25)]
     rng = np.random.default_rng(9)
-    world = WorldState.fresh(2)
+    world = _fresh(2)
     # align the world with the (0,1) start: one hazard step before slot 1
-    world, _, _ = world_step(world, (), rng, specs)
+    world, _, _ = _step(world, (), rng, specs)
     states = [ArmState(0, 1)] * 2
     for _ in range(200):
         sel = select_whittle(specs, states, 1)
-        world, obs, _ = world_step(world, sel, rng, specs)
+        world, obs, _ = _step(world, sel, rng, specs)
         nxt = []
         for a in range(2):
             if a in obs:
@@ -162,44 +186,64 @@ def test_bisimulation_with_arm_transitions():
         states = nxt
         for a in range(2):
             expected_phase = states[a].t - states[a].i
-            assert world.phase[a] == expected_phase
+            assert world[1][0, a] == expected_phase
 
 
-def test_vectorized_run_matches_scalar_composition():
-    # replay the per-(rep, arm) streams through the scalar step
-    specs = (markov_spec(0.6, 1.5), markov_spec(0.3, 1.0))
-    k, horizon, reps, seed = 1, 7, 3, 21
-    cfg = RunConfig(specs=specs, k=k, horizon=horizon, policy="whittle",
-                    replications=reps, seed=seed)
-    traj = run(cfg)
-    cums = np.zeros((reps, horizon))
-    for rep in range(reps):
-        draws = [
-            np.random.default_rng(np.random.SeedSequence([seed, rep, arm])).random(horizon)
-            for arm in range(2)
-        ]
-        uniforms = []
-        for slot in range(horizon):
-            uniforms.extend([draws[0][slot], draws[1][slot]])
-        uniforms.extend([0.5, 0.5])  # final transition, after the last cost
-        rng = _Replay(uniforms)
-        world = WorldState.fresh(2)
-        world, _, _ = world_step(world, (), rng, list(specs))
-        states = [ArmState(0, 1)] * 2
-        total = 0.0
-        for slot in range(horizon):
-            sel = select_whittle(list(specs), states, k)
-            world, obs, cost = world_step(world, sel, rng, list(specs))
-            total += cost
-            cums[rep, slot] = total
-            states = [
-                transition(states[a], ACTIVE, obs[a]) if a in obs
-                else transition(states[a], PASSIVE)
-                for a in range(2)
+# (specs, K, horizon, replications, seed); the second instance probes two
+# arms per slot, so the queue's healthy-above-abnormal requeue is exercised
+_COMPOSITION_CASES = [
+    ((markov_spec(0.6, 1.5), markov_spec(0.3, 1.0)), 1, 7, 3, 21),
+    ((markov_spec(0.6, 1.5), markov_spec(0.3, 1.0), markov_spec(0.45, 2.0)), 2, 12, 4, 5),
+]
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_vectorized_run_matches_scalar_composition(policy):
+    # replay the per-(rep, arm) streams, and the random policy's
+    # (seed, rep, N) stream, through the scalar selectors and step
+    for specs, k, horizon, reps, seed in _COMPOSITION_CASES:
+        n = len(specs)
+        cfg = RunConfig(specs=specs, k=k, horizon=horizon, policy=policy,
+                        replications=reps, seed=seed)
+        traj = run(cfg)
+        cums = np.zeros((reps, horizon))
+        for rep in range(reps):
+            draws = [
+                np.random.default_rng(np.random.SeedSequence([seed, rep, arm])).random(horizon)
+                for arm in range(n)
             ]
-    expected = aggregate(cums)
-    assert np.allclose(traj.mean_cumulative, expected.mean_cumulative, atol=1e-12)
-    assert np.allclose(traj.stderr, expected.stderr, atol=1e-12)
+            uniforms = []
+            for slot in range(horizon):
+                uniforms.extend(draws[arm][slot] for arm in range(n))
+            uniforms.extend([0.5] * n)  # final transition, after the last cost
+            rng = _Replay(uniforms)
+            policy_rng = np.random.default_rng(np.random.SeedSequence([seed, rep, n]))
+            queue = queue_init(n, range(n))
+            world, _, _ = _step(_fresh(n), (), rng, list(specs))
+            states = [ArmState(0, 1)] * n
+            total = 0.0
+            for slot in range(horizon):
+                if policy == "whittle":
+                    sel = select_whittle(list(specs), states, k)
+                elif policy == "myopic":
+                    sel = select_myopic(list(specs), states, k)
+                elif policy == "queue":
+                    sel = tuple(sorted(queue.order[:k]))
+                else:
+                    sel = select_random(n, k, policy_rng)
+                world, obs, cost = _step(world, sel, rng, list(specs))
+                if policy == "queue":
+                    _, queue = queue_step(queue, k, obs)
+                total += cost
+                cums[rep, slot] = total
+                states = [
+                    transition(states[a], ACTIVE, obs[a]) if a in obs
+                    else transition(states[a], PASSIVE)
+                    for a in range(n)
+                ]
+        expected = aggregate(cums)
+        assert np.allclose(traj.mean_cumulative, expected.mean_cumulative, atol=1e-12)
+        assert np.allclose(traj.stderr, expected.stderr, atol=1e-12)
 
 
 def test_random_policy_runs_and_is_deterministic():
