@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 
 from .arm import ArmState
@@ -84,6 +85,21 @@ def _positive(cfg, field, where="config"):
     return val
 
 
+# Cumulative costs below this stay finite, and so do the squares summed in
+# their standard error.
+_COST_LIMIT = math.sqrt(sys.float_info.max)
+
+
+def _bounded_costs(specs, horizon, replications=1):
+    """Refuse costs whose running totals over the horizon would overflow."""
+    total = sum(s.cost for s in specs) * (horizon + 1)
+    if not total * math.sqrt(replications) < _COST_LIMIT:
+        raise ConfigError(
+            f"config.components: total cost x (horizon + 1) = {total!r} would overflow; "
+            f"keep it below {_COST_LIMIT / math.sqrt(replications):.6g}"
+        )
+
+
 def _k(cfg, n):
     k = _positive(cfg, "K")
     if k > n:
@@ -117,6 +133,7 @@ def cmd_simulate(cfg):
     k = _k(cfg, len(specs))
     horizon = _positive(cfg, "horizon")
     reps = _positive(cfg, "replications")
+    _bounded_costs(specs, horizon, reps)
     seed = _require(cfg, "seed", int)
     header = ["policy", "slot", "mean_cumulative_cost", "stderr"]
     rows = []
@@ -141,6 +158,7 @@ def cmd_evaluate(cfg):
     specs = _components(cfg)
     k = _k(cfg, len(specs))
     horizon = _positive(cfg, "horizon")
+    _bounded_costs(specs, horizon)
     bound = _positive(cfg, "bound") if "bound" in cfg else DEFAULT_BOUND
     initial = [ArmState(0, 1)] * len(specs)
     header = ["policy", "horizon", "expected_cost"]
@@ -156,6 +174,7 @@ def cmd_oracle(cfg):
     specs = _components(cfg)
     k = _k(cfg, len(specs))
     horizon = _positive(cfg, "horizon")
+    _bounded_costs(specs, horizon)
     bound = _positive(cfg, "bound") if "bound" in cfg else DEFAULT_BOUND
     policies = [(name, _exact_policy(name, specs, k)) for name in _policies(cfg)]
     initial = [ArmState(0, 1)] * len(specs)

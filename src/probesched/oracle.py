@@ -22,16 +22,13 @@ DEFAULT_BOUND = 10_000_000
 
 
 class SearchSpaceError(RuntimeError):
-    """Raised when reachable-states x horizon exceeds the configured bound."""
+    """Raised when a problem's size exceeds the bound set on it: the
+    oracle's reachable joint states x horizon, or the simulator's uniforms."""
 
-    def __init__(self, count: int, horizon: int, bound: int):
+    def __init__(self, count: int, bound: int, what: str):
         self.count = count
-        self.horizon = horizon
         self.bound = bound
-        super().__init__(
-            f"search space too large: {count} reachable joint states x horizon "
-            f"{horizon} exceeds the bound {bound}"
-        )
+        super().__init__(f"search space too large: {count} {what} exceeds the bound {bound}")
 
 
 def _belief(spec, i: int, t: int) -> float:
@@ -88,7 +85,9 @@ def _reachable(specs, initial: tuple, horizon: int, bound: int, choose):
                         nxt.add(child)
                         union.add(child)
             if len(union) > threshold:
-                raise SearchSpaceError(len(union), horizon, bound)
+                raise SearchSpaceError(
+                    len(union), bound, f"reachable joint states x horizon {horizon}"
+                )
         layers.append(nxt)
     return layers
 

@@ -9,20 +9,41 @@ is healthy going into the next slot flips with the hazard of its clock.
 All components start healthy one slot before the horizon, so the first
 slot already carries abnormal probability p(1).
 
-Replications use one named substream per (seed, replication, arm), which
-makes results independent of iteration order and byte-identical across
-runs of the same configuration.
+Replications use one named substream per (seed, replication, arm) --
+numpy's SeedSequence([seed, rep, arm]) feeding PCG64, and [seed, rep, N]
+for the random policy's picks -- which makes results independent of
+iteration order and byte-identical across runs of the same configuration.
+The streams' seed states are hashed for all of them in one array pass, and
+their draws are stored slot-major, (T, R, N), so each slot reads one
+contiguous block.  The index and myopic policies rank every arm state
+(i, t) of every arm once, by the tie-break chain, before the first slot;
+a slot then picks, per replication, the K arms whose current states rank
+first.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attack import ComponentSpec, hazard, marginal_p
+from .oracle import SearchSpaceError
 from .policies import POLICY_NAMES, random_k, requeue, top_k
 from .whittle import index_values
+
+# uniforms one run may hold: R x N x T, about 16 times fig4's block
+MAX_UNIFORMS = 2**27
+# the scratch block the uniforms pass through on their way to slot-major
+_SCRATCH_UNIFORMS = 2**16
+
+# numpy's SeedSequence hash constants (pool of four 32-bit words)
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -44,6 +65,7 @@ class RunConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICY_NAMES}")
+        _words(self.seed)  # a negative seed fails here, as SeedSequence would
 
 
 @dataclass
@@ -89,27 +111,113 @@ def _advance(abnormal, phase, probe_mask, obs, uniforms, hazards, arm_cols):
     reset = probe_mask & ~obs
     clock = np.where(reset, 0, phase)
     flip_elig = ~abnormal  # reset arms are healthy; repaired arms excluded below
-    flips = flip_elig & ~repaired & (uniforms < hazards[arm_cols, clock + 1])
+    h = hazards.take(arm_cols * hazards.shape[1] + clock + 1)
+    flips = flip_elig & ~repaired & (uniforms < h)
     next_abnormal = (abnormal & ~probe_mask) | flips
     next_phase = np.where(repaired, 0, clock + 1)
     return next_abnormal, next_phase
 
 
-def _arm_uniforms(seed: int, replications: int, n: int, horizon: int) -> np.ndarray:
-    u = np.empty((replications, n, horizon))
-    for rep in range(replications):
-        for arm in range(n):
-            gen = np.random.default_rng(np.random.SeedSequence([seed, rep, arm]))
-            u[rep, arm, :] = gen.random(horizon)
-    return u
+def _words(value) -> list:
+    """The little-endian 32-bit words SeedSequence hashes for an integer."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
 
 
-def _policy_uniforms(seed: int, replications: int, n: int, horizon: int) -> np.ndarray:
-    u = np.empty((replications, horizon, n))
-    for rep in range(replications):
-        gen = np.random.default_rng(np.random.SeedSequence([seed, rep, n]))
-        u[rep, :, :] = gen.random((horizon, n))
-    return u
+def _stream_states(seed: int, tails) -> np.ndarray:
+    """Row s is SeedSequence([seed, *tails[s]]).generate_state(4, np.uint64),
+    for every row at once: numpy's pool-of-4 hash (hashmix, then mix) run in
+    uint32 array arithmetic.  Each entry of `tails` must fit in one word."""
+    tails = np.asarray(tails, dtype=np.uint32)
+    columns = [np.full(len(tails), w, dtype=np.uint32) for w in _words(seed)] + list(tails.T)
+    columns += [np.zeros(len(tails), dtype=np.uint32)] * (_POOL - len(columns))
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> 16
+
+    pool = [hashmix(column) for column in columns[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for column in columns[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(column))
+    hash_const = _INIT_B
+    state = np.stack([hashmix(pool[i % _POOL], _MULT_B) for i in range(2 * _POOL)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _generators(seed: int, tails):
+    """Generator(PCG64) on the named stream [seed, *tail] of each row of
+    `tails`, bit-identical to default_rng(SeedSequence([seed, *tail]))."""
+    # imported on first use: loading numpy.random adds ~10 ms to every start
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Hashed(ISeedSequence):
+        """A SeedSequence whose PCG64 state is already computed."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    for state in _stream_states(seed, tails):
+        yield Generator(PCG64(Hashed(state)))
+
+
+def _uniforms(seed: int, replications: int, horizon: int, ids, width: int) -> np.ndarray:
+    """u[slot, rep, :], slot-major: replication rep's streams [seed, rep, id]
+    for id in `ids`, each drawing `width` uniforms a slot, side by side.
+    Drawn a few replications at a time into a scratch block of at most
+    _SCRATCH_UNIFORMS values, so no second full-size copy is held."""
+    lanes = len(ids) * width
+    u = np.empty((horizon, replications, len(ids), width))
+    block = np.empty((max(1, _SCRATCH_UNIFORMS // (lanes * horizon)), len(ids), horizon, width))
+    tails = np.stack(np.broadcast_arrays(np.arange(replications)[:, None], ids), axis=-1)
+    gens = _generators(seed, tails.reshape(-1, 2))
+    for r0 in range(0, replications, len(block)):
+        reps = block[: replications - r0]
+        for stream in reps.reshape(-1, horizon, width):
+            next(gens).random(out=stream)
+        u[:, r0 : r0 + len(reps)] = reps.transpose(2, 0, 1, 3)
+    return u.reshape(horizon, replications, lanes)
+
+
+def _rank_table(costs, beliefs, primary) -> np.ndarray:
+    """rank[(arm * 2 + i) * (T + 2) + t]: the position of arm state (i, t)
+    in the tie-break chain over every state of every arm.
+
+    Each key depends only on (arm, i, t) through clock = t - i, so one
+    `top_k` call over all states, in arm-major order, ranks them once;
+    among equal keys the lower arm comes first, as in a per-slot call."""
+    n, width = beliefs.shape
+    t = np.arange(width)
+    clock = np.maximum(t - np.arange(2)[:, None], 0)  # (i, t) = (1, 0) never occurs
+    b = beliefs[:, clock].reshape(1, -1)
+    p = primary[:, clock].reshape(1, -1)
+    age = np.broadcast_to(t, (n, 2, width)).reshape(1, -1)
+    order = top_k(p, costs.repeat(2 * width) * b, age, b.size)[0]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank
 
 
 def run(config: RunConfig) -> CostTrajectory:
@@ -118,55 +226,57 @@ def run(config: RunConfig) -> CostTrajectory:
     specs = list(config.specs)
     n = len(specs)
     r, t_total, k = config.replications, config.horizon, config.k
+    if r * n * t_total > MAX_UNIFORMS:
+        raise SearchSpaceError(
+            r * n * t_total, MAX_UNIFORMS, "uniforms (replications x components x horizon)"
+        )
     costs = np.array([s.cost for s in specs])
     hazards = _hazard_table(specs, t_total)
-    beliefs = _belief_table(specs, t_total)
-    indices = _index_table(specs, t_total)
-    u = _arm_uniforms(config.seed, r, n, t_total)
-    pol_u = None
+    ranked = config.policy in ("whittle", "myopic")
+    if ranked:
+        beliefs = _belief_table(specs, t_total)
+        primary = _index_table(specs, t_total) if config.policy == "whittle" else beliefs
+        rank = _rank_table(costs, beliefs, primary)
+        width = t_total + 2
+        first = np.arange(n) * 2 * width + 1  # each arm's state (0, 1)
+        state = np.broadcast_to(first, (r, n))  # flat (arm, i, t) index into rank
+    u = _uniforms(config.seed, r, t_total, range(n), 1)  # one stream per arm
     if config.policy == "random":
-        pol_u = _policy_uniforms(config.seed, r, n, t_total)
+        pol_u = _uniforms(config.seed, r, t_total, [n], n)  # one stream per replication
 
-    arm_cols = np.broadcast_to(np.arange(n), (r, n))
+    arm_cols = np.arange(n)
     abnormal = np.zeros((r, n), dtype=bool)
     phase = np.zeros((r, n), dtype=np.int64)
-    i_state = np.zeros((r, n), dtype=np.int64)
-    t_state = np.ones((r, n), dtype=np.int64)
-    order = np.broadcast_to(np.arange(n), (r, n)).copy()  # queue policy only
+    order = np.broadcast_to(np.arange(n), (r, n))  # queue policy only
     per_slot = np.empty((r, t_total))
-    rows = np.arange(r)[:, None]
+    row_starts = np.arange(0, r * n, n)[:, None]
     no_probe = np.zeros((r, n), dtype=bool)
 
     # one hazard step separates the fresh (reset) world from the first slot
-    abnormal, phase = _advance(
-        abnormal, phase, no_probe, no_probe, u[:, :, 0], hazards, arm_cols
-    )
+    abnormal, phase = _advance(abnormal, phase, no_probe, no_probe, u[0], hazards, arm_cols)
 
     for slot in range(t_total):
         per_slot[:, slot] = (abnormal * costs).sum(axis=1)
 
-        if config.policy in ("whittle", "myopic"):
-            clock = t_state - i_state
-            b = beliefs[arm_cols, clock]
-            primary = indices[arm_cols, clock] if config.policy == "whittle" else b
-            sel_idx = top_k(primary, costs * b, t_state, k)
-        elif config.policy == "queue":
-            sel_idx = order[:, :k]
-        else:  # random
-            sel_idx = random_k(pol_u[:, slot, :], k)
-
-        mask = np.zeros((r, n), dtype=bool)
-        mask[rows, sel_idx] = True
+        if ranked:
+            ranks = rank.take(state)
+            mask = ranks <= np.partition(ranks, k - 1, axis=1)[:, k - 1 : k]
+        else:
+            sel_idx = order[:, :k] if config.policy == "queue" else random_k(pol_u[slot], k)
+            picked = row_starts + sel_idx
+            mask = np.zeros(r * n, dtype=bool)
+            mask[picked] = True
+            mask = mask.reshape(r, n)
         obs = abnormal & mask
-        if config.policy == "queue":
-            order = requeue(order, obs[rows, sel_idx], k)
+        if ranked:
+            state = np.where(mask, first + obs * width, state + 1)
+        elif config.policy == "queue":
+            order = requeue(order, obs.take(picked), k)
 
         if slot + 1 < t_total:
             abnormal, phase = _advance(
-                abnormal, phase, mask, obs, u[:, :, slot + 1], hazards, arm_cols
+                abnormal, phase, mask, obs, u[slot + 1], hazards, arm_cols
             )
-        i_state = np.where(mask, obs, i_state)
-        t_state = np.where(mask, 1, t_state + 1)
 
     return aggregate(np.cumsum(per_slot, axis=1))
 

@@ -2,9 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -423,3 +425,61 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path, command):
 
     check()
     assert 0 in codes and 2 in codes  # both valid and invalid configs were run
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "oracle"])
+def test_overflowing_costs_rejected(tmp_path, capsys, command):
+    # finite costs this large once printed inf/nan rows with exit 0
+    cfg = _write_cfg(tmp_path, {
+        "components": [{"kind": "markov", "q": 0.3, "cost": 1e308},
+                       {"kind": "markov", "q": 0.5, "cost": 1e308}],
+        "K": 1,
+        "horizon": 3,
+        "replications": 4,
+    })
+    assert main([command, "--config", cfg]) == 2
+    assert "config.components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "oracle"])
+def test_large_costs_below_the_limit_stay_finite(tmp_path, command):
+    cfg = _write_cfg(tmp_path, {
+        "components": [{"kind": "markov", "q": 0.3, "cost": 1e150},
+                       {"kind": "markov", "q": 0.5, "cost": 2e150}],
+        "K": 1,
+        "horizon": 3,
+        "replications": 4,
+    })
+    out = tmp_path / "big.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    values = [float(v) for row in _read_csv(out) for k, v in row.items()
+              if k not in ("policy", "slot", "horizon")]
+    assert values and all(math.isfinite(v) for v in values)
+
+
+def test_simulate_refuses_an_oversized_uniform_block(capsys):
+    # R·N·T = 2000 · 8 · 2e6 uniforms: once a 238 GiB allocation and a traceback
+    start = time.perf_counter()
+    assert main(["simulate", "--preset", "fig4", "--horizon", "2000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "refused" in capsys.readouterr().err
+
+
+def test_simulate_negative_seed_exits_promptly(capsys):
+    start = time.perf_counter()
+    assert main(["simulate", "--preset", "fig4", "--seed", "-1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "expected non-negative integer" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random is imported on the first simulation, not at start-up
+    src = os.path.dirname(os.path.dirname(probesched.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, probesched.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, env=env, check=True, text=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -18,8 +21,16 @@ from probesched import (
     select_whittle,
     transition,
 )
+from probesched.cli import main as cli_main
 from probesched.policies import POLICY_NAMES, whittle_policy
-from probesched.sim import _advance, _hazard_table, aggregate, sample_abnormal_marginals
+from probesched.sim import (
+    _advance,
+    _generators,
+    _hazard_table,
+    _stream_states,
+    aggregate,
+    sample_abnormal_marginals,
+)
 from helpers import markov_spec
 
 
@@ -263,3 +274,58 @@ def test_queue_policy_matches_whittle_homogeneous():
         if policy == "whittle":
             reference = traj.mean_cumulative.copy()
     assert np.array_equal(reference, traj.mean_cumulative)
+
+
+_FIG4_ARMS = [{"kind": "markov", "q": q, "cost": c} for q, c in (
+    (0.2, 2.5), (0.3, 2.0), (0.3, 1.8), (0.5, 1.5),
+    (0.6, 1.2), (0.7, 1.0), (0.7, 0.6), (0.8, 0.5))]
+_MIXED_ARMS = [
+    {"kind": "table", "p": [0.5, 0.7, 0.85, 0.95], "cost": 1.0},
+    {"kind": "markov", "q": 0.4, "cost": 0.0},
+    {"kind": "table", "p": [0.5, 0.7, 0.85, 0.95], "cost": 1.0},
+    {"kind": "markov", "q": 0.4, "cost": 1.3},
+    {"kind": "markov", "q": 0.4, "cost": 1.3},
+]
+_ALL_POLICIES = list(POLICY_NAMES)
+
+# (name, config, sha256 of the `simulate` CSV bytes), recorded before the
+# simulator's seeding, uniform layout and selection were vectorised
+_GOLDEN_CSV = [
+    ("fig4-arms", {"components": _FIG4_ARMS, "K": 2, "horizon": 60,
+                   "replications": 200, "seed": 1, "policies": _ALL_POLICIES},
+     "ad42ab83c5ff26c140d89ff77f3bf0d731ca769913cf1a606bb194cbd0de81d7"),
+    ("mixed-zero-cost-ties", {"components": _MIXED_ARMS, "K": 2, "horizon": 40,
+                              "replications": 50, "seed": 9, "policies": _ALL_POLICIES},
+     "3ab19646b7407d75b608acec88743002771abedb2e84ad78740447bc71b6fedc"),
+    ("k-equals-n", {"components": _MIXED_ARMS[:3], "K": 3, "horizon": 25,
+                    "replications": 20, "seed": 4, "policies": _ALL_POLICIES},
+     "8ef791fa979d8070e6e86bd35d25662bec883279e26bf14a71475b9ad8b57e14"),
+    ("seed-above-2-32", {"components": _FIG4_ARMS[:4], "K": 1, "horizon": 30,
+                         "replications": 40, "seed": 2**32 + 7, "policies": _ALL_POLICIES},
+     "7b28f934dc3a1964a4b21b2cd6ca239a219d5b050bd6a44701de2587d99574d3"),
+]
+
+
+@pytest.mark.parametrize("name, cfg, digest", _GOLDEN_CSV, ids=[g[0] for g in _GOLDEN_CSV])
+def test_simulate_csv_bytes_are_golden(tmp_path, name, cfg, digest):
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+def test_stream_states_match_seed_sequence(seed):
+    tails = [(rep, arm) for rep in (0, 1, 2, 7, 1999, 2**31) for arm in (0, 1, 5, 8, 2**32 - 1)]
+    expected = [np.random.SeedSequence([seed, rep, arm]).generate_state(4, np.uint64)
+                for rep, arm in tails]
+    assert np.array_equal(_stream_states(seed, tails), expected)
+    for (rep, arm), gen in zip(tails[:3], _generators(seed, tails)):
+        reference = np.random.default_rng(np.random.SeedSequence([seed, rep, arm]))
+        assert np.array_equal(gen.random(5), reference.random(5))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        RunConfig(specs=(markov_spec(0.5),), k=1, horizon=5, policy="whittle",
+                  replications=1, seed=-1)
