@@ -19,12 +19,7 @@ from .attack import (
     hazard,
     marginal_p,
 )
-from .oracle import (
-    SearchSpaceError,
-    dp_optimal,
-    policy_evaluate_exact,
-    value_monotonicity_probe,
-)
+from .oracle import SearchSpaceError, dp_optimal, policy_evaluate_exact
 from .policies import (
     queue_init,
     queue_step,
@@ -78,7 +73,6 @@ __all__ = [
     "solve_lambda_star",
     "to_rmab",
     "transition",
-    "value_monotonicity_probe",
     "verify_strict_indexability",
     "whittle_index",
 ]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .attack import ComponentSpec, marginal_p
 
 PASSIVE = 0
@@ -34,15 +36,25 @@ class ArmState:
             raise ValueError(f"t must be >= 1 (or (0,0) sentinel), got {self.t}")
 
 
-ORIGIN = ArmState(0, 0)
-
-
 def belief_abnormal(spec: ComponentSpec, state: ArmState) -> float:
     """P(component abnormal now | arm state): p(t) after a 0-observation,
     p(t-1) after a 1-observation (the repair lands one slot late)."""
     if state.t < 1:
         raise ValueError("belief is undefined at the (0,0) sentinel")
     return marginal_p(spec.process, state.t - state.i)
+
+
+def by_code(by_clock) -> np.ndarray:
+    """Per-arm rows over the clock t - i (slots since the last reset),
+    re-indexed by arm-state code i * width + t, t < width = the rows'
+    length.  The unused code of (1, 0) reads clock 0."""
+    t = np.arange(len(by_clock[0]))
+    return np.array(by_clock)[:, np.maximum(t - np.arange(2)[:, None], 0).ravel()]
+
+
+def belief_codes(specs, width: int) -> np.ndarray:
+    """b[n, i * width + t] = belief_abnormal(specs[n], ArmState(i, t)), t < width."""
+    return by_code([[marginal_p(s.process, c) for c in range(width)] for s in specs])
 
 
 def transition(state: ArmState, action: int, observation: int | None = None) -> ArmState:

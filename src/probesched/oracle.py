@@ -1,29 +1,32 @@
 """Exact finite-horizon machinery on small instances.
 
-One backward induction over the reachable joint arm states gives both the
-true optimal expected cost (minimising over every K-subset of arms) and a
-fixed policy's exact value (expanding only the policy's own selection).
-It charges each slot the expected abnormal cost sum(c_n * P(abnormal))
-before the slot's probes take effect; the abnormal-probability entries are
-exact marginals given the arm states, so no sampling is involved.
+A joint state is an int32 row of per-arm codes i * width + t, the
+simulator's encoding: a probe observing o moves an arm to o * width + 1,
+waiting adds 1.  `_graph` builds the layers of joint states reachable when
+any K-subset may be probed, once per call; one backward induction over them
+(`_sweep`) gives the optimal expected cost (least value-to-go over every
+K-subset) or a policy's exact value (its own selection's).  Each slot costs
+sum(c_n * P(abnormal)) before its probes take effect, from exact marginals.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
-from .arm import ArmState, belief_abnormal
-from .policies import whittle_policy
+from .arm import ArmState, belief_codes
 
 DEFAULT_BOUND = 10_000_000
 
 
 class SearchSpaceError(RuntimeError):
     """Raised when a problem's size exceeds the bound set on it: the
-    oracle's reachable joint states x horizon, or the simulator's uniforms."""
+    oracle's reachable joint states x horizon, its belief table, or one
+    layer's branch entries (states x K-subsets x 2^K outcomes x N arms),
+    checked before the layer is expanded; or the simulator's uniforms."""
 
     def __init__(self, count: int, bound: int, what: str):
         self.count = count
@@ -31,148 +34,131 @@ class SearchSpaceError(RuntimeError):
         super().__init__(f"search space too large: {count} {what} exceeds the bound {bound}")
 
 
-def _belief(spec, i: int, t: int) -> float:
-    return belief_abnormal(spec, ArmState(i, t))
+def _unique_rows(rows):
+    """The distinct rows, sorted, and each row's position among them."""
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    position = np.empty(len(rows), dtype=np.int32)
+    position[order] = np.cumsum(first) - 1
+    return rows[first], position
 
 
-def _slot_cost(specs, state: tuple) -> float:
-    return sum(s.cost * _belief(s, i, t) for s, (i, t) in zip(specs, state))
-
-
-def _obs_branches(specs, state: tuple, selection):
-    """(probed (arm, obs) pairs, probability) over the probed arms, with
-    zero-probability outcomes pruned."""
-    per_arm = []
-    for n in selection:
-        i, t = state[n]
-        b = _belief(specs[n], i, t)
-        outcomes = []
-        if b < 1.0:
-            outcomes.append((n, 0, 1.0 - b))
-        if b > 0.0:
-            outcomes.append((n, 1, b))
-        per_arm.append(outcomes)
-    branches = []
-    for combo in itertools.product(*per_arm):
-        pr = 1.0
-        for _n, _o, q in combo:
-            pr *= q
-        branches.append((tuple((n, o) for n, o, _q in combo), pr))
-    return branches
-
-
-def _next_state(state: tuple, probed) -> tuple:
-    nxt = [(i, t + 1) for i, t in state]
-    for n, o in probed:
-        nxt[n] = (o, 1)
-    return tuple(nxt)
-
-
-def _reachable(specs, initial: tuple, horizon: int, bound: int, choose):
-    """Layered reachable sets when every state expands the selections
-    `choose(state)` returns, aborting as soon as the union of states times
-    the horizon exceeds the bound."""
-    layers = [{initial}]
-    union = {initial}
-    threshold = bound // horizon
-    for _ in range(horizon - 1):
-        nxt = set()
-        for state in layers[-1]:
-            for sel in choose(state):
-                for omap, _pr in _obs_branches(specs, state, sel):
-                    child = _next_state(state, omap)
-                    if child not in nxt:
-                        nxt.add(child)
-                        union.add(child)
-            if len(union) > threshold:
-                raise SearchSpaceError(
-                    len(union), bound, f"reachable joint states x horizon {horizon}"
-                )
-        layers.append(nxt)
-    return layers
-
-
-def _induct(specs, initial: tuple, horizon: int, bound: int, choose):
-    """Backward induction over the layers reachable under `choose`: each
-    state's value is its slot cost plus the least expected value-to-go over
-    the selections `choose(state)` offers (the first one on ties).  Returns
-    the initial state's value and the table {(slot, state): selection}."""
-    layers = _reachable(specs, initial, horizon, bound, choose)
-    values = {}
-    table = {}
-    for slot in range(horizon - 1, -1, -1):
-        layer_vals = {}
-        for state in layers[slot]:
-            cost = _slot_cost(specs, state)
-            best_v, best_sel = None, None
-            for sel in choose(state):
-                future = sum(
-                    pr * values[_next_state(state, omap)]
-                    for omap, pr in _obs_branches(specs, state, sel)
-                ) if values else 0.0  # nothing follows the last slot
-                if best_v is None or future < best_v - 1e-15:
-                    best_v, best_sel = future, sel
-            layer_vals[state] = cost + best_v
-            table[(slot, state)] = best_sel
-        values = layer_vals
-    return values[initial], table
-
-
-def _setup(specs, initial, k: int, horizon: int):
-    """Validated (specs, initial state tuple, every K-subset of arms)."""
-    specs = list(specs)
-    if not 1 <= k <= len(specs):
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={len(specs)}")
+def _graph(specs, initial, k: int, horizon: int, bound: int):
+    """(code width, belief table, K-subsets, layers, edges).  layers[s] holds
+    the distinct joint states reachable at slot s; edges[s] = (group, child,
+    probability) arrays into layer s + 1, group = parent * len(subsets) +
+    subset, ordered by subset, parent, then outcome (the subset's first arm
+    varying slowest, 0 before 1), without outcomes of belief 0 or 1."""
+    n = len(specs)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    selections = list(itertools.combinations(range(len(specs)), k))
-    return specs, tuple((st.i, st.t) for st in initial), selections
+    if min(st.t for st in initial) < 1:
+        raise ValueError("the (0,0) sentinel is not the state of a trajectory")
+    width = max(st.t for st in initial) + horizon
+    if 2 * n * width > bound:
+        raise SearchSpaceError(2 * n * width, bound, "belief entries (2N x (largest t + horizon))")
+    beliefs = belief_codes(specs, width)
+    entries = math.comb(n, k) * 2**k * n
+    outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    layers = [np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)]
+    edges, subsets, seen = [], None, None
+    for slot in range(horizon):
+        layer = layers[-1]
+        if len(layer) * entries > bound:
+            raise SearchSpaceError(len(layer) * entries, bound, "branch entries (states x "
+                                   f"K-subsets x 2^K outcomes x N arms) in slot {slot}")
+        subsets = subsets or list(itertools.combinations(range(n), k))  # once slot 0 passed
+        if slot + 1 == horizon:
+            return width, beliefs, subsets, layers, edges
+        parts = []
+        for j, arms in enumerate(subsets):
+            b = beliefs[arms, layer[:, arms]][:, None, :]
+            factors = np.where(outcomes == 1, b, 1.0 - b)  # (states, 2^K, K)
+            pr = functools.reduce(np.multiply, np.moveaxis(factors, -1, 0))  # left to right
+            parent, branch = np.nonzero((factors != 0.0).all(axis=-1))  # not pr: it may underflow
+            child = layer[parent] + 1
+            child[:, arms] = outcomes[branch] * width + 1
+            parts.append((parent * len(subsets) + j, child, pr[parent, branch]))
+        group, child, pr = (np.concatenate(col) for col in zip(*parts))
+        nxt, child = _unique_rows(child)
+        layers.append(nxt)
+        edges.append((group, child, pr))
+        if seen is not None or sum(map(len, layers)) > bound // horizon:  # union <= this sum
+            seen = _unique_rows(np.concatenate(layers if seen is None else [seen, nxt]))[0]
+        if seen is not None and len(seen) > bound // horizon:
+            raise SearchSpaceError(len(seen), bound, f"reachable joint states x horizon {horizon}")
+
+
+def _first_min(future):
+    """Per state, the first subset beating every earlier one by > 1e-15."""
+    pick, best = np.zeros(len(future), dtype=np.intp), future[:, 0]
+    for j in range(1, future.shape[1]):
+        better = future[:, j] < best - 1e-15
+        pick, best = np.where(better, j, pick), np.where(better, future[:, j], best)
+    return pick
+
+
+def _sweep(specs, graph, picks=None):
+    """Backward induction: a state's value is its slot cost plus the
+    value-to-go future[state, subset], summed in branch order, of the subset
+    picks[slot][state] names (by default `_first_min`'s).  Returns the
+    initial state's value and the picks."""
+    _width, beliefs, subsets, layers, edges = graph
+    chosen = [None] * len(layers)
+    for slot in range(len(layers) - 1, -1, -1):
+        layer = layers[slot]
+        future = np.zeros((len(layer), len(subsets)))  # nothing follows the last slot
+        if slot < len(edges):
+            group, child, pr = edges[slot]
+            future = np.bincount(group, weights=pr * values[child],
+                                 minlength=future.size).reshape(future.shape)
+        chosen[slot] = _first_min(future) if picks is None else picks[slot]
+        cost = sum(s.cost * beliefs[n, layer[:, n]] for n, s in enumerate(specs))
+        values = cost + future[np.arange(len(layer)), chosen[slot]]
+    return float(values[0]), chosen
 
 
 def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND):
     """Exact minimal expected total cost over `horizon` slots, plus the
     optimal policy table as {(slot, joint state): selection}."""
-    specs, init, selections = _setup(specs, initial, k, horizon)
-    return _induct(specs, init, horizon, bound, lambda state: selections)
+    specs = list(specs)
+    graph = width, _beliefs, subsets, layers, _edges = _graph(specs, initial, k, horizon, bound)
+    value, picks = _sweep(specs, graph)
+    pairs = [divmod(code, width) for code in range(2 * width)]  # one (i, t) object per code
+    return value, {(slot, tuple(map(pairs.__getitem__, row))): subsets[j]
+                   for slot, (layer, pick) in enumerate(zip(layers, picks))
+                   for row, j in zip(layer.tolist(), pick.tolist())}
 
 
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
                           bound: int = DEFAULT_BOUND) -> float:
-    """Exact expected total cost of a stationary deterministic selector:
-    weight every branch of the observation tree by its probability.
-
-    The bound applies to the states reachable under every policy, as for
-    `dp_optimal`, so both refuse the same instances."""
-    specs, init, selections = _setup(specs, initial, k, horizon)
-    _reachable(specs, init, horizon, bound, lambda state: selections)
-
-    @functools.cache
-    def choose(state):
-        return (policy([ArmState(i, t) for i, t in state]),)
-
-    return _induct(specs, init, horizon, bound, choose)[0]
-
-
-def value_monotonicity_probe(specs, k: int, horizon: int, trials: int,
-                             seed: int = 0, bound: int = DEFAULT_BOUND) -> bool:
-    """Check that the index policy's exact value never decreases when one
-    arm's elapsed time (hence its abnormal belief) is bumped up.  Random
-    joint states; True iff no violation is found."""
+    """Exact expected total cost of a stationary deterministic selector,
+    asked once per distinct joint state it reaches (a list of ArmStates) for
+    K distinct arm ids.  Its graph is `dp_optimal`'s: both refuse alike."""
     specs = list(specs)
-    rng = np.random.default_rng(seed)
-    pol = whittle_policy(specs, k)
-    n = len(specs)
-    for _ in range(trials):
-        base = [
-            ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 5)))
-            for _ in range(n)
-        ]
-        arm = int(rng.integers(0, n))
-        bump = int(rng.integers(1, 3))
-        bumped = list(base)
-        bumped[arm] = ArmState(base[arm].i, base[arm].t + bump)
-        v_base = policy_evaluate_exact(specs, base, k, horizon, pol, bound)
-        v_bump = policy_evaluate_exact(specs, bumped, k, horizon, pol, bound)
-        if v_bump < v_base - 1e-9:
-            return False
-    return True
+    graph = width, _beliefs, subsets, layers, edges = _graph(specs, initial, k, horizon, bound)
+    index = {sel: j for j, sel in enumerate(subsets)}
+    asked, picks, reached = {}, [], np.ones(1, dtype=bool)
+    for slot, layer in enumerate(layers):
+        picks.append(np.zeros(len(layer), dtype=np.intp))
+        for s in np.flatnonzero(reached):
+            codes = tuple(layer[s].tolist())
+            if codes not in asked:
+                states = [ArmState(c // width, c % width) for c in codes]
+                sel = policy(states)
+                try:
+                    asked[codes] = index[tuple(sorted(sel))]
+                except (KeyError, TypeError):
+                    raise ValueError(f"policy chose {sel!r} at {states!r}: need {k} distinct "
+                                     f"arm ids in 0..{len(specs) - 1}") from None
+            picks[slot][s] = asked[codes]
+        if slot < len(edges):
+            group, child, _pr = edges[slot]
+            parent, subset = np.divmod(group, len(subsets))
+            taken = reached[parent] & (subset == picks[slot][parent])
+            reached = np.zeros(len(layers[slot + 1]), dtype=bool)
+            reached[child[taken]] = True
+    return _sweep(specs, graph, picks)[0]

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import ComponentSpec, hazard, marginal_p
+from .arm import belief_codes, by_code
+from .attack import ComponentSpec, hazard
 from .oracle import SearchSpaceError
 from .policies import POLICY_NAMES, random_k, requeue, top_k
 from .whittle import index_values
@@ -82,20 +83,6 @@ def _hazard_table(specs, horizon: int) -> np.ndarray:
     table = np.zeros((len(specs), horizon + 2))
     for n, spec in enumerate(specs):
         table[n, 1:] = [hazard(spec.process, k) for k in range(1, horizon + 2)]
-    return table
-
-
-def _belief_table(specs, horizon: int) -> np.ndarray:
-    table = np.zeros((len(specs), horizon + 2))
-    for n, spec in enumerate(specs):
-        table[n, :] = [marginal_p(spec.process, t) for t in range(horizon + 2)]
-    return table
-
-
-def _index_table(specs, horizon: int) -> np.ndarray:
-    table = np.zeros((len(specs), horizon + 2))
-    for n, spec in enumerate(specs):
-        table[n, :] = index_values(spec, horizon + 1)
     return table
 
 
@@ -202,19 +189,15 @@ def _uniforms(seed: int, replications: int, horizon: int, ids, width: int) -> np
 
 
 def _rank_table(costs, beliefs, primary) -> np.ndarray:
-    """rank[(arm * 2 + i) * (T + 2) + t]: the position of arm state (i, t)
-    in the tie-break chain over every state of every arm.
+    """rank[arm * 2 * width + code]: the position of the arm state with
+    code i * width + t in the tie-break chain over every state of every arm.
 
-    Each key depends only on (arm, i, t) through clock = t - i, so one
-    `top_k` call over all states, in arm-major order, ranks them once;
+    One `top_k` call over all states, in arm-major order, ranks them once;
     among equal keys the lower arm comes first, as in a per-slot call."""
-    n, width = beliefs.shape
-    t = np.arange(width)
-    clock = np.maximum(t - np.arange(2)[:, None], 0)  # (i, t) = (1, 0) never occurs
-    b = beliefs[:, clock].reshape(1, -1)
-    p = primary[:, clock].reshape(1, -1)
-    age = np.broadcast_to(t, (n, 2, width)).reshape(1, -1)
-    order = top_k(p, costs.repeat(2 * width) * b, age, b.size)[0]
+    n, codes = beliefs.shape
+    b = beliefs.reshape(1, -1)
+    age = np.tile(np.arange(codes // 2), 2 * n).reshape(1, -1)  # t of each code
+    order = top_k(primary.reshape(1, -1), costs.repeat(codes) * b, age, b.size)[0]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return rank
@@ -234,10 +217,11 @@ def run(config: RunConfig) -> CostTrajectory:
     hazards = _hazard_table(specs, t_total)
     ranked = config.policy in ("whittle", "myopic")
     if ranked:
-        beliefs = _belief_table(specs, t_total)
-        primary = _index_table(specs, t_total) if config.policy == "whittle" else beliefs
-        rank = _rank_table(costs, beliefs, primary)
         width = t_total + 2
+        beliefs = belief_codes(specs, width)
+        primary = (by_code([index_values(spec, width - 1) for spec in specs])
+                   if config.policy == "whittle" else beliefs)
+        rank = _rank_table(costs, beliefs, primary)
         first = np.arange(n) * 2 * width + 1  # each arm's state (0, 1)
         state = np.broadcast_to(first, (r, n))  # flat (arm, i, t) index into rank
     u = _uniforms(config.seed, r, t_total, range(n), 1)  # one stream per arm

@@ -282,6 +282,23 @@ def test_output_lines_end_with_lf(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["oracle", "evaluate"])
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("n, k", [(16, 8), (30, 15)])
+def test_oversized_layer_is_refused_before_expansion(tmp_path, capsys, command, horizon, n, k):
+    # 30 arms with K = 15 once died listing the K-subsets with a MemoryError
+    # traceback; 16 arms with K = 8 ran for minutes within the bound
+    cfg = _write_cfg(tmp_path, {
+        "components": [{"kind": "markov", "q": 0.3, "cost": 1.0}] * n,
+        "K": k,
+        "horizon": horizon,
+    })
+    start = time.perf_counter()
+    assert main([command, "--config", cfg]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle", "evaluate"])
 @pytest.mark.parametrize("bound", ["big", 0, 2.5])
 def test_bad_bound_rejected(tmp_path, capsys, command, bound):
     cfg = _write_cfg(tmp_path, {

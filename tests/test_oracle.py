@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -11,8 +12,8 @@ from probesched import (
     belief_abnormal,
     dp_optimal,
     policy_evaluate_exact,
-    value_monotonicity_probe,
 )
+from probesched.cli import main
 from probesched.policies import myopic_policy, whittle_policy
 from probesched.subsidy import average_cost_rate, solve_lambda_star
 from helpers import markov_spec
@@ -20,6 +21,29 @@ from helpers import markov_spec
 
 def _fresh(n):
     return [ArmState(0, 1)] * n
+
+
+def value_monotonicity_probe(specs, k, horizon, trials, seed=0):
+    """Check that the index policy's exact value never decreases when one
+    arm's elapsed time (hence its abnormal belief) is bumped up.  Random
+    joint states; True iff no violation is found."""
+    rng = np.random.default_rng(seed)
+    pol = whittle_policy(specs, k)
+    n = len(specs)
+    for _ in range(trials):
+        base = [
+            ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 5)))
+            for _ in range(n)
+        ]
+        arm = int(rng.integers(0, n))
+        bump = int(rng.integers(1, 3))
+        bumped = list(base)
+        bumped[arm] = ArmState(base[arm].i, base[arm].t + bump)
+        v_base = policy_evaluate_exact(specs, base, k, horizon, pol)
+        v_bump = policy_evaluate_exact(specs, bumped, k, horizon, pol)
+        if v_bump < v_base - 1e-9:
+            return False
+    return True
 
 
 def test_single_slot_cost_is_sum_of_beliefs():
@@ -77,6 +101,13 @@ def test_homogeneous_whittle_is_optimal():
     opt, _ = dp_optimal(specs, _fresh(3), 1, 5)
     val = policy_evaluate_exact(specs, _fresh(3), 1, 5, whittle_policy(specs, 1))
     assert val == pytest.approx(opt, abs=1e-9)
+
+    # past criterion 4's T <= 6
+    for n, k, q, horizon in [(3, 1, 0.3, 10), (4, 2, 0.5, 8)]:
+        specs = [markov_spec(q)] * n
+        opt, _ = dp_optimal(specs, _fresh(n), k, horizon)
+        val = policy_evaluate_exact(specs, _fresh(n), k, horizon, whittle_policy(specs, k))
+        assert val == pytest.approx(opt, abs=1e-9)
 
 
 def test_guard_refuses_oversized_instances():
@@ -187,3 +218,68 @@ def test_policy_is_called_once_per_reachable_state():
     val = policy_evaluate_exact(specs, _fresh(3), 1, 6, counting)
     assert val == policy_evaluate_exact(specs, _fresh(3), 1, 6, pol)
     assert len(seen) == len(set(seen)) > 6
+
+
+# sha256 of the fig3 `oracle` and `evaluate` CSV bytes, recorded before the
+# oracle moved from dicts of state tuples onto arrays of state codes
+_GOLDEN_FIG3 = [
+    ("oracle", 4, "ef748bd38b6552ac1fb631b1f3d72b2c04826c90c9dd4c84c92ea6fe314743b8"),
+    ("oracle", 6, "4617304df7769b3df5197fbb7e1f90d3af1d561f6a9c04375fa0344bba28ac93"),
+    ("oracle", 8, "0202cb847ef9e914a7dc20485fc009eb4a58865919fae6a76a8dbad110380afa"),
+    ("evaluate", 6, "8fdbd5f9a82154c21564b4dfa0c3f244eb47deb504efd631ff5fc35907da9840"),
+    ("evaluate", 8, "afc554fdf75c7076e5785e3a5856ef4c587a2d2cab32f90b4c8a868a3342aa27"),
+]
+
+
+@pytest.mark.parametrize("command, horizon, digest", _GOLDEN_FIG3,
+                         ids=[f"{c}-T{h}" for c, h, _ in _GOLDEN_FIG3])
+def test_fig3_csv_bytes_are_golden(tmp_path, command, horizon, digest):
+    out = tmp_path / "out.csv"
+    assert main([command, "--preset", "fig3", "--horizon", str(horizon), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_dp_table_is_golden():
+    # non-fresh initial states; recorded with the fig3 digests above
+    specs = [markov_spec(0.3, 1.0), markov_spec(0.6, 2.0), markov_spec(0.8, 0.5)]
+    initial = [ArmState(0, 2), ArmState(1, 3), ArmState(0, 1)]
+    value, table = dp_optimal(specs, initial, 1, 4)
+    assert repr(value) == "7.099849999999999"
+    assert hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest() == (
+        "c3579e9a470f060a9c8c227f9b4699131740b9b24643667c695056e5202db564")
+
+
+@pytest.mark.parametrize("selection", [(5,), (), (0, 0), (-1,), (0, 1)])
+def test_policy_selection_must_be_k_distinct_arm_ids(selection):
+    specs = [markov_spec(0.3)] * 3
+    with pytest.raises(ValueError, match=r"ArmState\(i=0, t=1\)"):
+        policy_evaluate_exact(specs, _fresh(3), 1, 3, lambda states: selection)
+
+
+def test_guard_counts_the_belief_table():
+    # the per-code belief table spans the largest initial t plus the horizon
+    specs = [markov_spec(0.3)] * 2
+    with pytest.raises(SearchSpaceError, match="belief entries"):
+        dp_optimal(specs, [ArmState(0, 10**7), ArmState(0, 1)], 1, 2)
+    value, _ = dp_optimal(specs, [ArmState(0, 10**4), ArmState(0, 1)], 1, 2)
+    assert value == pytest.approx(1.3 + 0.51, abs=1e-12)  # probe the abnormal arm, then 0 + p(2)
+
+
+def test_sentinel_is_not_an_initial_state():
+    with pytest.raises(ValueError, match="sentinel"):
+        dp_optimal([markov_spec(0.3)] * 2, [ArmState(0, 0), ArmState(0, 1)], 1, 2)
+
+
+def test_underflowing_branch_stays_in_the_graph():
+    # each probe sees 1 with probability 1e-200, so that joint outcome's
+    # probability underflows to 0.0; it is still possible, and so is its state
+    specs = [ComponentSpec(Table((1e-200, 0.5)), 1.0)] * 2
+    _, table = dp_optimal(specs, _fresh(2), 2, 2)
+    assert (1, ((1, 1), (1, 1))) in table
+
+
+def test_near_tie_keeps_the_first_subset():
+    # probing the dearer arm is better by less than the 1e-15 tie margin
+    specs = [markov_spec(0.5, 1.0), markov_spec(0.5, 1.0 + 4.5e-16)]
+    _, table = dp_optimal(specs, _fresh(2), 1, 2)
+    assert table[(0, ((0, 1), (0, 1)))] == (0,)
