@@ -14,8 +14,9 @@ numpy's SeedSequence([seed, rep, arm]) feeding PCG64, and [seed, rep, N]
 for the random policy's picks -- which makes results independent of
 iteration order and byte-identical across runs of the same configuration.
 The streams' seed states are hashed for all of them in one array pass, and
-their draws are stored slot-major, (T, R, N), so each slot reads one
-contiguous block.  The index and myopic policies rank every arm state
+PCG64 itself runs on arrays (`_Streams`): each slot draws its uniforms
+from every stream at once, so a run holds O(R x N) stream state and no
+block of uniforms.  The index and myopic policies rank every arm state
 (i, t) of every arm once, by the tie-break chain, before the first slot;
 a slot then picks, per replication, the K arms whose current states rank
 first.
@@ -34,10 +35,9 @@ from .oracle import SearchSpaceError
 from .policies import POLICY_NAMES, random_k, requeue, top_k
 from .whittle import index_values
 
-# uniforms one run may hold: R x N x T, about 16 times fig4's block
+# a bound on R x N x T, the uniforms a run draws from its arm streams
+# (about 16 times fig4's); drawn slot by slot, they cost time, not memory
 MAX_UNIFORMS = 2**27
-# the scratch block the uniforms pass through on their way to slot-major
-_SCRATCH_UNIFORMS = 2**16
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words)
 _POOL = 4
@@ -45,6 +45,9 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# numpy's PCG64: the 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,9 @@ def _advance(abnormal, phase, probe_mask, obs, uniforms, hazards, arm_cols):
     probe_mask marks probed arms, obs their current (pre-probe) states.
     Probed-healthy arms restart at clock 0 and immediately face hazard(1);
     probed-abnormal arms are repaired into the next slot with clock 0 and
-    no flip; unprobed healthy arms face the next hazard of their clock.
+    no flip; unprobed healthy arms face the next hazard of their clock.  An
+    arm flips when its uniform is below its hazard: both floats, or both
+    scaled by 2^53 to integers (the 53-bit draw, the hazard rounded up).
     """
     repaired = probe_mask & obs
     reset = probe_mask & ~obs
@@ -150,42 +155,59 @@ def _stream_states(seed: int, tails) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _generators(seed: int, tails):
-    """Generator(PCG64) on the named stream [seed, *tail] of each row of
-    `tails`, bit-identical to default_rng(SeedSequence([seed, *tail]))."""
-    # imported on first use: loading numpy.random adds ~10 ms to every start
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Hashed(ISeedSequence):
-        """A SeedSequence whose PCG64 state is already computed."""
-
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    for state in _stream_states(seed, tails):
-        yield Generator(PCG64(Hashed(state)))
+def _halves(values) -> tuple:
+    """128-bit integers as (high, low) uint64 columns."""
+    return (np.array([[v >> 64] for v in values], dtype=np.uint64),
+            np.array([[v & _MASK64] for v in values], dtype=np.uint64))
 
 
-def _uniforms(seed: int, replications: int, horizon: int, ids, width: int) -> np.ndarray:
-    """u[slot, rep, :], slot-major: replication rep's streams [seed, rep, id]
-    for id in `ids`, each drawing `width` uniforms a slot, side by side.
-    Drawn a few replications at a time into a scratch block of at most
-    _SCRATCH_UNIFORMS values, so no second full-size copy is held."""
-    lanes = len(ids) * width
-    u = np.empty((horizon, replications, len(ids), width))
-    block = np.empty((max(1, _SCRATCH_UNIFORMS // (lanes * horizon)), len(ids), horizon, width))
-    tails = np.stack(np.broadcast_arrays(np.arange(replications)[:, None], ids), axis=-1)
-    gens = _generators(seed, tails.reshape(-1, 2))
-    for r0 in range(0, replications, len(block)):
-        reps = block[: replications - r0]
-        for stream in reps.reshape(-1, horizon, width):
-            next(gens).random(out=stream)
-        u[:, r0 : r0 + len(reps)] = reps.transpose(2, 0, 1, 3)
-    return u.reshape(horizon, replications, lanes)
+def _mul128(xh, xl, ah, al) -> tuple:
+    """(x * a) mod 2^128 on (high, low) uint64 halves, in 32-bit limbs."""
+    x0, x1 = xl & _MASK32, xl >> 32
+    a0, a1 = al & _MASK32, al >> 32
+    p10 = x1 * a0
+    cross = (x0 * a0 >> 32) + (p10 & _MASK32) + x0 * a1  # < 2^64
+    return x1 * a1 + (p10 >> 32) + (cross >> 32) + xl * ah + xh * al, xl * al
+
+
+def _add128(xh, xl, yh, yl) -> tuple:
+    """(x + y) mod 2^128 on (high, low) uint64 halves."""
+    lo = xl + yl
+    return xh + yh + (lo < yl), lo
+
+
+class _Streams:
+    """numpy's PCG64 and `next_double` on many streams at once, bit for bit.
+
+    Stream s is the named stream [seed, *tails[s]]: `draw()` returns, as
+    column s of a (width, streams) uint64 array, the next `width` values
+    that default_rng(SeedSequence([seed, *tails[s]])).random() would, as
+    the 53-bit integers next_double scales by 2^-53.  Row j of the state
+    holds the LCG state of draw j, set once by jump-ahead (M^j x + S_j inc,
+    S_j = sum_{i<j} M^i); every draw moves each row `width` steps on, so a
+    draw costs the same array passes for any width."""
+
+    def __init__(self, seed: int, tails, width: int = 1):
+        s = _stream_states(seed, tails).T[:, None, :]
+        inc = (s[2] << 1 | s[3] >> 63, s[3] << 1 | 1)
+        powers, sums = [1], [0]  # M^j and S_j for j = 0, 1, ...
+        for _ in range(width + 1):
+            powers.append(powers[-1] * _PCG_MULT & _MASK128)
+            sums.append((sums[-1] * _PCG_MULT + 1) & _MASK128)
+        self._mult = _halves([powers[width]])
+        self._offset = _mul128(*inc, *_halves([sums[width]]))
+        # numpy's seeding steps the LCG from 0 (giving inc), adds the seed
+        # state and steps again; draw j is j + 1 steps after that
+        start = _add128(*inc, s[0], s[1])
+        self._state = _add128(*_mul128(*start, *_halves(powers[2:])),
+                              *_mul128(*inc, *_halves(sums[2:])))
+
+    def draw(self) -> np.ndarray:
+        hi, lo = self._state
+        self._state = _add128(*_mul128(hi, lo, *self._mult), *self._offset)
+        x = hi ^ lo  # XSL-RR output, then next_double's top 53 bits
+        rot = hi >> 58
+        return (x >> rot | x << ((64 - rot) & 63)) >> 11
 
 
 def _rank_table(costs, beliefs, primary) -> np.ndarray:
@@ -214,7 +236,8 @@ def run(config: RunConfig) -> CostTrajectory:
             r * n * t_total, MAX_UNIFORMS, "uniforms (replications x components x horizon)"
         )
     costs = np.array([s.cost for s in specs])
-    hazards = _hazard_table(specs, t_total)
+    # the draws stay integers: u < h exactly when u 2^53 < ceil(h 2^53)
+    thresholds = np.ceil(_hazard_table(specs, t_total) * 2.0**53).astype(np.uint64)
     ranked = config.policy in ("whittle", "myopic")
     if ranked:
         width = t_total + 2
@@ -224,9 +247,11 @@ def run(config: RunConfig) -> CostTrajectory:
         rank = _rank_table(costs, beliefs, primary)
         first = np.arange(n) * 2 * width + 1  # each arm's state (0, 1)
         state = np.broadcast_to(first, (r, n))  # flat (arm, i, t) index into rank
-    u = _uniforms(config.seed, r, t_total, range(n), 1)  # one stream per arm
+    # stream [seed, rep, arm] is column rep * N + arm; the random policy's
+    # [seed, rep, N] draws N uniforms a slot
+    arm_draws = _Streams(config.seed, np.column_stack(np.divmod(np.arange(r * n), n)))
     if config.policy == "random":
-        pol_u = _uniforms(config.seed, r, t_total, [n], n)  # one stream per replication
+        pick_draws = _Streams(config.seed, np.column_stack([np.arange(r), np.full(r, n)]), n)
 
     arm_cols = np.arange(n)
     abnormal = np.zeros((r, n), dtype=bool)
@@ -237,7 +262,8 @@ def run(config: RunConfig) -> CostTrajectory:
     no_probe = np.zeros((r, n), dtype=bool)
 
     # one hazard step separates the fresh (reset) world from the first slot
-    abnormal, phase = _advance(abnormal, phase, no_probe, no_probe, u[0], hazards, arm_cols)
+    abnormal, phase = _advance(abnormal, phase, no_probe, no_probe,
+                               arm_draws.draw().reshape(r, n), thresholds, arm_cols)
 
     for slot in range(t_total):
         per_slot[:, slot] = (abnormal * costs).sum(axis=1)
@@ -246,7 +272,7 @@ def run(config: RunConfig) -> CostTrajectory:
             ranks = rank.take(state)
             mask = ranks <= np.partition(ranks, k - 1, axis=1)[:, k - 1 : k]
         else:
-            sel_idx = order[:, :k] if config.policy == "queue" else random_k(pol_u[slot], k)
+            sel_idx = order[:, :k] if config.policy == "queue" else random_k(pick_draws.draw().T, k)
             picked = row_starts + sel_idx
             mask = np.zeros(r * n, dtype=bool)
             mask[picked] = True
@@ -259,7 +285,7 @@ def run(config: RunConfig) -> CostTrajectory:
 
         if slot + 1 < t_total:
             abnormal, phase = _advance(
-                abnormal, phase, mask, obs, u[slot + 1], hazards, arm_cols
+                abnormal, phase, mask, obs, arm_draws.draw().reshape(r, n), thresholds, arm_cols
             )
 
     return aggregate(np.cumsum(per_slot, axis=1))

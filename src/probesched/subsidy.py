@@ -68,10 +68,11 @@ def _objective(spec: ComponentSpec, lam: float, t: int, p_t: float, cum: float) 
 
 def _converged(proc, t: int, p_t: float) -> bool:
     """True once p is constant from slot t on: past a table's last entry,
-    or within _CONVERGENCE_EPS of 1 for a memoryless process."""
+    or within _CONVERGENCE_EPS of 1 for a memoryless process, or 0.0 at
+    t >= 1 for one whose 1 - q rounds to 1 (its p is 0.0 at every t)."""
     if isinstance(proc, Table):
         return t >= len(proc.values)
-    return 1.0 - p_t <= _CONVERGENCE_EPS
+    return 1.0 - p_t <= _CONVERGENCE_EPS or p_t == 0.0
 
 
 def _best_stopping(spec: ComponentSpec, lam: float, t_cap: int):

@@ -500,3 +500,20 @@ def test_cli_import_leaves_numpy_random_unloaded():
         capture_output=True, env=env, check=True, text=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_simulate_leaves_numpy_random_unloaded(tmp_path):
+    # every simulator stream is an array PCG64 inside `sim`, so no numpy
+    # Generator is built: fig4's preset, then the queue and random policies
+    src = os.path.dirname(os.path.dirname(probesched.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = _write_cfg(tmp_path, {**FIG4, "policies": ["queue", "random"]})
+    tiny = ["--replications", "3", "--horizon", "6", "--out", str(tmp_path / "sim.csv")]
+    code = ("import sys; from probesched.cli import main; "
+            f"codes = [main(['simulate', '--preset', 'fig4', *{tiny!r}]), "
+            f"main(['simulate', '--config', {cfg!r}, *{tiny!r}])]; "
+            "print(*codes, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, env=env, check=True, text=True)
+    assert proc.stdout.split() == ["0", "0", "False"]

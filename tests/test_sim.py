@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from probesched import (
 from probesched.cli import main as cli_main
 from probesched.policies import POLICY_NAMES, whittle_policy
 from probesched.sim import (
+    _Streams,
     _advance,
-    _generators,
     _hazard_table,
     _stream_states,
     aggregate,
@@ -314,15 +315,46 @@ def test_simulate_csv_bytes_are_golden(tmp_path, name, cfg, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_random_policy_run_holds_no_uniform_block():
+    # fig4's arms at R = 2000, T = 500: one (T, R, N) float64 block of
+    # uniforms is 8 R N T bytes (61 MiB), and the random policy held two;
+    # drawn slot by slot, the run's peak stays under half of one
+    specs = tuple(markov_spec(a["q"], a["cost"]) for a in _FIG4_ARMS)
+    r, horizon = 2000, 500
+    cfg = RunConfig(specs=specs, k=2, horizon=horizon, policy="random",
+                    replications=r, seed=1)
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * r * len(specs) * horizon
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
 def test_stream_states_match_seed_sequence(seed):
     tails = [(rep, arm) for rep in (0, 1, 2, 7, 1999, 2**31) for arm in (0, 1, 5, 8, 2**32 - 1)]
     expected = [np.random.SeedSequence([seed, rep, arm]).generate_state(4, np.uint64)
                 for rep, arm in tails]
     assert np.array_equal(_stream_states(seed, tails), expected)
-    for (rep, arm), gen in zip(tails[:3], _generators(seed, tails)):
+    streams = _Streams(seed, tails)
+    draws = np.concatenate([streams.draw() for _ in range(6)]) * 2.0**-53  # (draw, stream)
+    for (rep, arm), column in zip(tails, draws.T, strict=True):
         reference = np.random.default_rng(np.random.SeedSequence([seed, rep, arm]))
-        assert np.array_equal(gen.random(5), reference.random(5))
+        assert np.array_equal(column, reference.random(6))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("n", [5, 8])
+def test_wide_streams_match_generator_rows(seed, n):
+    # the random policy's stream [seed, rep, N] draws N uniforms a slot
+    reps = (0, 1, 7, 1999, 2**31)
+    streams = _Streams(seed, [(rep, n) for rep in reps], n)
+    draws = np.stack([streams.draw() for _ in range(4)]) * 2.0**-53  # (slot, N, rep)
+    for rep, block in zip(reps, draws.transpose(2, 0, 1), strict=True):
+        reference = np.random.default_rng(np.random.SeedSequence([seed, rep, n]))
+        assert np.array_equal(block, reference.random((4, n)))
 
 
 def test_negative_seed_rejected():

@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -330,6 +331,21 @@ def test_parked_arm_reports_zero_rate_and_cap():
     assert plan.t0_star[2] == DEFAULT_T_CAP
     assert [r > 0.0 for r in plan.rates] == [True, True, False, True]
     assert sum(plan.rates) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_float_zero_markov_arm_converges_at_once():
+    # 1 - 1e-175 == 1.0, so the middle arm's p(t) is 0.0 at every t and its
+    # index is 0; each of its walks once ran to t_cap (about 3 s a solve).
+    # The plan is the one those full walks gave, bit for bit.
+    specs = [markov_spec(0.3, cost=1.0), markov_spec(1e-175, cost=2.0), markov_spec(0.6, cost=0.7)]
+    start = time.perf_counter()
+    plan = solve_lambda_star(specs, 1)
+    assert time.perf_counter() - start < 0.5
+    assert plan.lambda_star == float.fromhex("0x1.5ad6b5ad6b5b1p-2")
+    assert plan.mixing == (0.0, 0.0, float.fromhex("0x1.e64bcc97992f2p-1"))
+    assert plan.t0_star == (2, DEFAULT_T_CAP, 1)
+    assert plan.rates == (float.fromhex("0x1.97f7d73404147p-2"), 0.0,
+                          float.fromhex("0x1.34041465fdf5cp-1"))
 
 
 @pytest.mark.parametrize("spec", [markov_spec(0.3, cost=1.5), concave_spec(cost=0.7)])
