@@ -26,7 +26,7 @@ class SearchSpaceError(RuntimeError):
     """Raised when a problem's size exceeds the bound set on it: the
     oracle's reachable joint states x horizon, its belief table, or one
     layer's branch entries (states x K-subsets x 2^K outcomes x N arms),
-    checked before the layer is expanded; or the simulator's uniforms."""
+    checked before the layer is expanded; or the simulator's run size."""
 
     def __init__(self, count: int, bound: int, what: str):
         self.count = count

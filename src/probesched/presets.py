@@ -7,7 +7,6 @@ under memoryless attacks (fig4).
 """
 
 FIG2 = {
-    "mode": "index",
     "components": [
         {
             "kind": "table",
@@ -19,7 +18,6 @@ FIG2 = {
 }
 
 FIG3 = {
-    "mode": "oracle",
     "components": [
         {"kind": "table", "p": [0.5, 0.7, 0.85, 0.95, 0.97, 0.975], "cost": 0.8},
         {"kind": "table", "p": [0.3, 0.4, 0.48, 0.54, 0.57, 0.59], "cost": 1.0},
@@ -32,7 +30,6 @@ FIG3 = {
 }
 
 FIG4 = {
-    "mode": "simulate",
     "components": [
         {"kind": "markov", "q": 0.2, "cost": 2.5},
         {"kind": "markov", "q": 0.3, "cost": 2.0},

@@ -35,8 +35,9 @@ from .oracle import SearchSpaceError
 from .policies import POLICY_NAMES, random_k, requeue, top_k
 from .whittle import index_values
 
-# a bound on R x N x T, the uniforms a run draws from its arm streams
-# (about 16 times fig4's); drawn slot by slot, they cost time, not memory
+# a bound on R x N x (T + 20): the R x N x T uniforms a run draws from its
+# arm streams (about 16 times fig4's), which cost time, plus each stream's
+# peak state, about 160 B or 20 draws, which costs memory
 MAX_UNIFORMS = 2**27
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words)
@@ -231,10 +232,10 @@ def run(config: RunConfig) -> CostTrajectory:
     specs = list(config.specs)
     n = len(specs)
     r, t_total, k = config.replications, config.horizon, config.k
-    if r * n * t_total > MAX_UNIFORMS:
-        raise SearchSpaceError(
-            r * n * t_total, MAX_UNIFORMS, "uniforms (replications x components x horizon)"
-        )
+    size = r * n * (t_total + 20)
+    if size > MAX_UNIFORMS:
+        what = "draws and stream state (replications x components x (horizon + 20))"
+        raise SearchSpaceError(size, MAX_UNIFORMS, what)
     costs = np.array([s.cost for s in specs])
     # the draws stay integers: u < h exactly when u 2^53 < ceil(h 2^53)
     thresholds = np.ceil(_hazard_table(specs, t_total) * 2.0**53).astype(np.uint64)

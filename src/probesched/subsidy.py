@@ -16,6 +16,7 @@ boundary exactly.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,32 +76,32 @@ def _converged(proc, t: int, p_t: float) -> bool:
     return 1.0 - p_t <= _CONVERGENCE_EPS or p_t == 0.0
 
 
+def _marginals(proc, t_cap: int) -> list:
+    """p(t) for t = 0..stop, where stop is the first t >= 1 at which p has
+    converged, or t_cap: every scan of an arm's slots ends at stop."""
+    p = [0.0]
+    while True:
+        t = len(p)
+        p.append(marginal_p(proc, t))
+        if t >= t_cap or _converged(proc, t, p[t]):
+            return p
+
+
 def _best_stopping(spec: ComponentSpec, lam: float, t_cap: int):
-    """Scan t0 = 1..t_cap for the largest cycle reward, smallest argmax on
-    ties.  Once the marginals have converged the tail of the objective is
-    monotone toward lam - c p_inf, so the scan can stop (or jump straight
-    to the cap when the tail still improves)."""
-    proc, c = spec.process, spec.cost
-    best_t, best_v = 1, None
-    cum = 0.0
-    t = 1
-    while t <= t_cap:
-        p_t = marginal_p(proc, t)
-        cum += p_t
-        v = _objective(spec, lam, t, p_t, cum)
+    """Scan t0 = 1..stop for the largest cycle reward, smallest argmax on
+    ties.  Past a converged stop the objective approaches lam - c p(stop)
+    monotonically, so only t0 = t_cap can still beat the scan."""
+    p = _marginals(spec.process, t_cap)
+    best_t, best_v, cum = 1, None, 0.0
+    for t in range(1, len(p)):
+        cum += p[t]
+        v = _objective(spec, lam, t, p[t], cum)
         if best_v is None or v > best_v:
             best_t, best_v = t, v
-        if _converged(proc, t, p_t):
-            # In the constant-marginal tail the objective approaches
-            # lam - c*p monotonically; its sign of approach is fixed.
-            limit = lam - c * p_t
-            if limit > best_v and t < t_cap:
-                cum_cap = cum + (t_cap - t) * p_t
-                v_cap = _objective(spec, lam, t_cap, p_t, cum_cap)
-                if v_cap > best_v:
-                    best_t, best_v = t_cap, v_cap
-            break
-        t += 1
+    if t < t_cap and lam - spec.cost * p[t] > best_v:
+        v_cap = _objective(spec, lam, t_cap, p[t], cum + (t_cap - t) * p[t])
+        if v_cap > best_v:
+            best_t, best_v = t_cap, v_cap
     return best_t, best_v
 
 
@@ -143,26 +144,35 @@ def _activation_prob(w: float, lam: float, gamma: float) -> float:
     return 0.0
 
 
-def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, t_cap: int):
+def _arm_table(spec: ComponentSpec, t_cap: int):
+    """(p(t), W(0, t)) for t = 0..stop, the slots `_marginals` keeps: the
+    renewal walk and the lambda* candidates both end at stop."""
+    p = _marginals(spec.process, t_cap)
+    return p, index_values(spec, len(p) - 1)
+
+
+def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, table):
     """Distribution of the gap until the next probe after a 0-observation.
 
     The component restarts immediately, so g slots later it is abnormal
     with probability p(g) and the interval accrues cost c * sum_{k<=g} p(k).
-    Returns (E[gap], P(next observation = 1), E[interval cost], first slot
-    that may probe), or None if the arm is parked.
+    The walk reads the arm table's slots 1..stop.  Returns (E[gap],
+    P(next observation = 1), E[interval cost], first slot that may probe),
+    or None if the arm is parked.
     """
-    proc, c = spec.process, spec.cost
+    (p, w), c = table, spec.cost
+    stop = len(p) - 1
     mass = 1.0
     e_gap = p_obs1 = e_cost = 0.0
     cum = 0.0
     first = None
-    for t in range(1, t_cap + 1):
-        b = marginal_p(proc, t)
+    for t in range(1, stop + 1):
+        b = p[t]
         cum += b
-        a = _activation_prob(whittle_index(spec, ArmState(0, t)), lam, gamma)
+        a = _activation_prob(w[t], lam, gamma)
         if first is None and a > 0.0:
             first = t
-        if t == t_cap or _converged(proc, t, b):
+        if t == stop:
             break
         pr = mass * a
         e_gap += pr * t
@@ -171,9 +181,9 @@ def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, t_cap: int):
         mass *= 1.0 - a
         if mass == 0.0:
             return e_gap, p_obs1, e_cost, first
-    # From the converged tail (or t_cap) on, a and b are constant: the rest
-    # is probed j >= 1 slots in with probability a (1-a)^(j-1), E[j] = 1/a,
-    # and the cost grows by b per slot after the first.  a = 0 parks the arm.
+    # From stop on, a and b are constant: the rest is probed j >= 1 slots
+    # in with probability a (1-a)^(j-1), E[j] = 1/a, and the cost grows by
+    # b per slot after the first.  a = 0 parks the arm.
     if a == 0.0:
         return None
     extra = 1.0 / a - 1.0
@@ -183,10 +193,10 @@ def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, t_cap: int):
     return e_gap, p_obs1, e_cost, first
 
 
-def _renewal(spec: ComponentSpec, lam: float, gamma: float, t_cap: int):
+def _renewal(spec: ComponentSpec, lam: float, gamma: float, table, t_cap: int):
     """`_policy_rates` plus t0*, the first slot after a 0-observation that
     may probe (t_cap for a parked arm)."""
-    stats0 = _interval_stats(spec, lam, gamma, t_cap)
+    stats0 = _interval_stats(spec, lam, gamma, table)
     if stats0 is None:
         return 0.0, spec.cost * marginal_p(spec.process, t_cap), t_cap
     e0, b0, c0, t0 = stats0
@@ -214,7 +224,7 @@ def _policy_rates(spec: ComponentSpec, lam: float, gamma: float,
     long-run rates.  A parked arm is never probed again, so its activation
     rate is zero and its belief settles at p(t_cap).
     """
-    return _renewal(spec, lam, gamma, t_cap)[:2]
+    return _renewal(spec, lam, gamma, _arm_table(spec, t_cap), t_cap)[:2]
 
 
 def average_cost_rate(spec: ComponentSpec, lam: float, gamma: float = 0.0) -> float:
@@ -222,17 +232,15 @@ def average_cost_rate(spec: ComponentSpec, lam: float, gamma: float = 0.0) -> fl
     return _policy_rates(spec, lam, gamma)[1]
 
 
-def _total_rate(specs, lam: float, gamma: float, t_cap: int) -> float:
-    return sum(_policy_rates(s, lam, gamma, t_cap)[0] for s in specs)
-
-
 def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
     """Smallest multiplier at which the summed activation rates cross K,
     with boundary mixing chosen so the crossing is hit exactly.
 
-    The summed rate is a nonincreasing step function of lam whose jumps sit
-    at the arms' index values, so it suffices to scan those candidates and
-    bisect the common mixing probability at the jump that straddles K.
+    At gamma = 0 an arm's rate depends only on its first slot whose index
+    exceeds lam, so the summed rate is a nonincreasing step function with
+    jumps at the arm tables' index values.  lambda* is 0 or the smallest
+    positive W(0, t) in the tables at which those rates sum to <= K, found
+    by bisection; the common mixing probability is bisected at that jump.
     """
     specs = list(specs)
     n = len(specs)
@@ -240,43 +248,35 @@ def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
         raise ValueError(f"need 1 <= K < N, got K={K}, N={n}")
     if t_cap < 1:
         raise ValueError(f"t_cap must be >= 1, got {t_cap}")
+    arms = [(s, _arm_table(s, t_cap)) for s in specs]
 
-    def solve_gamma(lam: float) -> float:
+    def total(lam: float, gamma: float) -> float:
+        return sum(_renewal(s, lam, gamma, table, t_cap)[0] for s, table in arms)
+
+    def finish(lam: float) -> RelaxedPlan:
         lo, hi = 0.0, 1.0
-        for _ in range(100):
+        for _ in range(100):  # bisect the common mixing probability
             mid = 0.5 * (lo + hi)
-            if _total_rate(specs, lam, mid, t_cap) < K:
+            if total(lam, mid) < K:
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
-
-    def finish(lam: float) -> RelaxedPlan:
-        g = solve_gamma(lam)
-        mixing = []
-        for s in specs:  # only arms whose rate moves with gamma mix
-            lo, hi = (_policy_rates(s, lam, gamma, t_cap)[0] for gamma in (0.0, 1.0))
-            mixing.append(g if hi != lo else 0.0)
-        rates, _costs, t0s = zip(*(_renewal(s, lam, m, t_cap) for s, m in zip(specs, mixing)))
+        g = 0.5 * (lo + hi)
+        mixing, plan = [], []
+        for s, table in arms:  # only arms whose rate moves with gamma mix
+            r0, r1 = (_renewal(s, lam, gamma, table, t_cap)[0] for gamma in (0.0, 1.0))
+            mixing.append(g if r1 != r0 else 0.0)
+            plan.append(_renewal(s, lam, mixing[-1], table, t_cap))
+        rates, _costs, t0s = zip(*plan)
         return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates)
 
-    if _total_rate(specs, 0.0, 0.0, t_cap) <= K:
+    if total(0.0, 0.0) <= K:
         return finish(0.0)
-
-    t_limit = 64
-    while True:
-        cands = set()
-        for s in specs:
-            w = index_values(s, min(t_limit, t_cap))
-            cands.update(v for v in w[1:] if v > 0.0)
-        for lam in sorted(cands):
-            if _total_rate(specs, lam, 0.0, t_cap) <= K + 1e-12:
-                return finish(lam)
-        if t_limit >= t_cap:
-            raise RuntimeError(
-                f"no multiplier within the stopping cap {t_cap} meets the budget K={K}"
-            )
-        t_limit = min(2 * t_limit, t_cap)
+    cands = sorted({v for _s, (_p, w) in arms for v in w[1:] if v > 0.0})
+    # At the largest candidate no index exceeds lam, so every arm is parked
+    # and the total is 0 <= K: the search always lands on a candidate.
+    i = bisect.bisect_left(cands, True, key=lambda lam: total(lam, 0.0) <= K + 1e-12)
+    return finish(cands[i])
 
 
 def relaxed_select(specs, states, plan: RelaxedPlan, rng) -> tuple:

@@ -482,6 +482,16 @@ def test_simulate_refuses_an_oversized_uniform_block(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_simulate_refuses_many_streams_at_horizon_one(capsys):
+    # R·N = 2^23 streams draw only 2^23 uniforms at T = 1, but their state
+    # peaks at about 160 B each (1.3 GiB): the guard counts it as 20 draws
+    start = time.perf_counter()
+    argv = ["simulate", "--preset", "fig4", "--replications", str(2**20), "--horizon", "1"]
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "refused" in capsys.readouterr().err
+
+
 def test_simulate_negative_seed_exits_promptly(capsys):
     start = time.perf_counter()
     assert main(["simulate", "--preset", "fig4", "--seed", "-1"]) == 2

@@ -1,3 +1,4 @@
+import bisect
 import math
 import threading
 import time
@@ -25,16 +26,23 @@ from probesched.subsidy import (
     average_cost_rate,
     single_arm_q,
 )
+from probesched.whittle import index_values
 from helpers import concave_spec, markov_spec, random_strict_specs
+
+
+def _criterion_8_instances():
+    """Acceptance criterion 8's 20 instances as (specs, K)."""
+    rng = np.random.default_rng(88)
+    for trial in range(20):
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, n))
+        yield random_strict_specs(n, seed=5_000 + trial), k
 
 
 def _criterion_8_specs():
     """The arm sets of acceptance criterion 8's 20 instances."""
-    rng = np.random.default_rng(88)
-    for trial in range(20):
-        n = int(rng.integers(2, 6))
-        rng.integers(1, n)  # that instance's K, drawn to keep the sequence
-        yield random_strict_specs(n, seed=5_000 + trial)
+    for specs, _k in _criterion_8_instances():
+        yield specs
 
 
 def test_negative_subsidy_probes_immediately():
@@ -387,3 +395,42 @@ def test_plan_t0_star_is_the_first_slot_the_plan_may_probe():
                          DEFAULT_T_CAP)
             assert plan.t0_star[idx] == first, (trial, idx, plan)
             assert (plan.rates[idx] == 0.0) == (not may_probe(first))
+
+
+def _late_converging_pair(slow_q=0.3, slow_cost=0.1):
+    # the first arm's marginals converge late (slot 78 at q = 0.3); the
+    # second is probed almost every slot, so the first carries ~1% of K
+    return [markov_spec(slow_q, cost=slow_cost), ComponentSpec(Table((0.01, 0.1)), 5.0)]
+
+
+def test_lambda_star_reaches_past_slot_64_of_a_late_converging_arm():
+    # Arm 0 first converges at slot 78.  A candidate scan of only each
+    # arm's first 64 slots lands on arm 1's W(0, 1) = 0.4133, which parks
+    # arm 0 and sums the rates to 0.990099; lambda* is arm 0's W(0, 78).
+    specs = _late_converging_pair()
+    arm0 = specs[0]
+    p = lambda t: marginal_p(arm0.process, t)
+    assert next(t for t in range(1, 100) if _converged(arm0.process, t, p(t))) == 78
+    plan = solve_lambda_star(specs, 1)
+    assert sum(plan.rates) == pytest.approx(1.0, abs=1e-6)
+    assert plan.lambda_star == index_values(arm0, 78)[78]
+    assert 0.0 < plan.mixing[0] < 1.0
+    assert plan.mixing[1] == 0.0
+
+
+def test_lambda_star_is_the_smallest_candidate_within_budget():
+    # Candidates taken from every positive W(0, t), t <= DEFAULT_T_CAP, of
+    # every arm: lambda* is 0 or a candidate, the gamma = 0 rates sum to at
+    # most K there, and at the largest candidate below it they sum to more.
+    # Criterion 8's instances, the late-converging pair, and the pair with
+    # a q = 0.01 arm in its first place.
+    instances = [*_criterion_8_instances(), (_late_converging_pair(), 1),
+                 (_late_converging_pair(slow_q=0.01, slow_cost=0.01), 1)]
+    for specs, k in instances:
+        plan = solve_lambda_star(specs, k)
+        cands = sorted({v for s in specs for v in index_values(s, DEFAULT_T_CAP) if v > 0.0})
+        total = lambda lam: sum(_policy_rates(s, lam, 0.0)[0] for s in specs)
+        assert plan.lambda_star == 0.0 or plan.lambda_star in cands, (specs, plan)
+        assert total(plan.lambda_star) <= k + 1e-12, (specs, plan)
+        below = bisect.bisect_left(cands, plan.lambda_star)
+        assert below == 0 or total(cands[below - 1]) > k + 1e-12, (specs, plan)
