@@ -22,6 +22,7 @@ from .oracle import (
     DEFAULT_BOUND,
     SearchSpaceError,
     dp_optimal,
+    one_graph,
     policy_evaluate_exact,
 )
 from .policies import POLICY_NAMES, myopic_policy, whittle_policy
@@ -120,6 +121,9 @@ def _policies(cfg):
 def cmd_index(cfg):
     specs = _components(cfg)
     horizon = _positive(cfg, "horizon")
+    if 2 * len(specs) * horizon > DEFAULT_BOUND:
+        raise SearchSpaceError(2 * len(specs) * horizon, DEFAULT_BOUND,
+                               "index rows (2N x horizon)")
     header = ["component", "state_i", "state_t", "index"]
     rows = []
     for n, spec in enumerate(specs):
@@ -163,10 +167,11 @@ def cmd_evaluate(cfg):
     initial = [ArmState(0, 1)] * len(specs)
     header = ["policy", "horizon", "expected_cost"]
     rows = []
-    for name in _policies(cfg):
-        val = policy_evaluate_exact(specs, initial, k, horizon,
-                                    _exact_policy(name, specs, k), bound)
-        rows.append([name, horizon, val])
+    with one_graph():
+        for name in _policies(cfg):
+            val = policy_evaluate_exact(specs, initial, k, horizon,
+                                        _exact_policy(name, specs, k), bound)
+            rows.append([name, horizon, val])
     return header, rows
 
 
@@ -182,15 +187,17 @@ def cmd_oracle(cfg):
     for name, _pol in policies:
         header += [f"{name}_cost", f"{name}_rel_gap"]
     rows = []
-    # Longest horizon first: its reachability pass refuses an oversized
-    # batch before any shorter horizon is solved.
-    for t in range(horizon, 0, -1):
-        opt, _table = dp_optimal(specs, initial, k, t, bound)
-        row = [t, opt]
-        for _name, pol in policies:
-            val = policy_evaluate_exact(specs, initial, k, t, pol, bound)
-            row += [val, (val - opt) / opt if opt > 0 else 0.0]
-        rows.append(row)
+    # Longest horizon first: the op's one graph is built for it, so its guards
+    # refuse an oversized batch before anything is solved, and every shorter
+    # horizon reads a prefix of that graph.
+    with one_graph():
+        for t in range(horizon, 0, -1):
+            opt, _table = dp_optimal(specs, initial, k, t, bound)
+            row = [t, opt]
+            for _name, pol in policies:
+                val = policy_evaluate_exact(specs, initial, k, t, pol, bound)
+                row += [val, (val - opt) / opt if opt > 0 else 0.0]
+            rows.append(row)
     return header, rows[::-1]
 
 

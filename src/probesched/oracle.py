@@ -3,17 +3,22 @@
 A joint state is an int32 row of per-arm codes i * width + t, the
 simulator's encoding: a probe observing o moves an arm to o * width + 1,
 waiting adds 1.  `_graph` builds the layers of joint states reachable when
-any K-subset may be probed, once per call; one backward induction over them
-(`_sweep`) gives the optimal expected cost (least value-to-go over every
-K-subset) or a policy's exact value (its own selection's).  Each slot costs
-sum(c_n * P(abnormal)) before its probes take effect, from exact marginals.
+any K-subset may be probed, once per call, or once per `one_graph` scope,
+where shorter horizons read a prefix of the longest one's graph; one
+backward induction over them (`_sweep`) gives the optimal expected cost
+(least value-to-go over every K-subset) or a policy's exact value (its own
+selection's).  Each slot costs sum(c_n * P(abnormal)) before its probes
+take effect, from exact marginals.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -26,7 +31,8 @@ class SearchSpaceError(RuntimeError):
     """Raised when a problem's size exceeds the bound set on it: the
     oracle's reachable joint states x horizon, its belief table, or one
     layer's branch entries (states x K-subsets x 2^K outcomes x N arms),
-    checked before the layer is expanded; or the simulator's run size."""
+    checked before the layer is expanded; the simulator's run size; or the
+    rows of an index table."""
 
     def __init__(self, count: int, bound: int, what: str):
         self.count = count
@@ -92,6 +98,39 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
             raise SearchSpaceError(len(seen), bound, f"reachable joint states x horizon {horizon}")
 
 
+# Inside `one_graph`: a one-item list holding (instance key, horizon, graph)
+# or None; outside it, None.
+_held = contextvars.ContextVar("held", default=None)
+
+
+@contextlib.contextmanager
+def one_graph():
+    """A scope in which `dp_optimal` and `policy_evaluate_exact` calls on one
+    instance (specs, initial, K, bound) share one graph: the first call's,
+    rebuilt only for a longer horizon.  A horizon-h call reads its first h
+    layers.  The code width is the longest horizon's, which keeps every
+    code's order, so each call's result is bit for bit its own graph's; and
+    a graph that passed the guards at a horizon passes them at every shorter
+    one.  Nothing is kept after the scope ends."""
+    token = _held.set([None])
+    try:
+        yield
+    finally:
+        _held.reset(token)
+
+
+def _shared_graph(specs, initial, k: int, horizon: int, bound: int):
+    """`_graph`, or inside `one_graph` a prefix of the graph it holds."""
+    held = _held.get()
+    if held is None:
+        return _graph(specs, initial, k, horizon, bound)
+    key = (tuple(specs), tuple(initial), k, bound)
+    if held[0] is None or held[0][0] != key or not 1 <= horizon <= held[0][1]:
+        held[0] = key, horizon, _graph(specs, initial, k, horizon, bound)
+    width, beliefs, subsets, layers, edges = held[0][2]
+    return width, beliefs, subsets, layers[:horizon], edges[:horizon - 1]
+
+
 def _first_min(future):
     """Per state, the first subset beating every earlier one by > 1e-15."""
     pick, best = np.zeros(len(future), dtype=np.intp), future[:, 0]
@@ -121,16 +160,45 @@ def _sweep(specs, graph, picks=None):
     return float(values[0]), chosen
 
 
+class _PolicyTable(Mapping):
+    """Read-only {(slot, joint state as ((i, t), ...)): selection}, built on
+    first read; its length, one entry per reachable (slot, state), is known
+    without building it."""
+
+    def __init__(self, width, subsets, layers, picks):
+        self._parts = width, subsets, layers, picks
+        self._len = sum(map(len, layers))
+
+    @functools.cached_property
+    def _entries(self):
+        width, subsets, layers, picks = self._parts
+        pairs = [divmod(code, width) for code in range(2 * width)]  # one (i, t) object per code
+        return {(slot, tuple(map(pairs.__getitem__, row))): subsets[j]
+                for slot, (layer, pick) in enumerate(zip(layers, picks))
+                for row, j in zip(layer.tolist(), pick.tolist())}
+
+    def __getitem__(self, key):
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return self._len
+
+    def __repr__(self):
+        return repr(self._entries)
+
+
 def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND):
     """Exact minimal expected total cost over `horizon` slots, plus the
-    optimal policy table as {(slot, joint state): selection}."""
+    optimal policy table, a read-only mapping {(slot, joint state):
+    selection} that is built the first time it is read."""
     specs = list(specs)
-    graph = width, _beliefs, subsets, layers, _edges = _graph(specs, initial, k, horizon, bound)
+    graph = width, _beliefs, subsets, layers, _edges = _shared_graph(specs, initial, k,
+                                                                     horizon, bound)
     value, picks = _sweep(specs, graph)
-    pairs = [divmod(code, width) for code in range(2 * width)]  # one (i, t) object per code
-    return value, {(slot, tuple(map(pairs.__getitem__, row))): subsets[j]
-                   for slot, (layer, pick) in enumerate(zip(layers, picks))
-                   for row, j in zip(layer.tolist(), pick.tolist())}
+    return value, _PolicyTable(width, subsets, layers, picks)
 
 
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
@@ -139,7 +207,8 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
     asked once per distinct joint state it reaches (a list of ArmStates) for
     K distinct arm ids.  Its graph is `dp_optimal`'s: both refuse alike."""
     specs = list(specs)
-    graph = width, _beliefs, subsets, layers, edges = _graph(specs, initial, k, horizon, bound)
+    graph = width, _beliefs, subsets, layers, edges = _shared_graph(specs, initial, k,
+                                                                    horizon, bound)
     index = {sel: j for j, sel in enumerate(subsets)}
     asked, picks, reached = {}, [], np.ones(1, dtype=bool)
     for slot, layer in enumerate(layers):

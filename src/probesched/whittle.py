@@ -26,10 +26,9 @@ def index_values(spec: ComponentSpec, horizon: int) -> list:
     proc, c = spec.process, spec.cost
     out = [0.0]
     cum = 0.0
-    p_t = 0.0
+    p_next = marginal_p(proc, 1)
     for t in range(1, horizon + 1):
-        p_t = marginal_p(proc, t)
-        p_next = marginal_p(proc, t + 1)
+        p_t, p_next = p_next, marginal_p(proc, t + 1)  # p(t + 1) is the next slot's p(t)
         cum += p_t
         out.append((p_next * (t + p_t) / (1.0 + p_next - p_t) - cum) * c)
     return out

@@ -492,6 +492,14 @@ def test_simulate_refuses_many_streams_at_horizon_one(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_index_refuses_an_oversized_table(capsys):
+    # 2 x N x horizon rows: once a MemoryError traceback with exit 1
+    start = time.perf_counter()
+    assert main(["index", "--preset", "fig2", "--horizon", "100000000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "refused" in capsys.readouterr().err
+
+
 def test_simulate_negative_seed_exits_promptly(capsys):
     start = time.perf_counter()
     assert main(["simulate", "--preset", "fig4", "--seed", "-1"]) == 2

@@ -13,7 +13,9 @@ from probesched import (
     dp_optimal,
     policy_evaluate_exact,
 )
+import probesched.oracle
 from probesched.cli import main
+from probesched.oracle import one_graph
 from probesched.policies import myopic_policy, whittle_policy
 from probesched.subsidy import average_cost_rate, solve_lambda_star
 from helpers import markov_spec
@@ -283,3 +285,88 @@ def test_near_tie_keeps_the_first_subset():
     specs = [markov_spec(0.5, 1.0), markov_spec(0.5, 1.0 + 4.5e-16)]
     _, table = dp_optimal(specs, _fresh(2), 1, 2)
     assert table[(0, ((0, 1), (0, 1)))] == (0,)
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    build = probesched.oracle._graph
+
+    def counted(*args):
+        builds.append(args[3])  # the horizon built for
+        return build(*args)
+
+    monkeypatch.setattr(probesched.oracle, "_graph", counted)
+    return builds
+
+
+def test_oracle_op_builds_one_graph(tmp_path, monkeypatch):
+    # once per op, for its longest horizon, where each of the 8 horizons
+    # once built its own graph for `dp_optimal` and each policy
+    builds = _count_builds(monkeypatch)
+    for run in range(2):
+        out = tmp_path / f"oracle{run}.csv"
+        assert main(["oracle", "--preset", "fig3", "--horizon", "8", "--out", str(out)]) == 0
+        assert builds == [8] * (run + 1)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_FIG3[2][2]
+    # outside the scope a library call builds its own graph
+    specs = [markov_spec(0.4)] * 3
+    dp_optimal(specs, _fresh(3), 1, 4)
+    dp_optimal(specs, _fresh(3), 1, 4)
+    assert builds == [8, 8, 4, 4]
+
+
+def test_graph_prefixes_give_each_horizon_its_own_bits(monkeypatch):
+    # non-fresh initial states with a largest t > 1: the code width depends
+    # on the horizon, so shorter horizons read codes of a wider graph
+    rng = np.random.default_rng(11)
+    for trial in range(8):
+        n = int(rng.integers(2, 4))
+        specs = [markov_spec(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.5, 2)))
+                 for _ in range(n)]
+        k = int(rng.integers(1, n))
+        big = int(rng.integers(2, 6))
+        initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 6))) for _ in range(n)]
+        initial[0] = ArmState(0, 7)
+        pols = [whittle_policy(specs, k), myopic_policy(specs, k)]
+        alone = [(dp_optimal(specs, initial, k, h),
+                  [policy_evaluate_exact(specs, initial, k, h, pol) for pol in pols])
+                 for h in range(1, big + 1)]
+        builds = _count_builds(monkeypatch)
+        with one_graph():
+            shared = [(dp_optimal(specs, initial, k, h),
+                       [policy_evaluate_exact(specs, initial, k, h, pol) for pol in pols])
+                      for h in range(big, 0, -1)][::-1]
+        assert builds == [big]
+        monkeypatch.undo()
+        for ((v0, t0), p0), ((v1, t1), p1) in zip(alone, shared):
+            assert repr(v1) == repr(v0)
+            assert [repr(v) for v in p1] == [repr(v) for v in p0]
+            assert sorted(t1.items()) == sorted(t0.items())
+            assert len(t1) == len(list(t1.items())) == len(t0)
+
+
+def test_scope_rebuilds_for_another_instance_or_a_longer_horizon(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    specs = [markov_spec(0.3), markov_spec(0.6)]
+    with one_graph():
+        dp_optimal(specs, _fresh(2), 1, 3)
+        dp_optimal(specs, _fresh(2), 1, 2)  # a prefix
+        dp_optimal(specs, _fresh(2), 1, 5)  # longer
+        dp_optimal(specs, _fresh(2), 1, 4, bound=10**6)  # another bound
+        dp_optimal(specs[::-1], _fresh(2), 1, 2)  # other specs
+        with pytest.raises(ValueError, match="horizon"):
+            dp_optimal(specs[::-1], _fresh(2), 1, 0)
+        dp_optimal(specs[::-1], _fresh(2), 1, 1)  # the held graph survived the error
+    assert builds == [3, 5, 4, 2, 0]
+
+
+def test_policy_table_is_built_on_first_read():
+    specs = [markov_spec(0.5), markov_spec(0.2)]
+    _, table = dp_optimal(specs, _fresh(2), 1, 3)
+    assert len(table) == 17  # 1 + 4 + 12 reachable (slot, state) pairs
+    assert "_entries" not in vars(table)
+    assert table[(0, ((0, 1), (0, 1)))] == (0,)
+    assert "_entries" in vars(table)
+    assert len(list(table)) == 17
+    with pytest.raises(TypeError):
+        table[(0, ((0, 1), (0, 1)))] = (1,)

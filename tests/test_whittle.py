@@ -9,9 +9,11 @@ from probesched import (
     check_c1,
     index_table,
     indifference_gap,
+    marginal_p,
     verify_strict_indexability,
     whittle_index,
 )
+import probesched.whittle
 from probesched.whittle import index_values
 from helpers import concave_spec, markov_spec, random_strict_specs
 
@@ -140,3 +142,19 @@ def test_monotone_index_for_fixed_branch():
         w1 = [whittle_index(spec, ArmState(1, t)) for t in range(1, 12)]
         assert all(a < b for a, b in zip(w0, w0[1:]))
         assert all(a < b for a, b in zip(w1, w1[1:]))
+
+
+@pytest.mark.parametrize("spec", [markov_spec(0.3), concave_spec()], ids=["markov", "table"])
+def test_index_values_takes_each_marginal_once(monkeypatch, spec):
+    # p(t + 1) is carried forward as the next slot's p(t)
+    calls = []
+
+    def counted(process, t):
+        calls.append(t)
+        return marginal_p(process, t)
+
+    horizon = 40
+    expected = index_values(spec, horizon)
+    monkeypatch.setattr(probesched.whittle, "marginal_p", counted)
+    assert index_values(spec, horizon) == expected
+    assert calls == list(range(1, horizon + 2))
