@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .presets import PRESETS
 from .queueing import queue_network_from_json, to_rmab
 from .sim import RunConfig, run
 from .subsidy import solve_lambda_star
-from .whittle import index_table
+from .whittle import index_rows
 
 
 class ConfigError(Exception):
@@ -43,15 +44,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# rows formatted and written at a time, so a long table is never held whole
+_CHUNK_ROWS = 4096
+
+
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    def write(fh):
+        fh.write(",".join(header) + "\n")
+        rows_left = iter(rows)
+        while chunk := list(itertools.islice(rows_left, _CHUNK_ROWS)):
+            fh.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in chunk))
+
     if path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            write(fh)
 
 
 def _require(cfg, field, kind, where="config"):
@@ -125,10 +133,8 @@ def cmd_index(cfg):
         raise SearchSpaceError(2 * len(specs) * horizon, DEFAULT_BOUND,
                                "index rows (2N x horizon)")
     header = ["component", "state_i", "state_t", "index"]
-    rows = []
-    for n, spec in enumerate(specs):
-        for state, w in index_table(spec, horizon):
-            rows.append([n, state.i, state.t, w])
+    # every check above has run; the rows are made one arm at a time as written
+    rows = ((n, *row) for n, spec in enumerate(specs) for row in index_rows(spec, horizon))
     return header, rows
 
 

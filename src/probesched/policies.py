@@ -1,8 +1,11 @@
 """Slot-by-slot arm selection rules.
 
-Each rule exists once, as a function on (R, N) arrays of R independent
-worlds: the simulator calls them on its whole batch, and the scalar
-selectors below are validated R = 1 views of them.
+Each rule exists once, as a function on arrays of R independent worlds:
+the simulator calls them on its whole batch, and the scalar selectors
+below are validated R = 1 views of them.  `top_k` ranks (R, N) rows; the
+per-slot rules `smallest_k`, `random_k` and `requeue` work on arm-major
+(N, R) columns, the simulator's layout, where every step is a pass over
+contiguous rows of R.
 
 All index-ranked selectors break ties by the same deterministic chain:
 larger index, then larger cost-weighted abnormal belief, then longer time
@@ -30,10 +33,29 @@ def top_k(primary, weighted_belief, age, k: int) -> np.ndarray:
     return np.lexsort((-age, -weighted_belief, -primary), axis=-1)[:, :k]
 
 
+def smallest_k(keys, k: int, lift) -> np.ndarray:
+    """Per column of the (N, R) `keys`, the mask of those at or below the
+    K-th smallest: K arms wherever a column's keys are distinct.
+
+    Up to K = 2 that key is a column min: the smallest, or the smallest
+    once the keys at or below it are lifted by `lift`, which must exceed
+    every key's distance to its column's largest (for keys in [0, b),
+    lift = b).  Each further round would cost about 4 passes over the
+    keys, more than one partition along the arms, so larger K partitions.
+    """
+    if k > 2:
+        return keys <= np.partition(keys, k - 1, axis=0)[k - 1]
+    kth = keys.min(axis=0)
+    if k == 2:
+        kth = (keys + (keys <= kth) * lift).min(axis=0)
+    return keys <= kth
+
+
 def requeue(order, head_abnormal, k: int) -> np.ndarray:
-    """Per row, the probe order after its K head arms were probed: they move
-    to the bottom, those observed healthy above those observed abnormal,
-    each group in arm-id order.
+    """Per column of the (N, R) probe order, the order after its K head
+    arms were probed (`head_abnormal` holds their observations, (K, R)):
+    they move to the bottom, those observed healthy above those observed
+    abnormal, each group in arm-id order.
 
     A probed-abnormal arm is one repair slot behind a probed-healthy one,
     so it stays below it (and below the next cohort's healthy arms, whose
@@ -41,14 +63,20 @@ def requeue(order, head_abnormal, k: int) -> np.ndarray:
     inside each group mirrors the chain's final tie-break, keeping the
     queue and the index policy aligned arm for arm.
     """
-    n = order.shape[-1]
-    key = head_abnormal * n + order[:, :k]
-    return np.concatenate([order[:, k:], np.sort(key, axis=-1) % n], axis=-1)
+    n = len(order)
+    key = head_abnormal * n + order[:k]
+    return np.concatenate([order[k:], np.sort(key, axis=0) % n])
 
 
-def random_k(uniforms, k: int) -> np.ndarray:
-    """Per row, the K arms with the smallest uniforms: a uniform K-subset."""
-    return np.argsort(uniforms, axis=-1)[:, :k]
+def random_k(draws, k: int) -> np.ndarray:
+    """Per column of the (N, R) nonnegative `draws`, the mask of the K arms
+    with the smallest draws, the lower arm first among equal draws: a
+    uniform K-subset when the draws are iid uniforms."""
+    mask = smallest_k(draws, k, draws.max() + 1)
+    if np.count_nonzero(mask) != k * mask.shape[1]:  # equal draws straddle the K-th
+        mask = np.zeros_like(mask)
+        np.put_along_axis(mask, np.argsort(draws, axis=0, kind="stable")[:k], True, axis=0)
+    return mask
 
 
 def _check_k(n: int, k: int) -> None:
@@ -94,7 +122,7 @@ def select_random(n: int, k: int, rng) -> tuple:
     """A uniform K-subset: one uniform per arm from the caller's generator,
     the K smallest win."""
     _check_k(n, k)
-    return _ids(random_k(rng.random((1, n)), k))
+    return tuple(np.flatnonzero(random_k(rng.random((n, 1)), k)[:, 0]).tolist())
 
 
 @dataclass(frozen=True)
@@ -126,8 +154,8 @@ def queue_step(queue: QueueState, k: int, observations: dict):
     for a, o in observations.items():
         if o not in (0, 1):
             raise ValueError(f"observation for arm {a} must be 0 or 1, got {o!r}")
-    order = requeue(np.array([queue.order]), np.array([[observations[a] for a in head]]), k)
-    return tuple(sorted(head)), QueueState(order=tuple(order[0].tolist()))
+    order = requeue(np.array([queue.order]).T, np.array([[observations[a] for a in head]]).T, k)
+    return tuple(sorted(head)), QueueState(order=tuple(order[:, 0].tolist()))
 
 
 def whittle_policy(specs, k: int):

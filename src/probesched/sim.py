@@ -1,13 +1,18 @@
 """Seeded Monte Carlo simulation of the monitored network.
 
-The world tracks each component's true state and the slots elapsed since
-its evolution last (re)started.  Within a slot: costs are charged on the
-current states, probed arms are observed, then the world advances -- a
-probe observing 0 restarts the component's clock at the probe slot, a
-probe observing 1 repairs it effective next slot, and every component that
-is healthy going into the next slot flips with the hazard of its clock.
-All components start healthy one slot before the horizon, so the first
-slot already carries abnormal probability p(1).
+The world is each component's true state and its arm-state code: the
+(last observation i, slots since it t) pair the scheduler sees, as the
+flat code arm * 2 * width + i * width + t that indexes every per-code
+table.  That code is the world's only clock: a component's slots since
+its evolution last (re)started are t - i, so the flip thresholds are read
+by code.  Within a slot: costs are charged on the current states, probed
+arms are observed, then the world advances -- a probed arm moves to
+(observation, 1), which restarts a healthy component's clock at the probe
+slot and repairs an abnormal one effective next slot, every other arm to
+(i, t + 1), and every component that is healthy going into the next slot
+flips with the hazard of its clock.  All components start healthy at
+(0, 0) one slot before the horizon, so the first slot already carries
+abnormal probability p(1).
 
 Replications use one named substream per (seed, replication, arm) --
 numpy's SeedSequence([seed, rep, arm]) feeding PCG64, and [seed, rep, N]
@@ -16,10 +21,17 @@ iteration order and byte-identical across runs of the same configuration.
 The streams' seed states are hashed for all of them in one array pass, and
 PCG64 itself runs on arrays (`_Streams`): each slot draws its uniforms
 from every stream at once, so a run holds O(R x N) stream state and no
-block of uniforms.  The index and myopic policies rank every arm state
-(i, t) of every arm once, by the tie-break chain, before the first slot;
-a slot then picks, per replication, the K arms whose current states rank
-first.
+block of uniforms.
+
+Every per-replication array is arm-major, (N, R): a slot's steps are
+passes over N contiguous rows of R, never numpy's per-row loop over R
+rows of N.  Slot costs are summed over the arm rows in the order numpy
+sums a row of N (`_arm_sum`), so they equal the (R, N) row sums bit for
+bit.  The index and myopic policies rank every arm state (i, t) of every
+arm once, by the tie-break chain, before the first slot; a slot then
+probes, per replication, the K arms whose current codes rank first
+(`policies.smallest_k`: column mins up to K = 2, a partition along the
+arms beyond).
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import numpy as np
 from .arm import belief_codes, by_code
 from .attack import ComponentSpec, hazard
 from .oracle import SearchSpaceError
-from .policies import POLICY_NAMES, random_k, requeue, top_k
+from .policies import POLICY_NAMES, random_k, requeue, smallest_k, top_k
 from .whittle import index_values
 
 # a bound on R x N x (T + 20): the R x N x T uniforms a run draws from its
@@ -83,32 +95,57 @@ class CostTrajectory:
 
 
 def _hazard_table(specs, horizon: int) -> np.ndarray:
-    """h[n, k] = hazard of arm n at clock k, k = 1..horizon + 1."""
+    """h[n, i * width + t] = hazard of arm n at clock t - i, the flip
+    threshold of its code, for width = horizon + 2 (clock 0 reads 0)."""
     table = np.zeros((len(specs), horizon + 2))
     for n, spec in enumerate(specs):
         table[n, 1:] = [hazard(spec.process, k) for k in range(1, horizon + 2)]
-    return table
+    return by_code(table)
 
 
-def _advance(abnormal, phase, probe_mask, obs, uniforms, hazards, arm_cols):
-    """The world transition, on (R, N) arrays of R independent worlds.
+def _advance(abnormal, code, probe, draws, thresholds, first):
+    """The world transition, on arm-major (N, R) arrays of R independent
+    worlds whose only clock is each arm's state code.
 
-    probe_mask marks probed arms, obs their current (pre-probe) states.
-    Probed-healthy arms restart at clock 0 and immediately face hazard(1);
-    probed-abnormal arms are repaired into the next slot with clock 0 and
-    no flip; unprobed healthy arms face the next hazard of their clock.  An
-    arm flips when its uniform is below its hazard: both floats, or both
-    scaled by 2^53 to integers (the 53-bit draw, the hazard rounded up).
+    `code` holds flat codes arm * 2 * width + i * width + t, `thresholds`
+    the (N, 2 * width) flip thresholds read by those codes and `first` the
+    (N, 1) codes of each arm's (0, 1).  `probe` marks probed arms; a probed
+    arm moves to (its current state, 1) and every other arm to (i, t + 1).  Every arm healthy going into the next
+    slot flips when its draw is below the threshold of its next code: a
+    probed-healthy arm faces hazard(1), and a repaired arm, at (1, 1) with
+    clock 0 and threshold 0, cannot flip.  Draws and thresholds are both
+    floats, or both scaled by 2^53 to integers (the 53-bit draw, the hazard
+    rounded up).
     """
-    repaired = probe_mask & obs
-    reset = probe_mask & ~obs
-    clock = np.where(reset, 0, phase)
-    flip_elig = ~abnormal  # reset arms are healthy; repaired arms excluded below
-    h = hazards.take(arm_cols * hazards.shape[1] + clock + 1)
-    flips = flip_elig & ~repaired & (uniforms < h)
-    next_abnormal = (abnormal & ~probe_mask) | flips
-    next_phase = np.where(repaired, 0, clock + 1)
-    return next_abnormal, next_phase
+    width = thresholds.shape[1] // 2
+    stay = code + 1
+    code = stay + probe * (first + (abnormal & probe) * width - stay)
+    return (abnormal & ~probe) | (draws < thresholds.take(code)), code
+
+
+def _arm_sum(x) -> np.ndarray:
+    """Column sums of the (N, R) `x` in numpy's pairwise order for a row of
+    length N, so bit for bit the row sums of its (R, N) transpose: one
+    sequential sum below 8 rows, 8 interleaved accumulators up to 128 rows,
+    and the halves (the first a multiple of 8 rows) summed apart above."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _arm_sum(x[:half]) + _arm_sum(x[half:])
+    total = np.zeros(x.shape[1])
+    if n < 8:
+        for row in x:
+            total += row
+        return total
+    acc = x[:8]
+    for i in range(8, n - n % 8, 8):
+        acc = acc + x[i : i + 8]
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    total += acc[0] + acc[1]
+    for row in x[n - n % 8 :]:
+        total += row
+    return total
 
 
 def _words(value) -> list:
@@ -236,60 +273,51 @@ def run(config: RunConfig) -> CostTrajectory:
     if size > MAX_UNIFORMS:
         what = "draws and stream state (replications x components x (horizon + 20))"
         raise SearchSpaceError(size, MAX_UNIFORMS, what)
-    costs = np.array([s.cost for s in specs])
+    costs = np.array([[s.cost] for s in specs])
+    width = t_total + 2  # codes i * width + t, t <= horizon
     # the draws stay integers: u < h exactly when u 2^53 < ceil(h 2^53)
     thresholds = np.ceil(_hazard_table(specs, t_total) * 2.0**53).astype(np.uint64)
+    first = np.arange(n)[:, None] * 2 * width + 1  # each arm's code of (0, 1)
     ranked = config.policy in ("whittle", "myopic")
     if ranked:
-        width = t_total + 2
         beliefs = belief_codes(specs, width)
         primary = (by_code([index_values(spec, width - 1) for spec in specs])
                    if config.policy == "whittle" else beliefs)
-        rank = _rank_table(costs, beliefs, primary)
-        first = np.arange(n) * 2 * width + 1  # each arm's state (0, 1)
-        state = np.broadcast_to(first, (r, n))  # flat (arm, i, t) index into rank
-    # stream [seed, rep, arm] is column rep * N + arm; the random policy's
-    # [seed, rep, N] draws N uniforms a slot
-    arm_draws = _Streams(config.seed, np.column_stack(np.divmod(np.arange(r * n), n)))
-    if config.policy == "random":
+        rank = _rank_table(costs.ravel(), beliefs, primary)
+    elif config.policy == "queue":
+        order = np.broadcast_to(np.arange(n)[:, None], (n, r))
+        columns = np.arange(r)
+    else:
+        # stream [seed, rep, N] draws N uniforms a slot, one row per arm
         pick_draws = _Streams(config.seed, np.column_stack([np.arange(r), np.full(r, n)]), n)
+    # stream [seed, rep, arm] is column arm * R + rep
+    arm, rep = np.divmod(np.arange(n * r), r)
+    arm_draws = _Streams(config.seed, np.column_stack([rep, arm]))
 
-    arm_cols = np.arange(n)
-    abnormal = np.zeros((r, n), dtype=bool)
-    phase = np.zeros((r, n), dtype=np.int64)
-    order = np.broadcast_to(np.arange(n), (r, n))  # queue policy only
     per_slot = np.empty((r, t_total))
-    row_starts = np.arange(0, r * n, n)[:, None]
-    no_probe = np.zeros((r, n), dtype=bool)
-
-    # one hazard step separates the fresh (reset) world from the first slot
-    abnormal, phase = _advance(abnormal, phase, no_probe, no_probe,
-                               arm_draws.draw().reshape(r, n), thresholds, arm_cols)
+    no_probe = np.zeros((n, r), dtype=bool)
+    # one hazard step takes the fresh world, every arm healthy at (0, 0),
+    # to the first slot
+    abnormal, code = _advance(no_probe, np.broadcast_to(first - 1, (n, r)), no_probe,
+                              arm_draws.draw().reshape(n, r), thresholds, first)
 
     for slot in range(t_total):
-        per_slot[:, slot] = (abnormal * costs).sum(axis=1)
-
+        per_slot[:, slot] = _arm_sum(abnormal * costs)
         if ranked:
-            ranks = rank.take(state)
-            mask = ranks <= np.partition(ranks, k - 1, axis=1)[:, k - 1 : k]
-        else:
-            sel_idx = order[:, :k] if config.policy == "queue" else random_k(pick_draws.draw().T, k)
-            picked = row_starts + sel_idx
-            mask = np.zeros(r * n, dtype=bool)
-            mask[picked] = True
-            mask = mask.reshape(r, n)
-        obs = abnormal & mask
-        if ranked:
-            state = np.where(mask, first + obs * width, state + 1)
+            probe = smallest_k(rank.take(code), k, rank.size)
         elif config.policy == "queue":
-            order = requeue(order, obs.take(picked), k)
-
+            head = order[:k] * r + columns  # flat (arm, rep) of each probed arm
+            probe = np.zeros(n * r, dtype=bool)
+            probe[head] = True
+            probe = probe.reshape(n, r)
+            order = requeue(order, abnormal.take(head), k)
+        else:
+            probe = random_k(pick_draws.draw(), k)
         if slot + 1 < t_total:
-            abnormal, phase = _advance(
-                abnormal, phase, mask, obs, arm_draws.draw().reshape(r, n), thresholds, arm_cols
-            )
+            abnormal, code = _advance(abnormal, code, probe, arm_draws.draw().reshape(n, r),
+                                      thresholds, first)
 
-    return aggregate(np.cumsum(per_slot, axis=1))
+    return aggregate(np.cumsum(per_slot, axis=1, out=per_slot))
 
 
 def aggregate(cumulative: np.ndarray) -> CostTrajectory:
@@ -310,16 +338,12 @@ def sample_abnormal_marginals(spec: ComponentSpec, horizon: int,
     worlds driven by a single named stream."""
     gen = np.random.default_rng(np.random.SeedSequence([seed]))
     u = gen.random((replications, horizon))
-    hazards = _hazard_table([spec], horizon)
-    abnormal = np.zeros((replications, 1), dtype=bool)
-    phase = np.zeros((replications, 1), dtype=np.int64)
-    no_probe = np.zeros((replications, 1), dtype=bool)
-    cols = np.zeros((replications, 1), dtype=np.int64)
+    thresholds = _hazard_table([spec], horizon)
+    abnormal = no_probe = np.zeros((1, replications), dtype=bool)
+    code = np.zeros((1, replications), dtype=np.int64)  # (0, 0)
+    first = np.ones((1, 1), dtype=np.int64)  # (0, 1)
     freq = np.empty(horizon)
     for slot in range(horizon):
-        abnormal, phase = _advance(
-            abnormal, phase, no_probe, no_probe, u[:, slot : slot + 1],
-            hazards, cols,
-        )
+        abnormal, code = _advance(abnormal, code, no_probe, u[:, slot], thresholds, first)
         freq[slot] = abnormal.mean()
     return freq

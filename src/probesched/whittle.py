@@ -66,11 +66,16 @@ def verify_strict_indexability(spec: ComponentSpec, horizon: int) -> bool:
     return all(a < b for a, b in zip(w, w[1:]))
 
 
-def index_table(spec: ComponentSpec, horizon: int) -> list:
-    """[(state, index)] for (0, 1..horizon) then (1, 1..horizon)."""
+def index_rows(spec: ComponentSpec, horizon: int):
+    """(i, t, index) for (0, 1..horizon) then (1, 1..horizon), lazily."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = index_values(spec, horizon)
-    rows = [(ArmState(0, t), w[t]) for t in range(1, horizon + 1)]
-    rows += [(ArmState(1, t), w[t - 1]) for t in range(1, horizon + 1)]
-    return rows
+    for i in (0, 1):
+        for t in range(1, horizon + 1):
+            yield i, t, w[t - i]
+
+
+def index_table(spec: ComponentSpec, horizon: int) -> list:
+    """[(state, index)] for (0, 1..horizon) then (1, 1..horizon)."""
+    return [(ArmState(i, t), w) for i, t, w in index_rows(spec, horizon)]

@@ -500,6 +500,27 @@ def test_index_refuses_an_oversized_table(capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_index_rows_are_written_in_chunks(tmp_path, monkeypatch):
+    # the rows stream out chunk by chunk; chunk boundaries leave no mark
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    argv = ["index", "--preset", "fig4", "--horizon", "40", "--out"]
+    assert main(argv + [str(whole)]) == 0
+    monkeypatch.setattr(probesched.cli, "_CHUNK_ROWS", 7)
+    assert main(argv + [str(chunked)]) == 0
+    assert chunked.read_bytes() == whole.read_bytes()
+    assert len(whole.read_bytes().splitlines()) == 1 + 8 * 2 * 40
+
+
+def test_index_errors_come_before_the_first_byte(tmp_path):
+    out = tmp_path / "out.csv"
+    good = {"kind": "markov", "q": 0.5, "cost": 1.0}
+    bad = _write_cfg(tmp_path, {"components": [good, {"kind": "markov", "cost": 1.0}],
+                                "horizon": 3})
+    assert main(["index", "--config", bad, "--out", str(out)]) == 2
+    assert main(["index", "--preset", "fig2", "--horizon", "100000000", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_simulate_negative_seed_exits_promptly(capsys):
     start = time.perf_counter()
     assert main(["simulate", "--preset", "fig4", "--seed", "-1"]) == 2

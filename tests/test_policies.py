@@ -12,6 +12,7 @@ from probesched import (
     select_random,
     select_whittle,
 )
+from probesched.policies import random_k
 from helpers import markov_spec, random_strict_specs
 
 
@@ -135,6 +136,41 @@ def test_random_selection_deterministic_per_seed():
     b = select_random(4, 2, np.random.default_rng(99))
     assert a == b
     assert select_random(3, 3, np.random.default_rng(0)) == (0, 1, 2)
+
+
+class _Fixed:
+    """A stand-in generator whose `random` returns set values."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=float)
+
+    def random(self, shape):
+        return self.values.reshape(shape)
+
+
+def test_random_k_breaks_ties_by_arm_id():
+    # columns are replications; equal draws go to the lower arm id first
+    draws = np.array([[0.5, 0.3, 7, 0],
+                      [0.2, 0.3, 7, 0],
+                      [0.2, 0.3, 2, 0],
+                      [0.9, 0.1, 7, 0]])
+    assert random_k(draws, 1).T.tolist() == [[0, 1, 0, 0], [0, 0, 0, 1],
+                                             [0, 0, 1, 0], [1, 0, 0, 0]]
+    assert random_k(draws, 2).sum(axis=0).tolist() == [2, 2, 2, 2]
+    assert random_k(draws, 2).T.tolist() == [[0, 1, 1, 0], [1, 0, 0, 1],
+                                             [1, 0, 1, 0], [1, 1, 0, 0]]
+    assert random_k(draws, 3).T.tolist() == [[1, 1, 1, 0], [1, 1, 0, 1],
+                                             [1, 1, 1, 0], [1, 1, 1, 0]]
+    ints = np.array([[5, 3], [3, 3], [3, 3]], dtype=np.uint64)  # 53-bit draws
+    assert random_k(ints, 1).T.tolist() == [[0, 1, 0], [1, 0, 0]]
+    assert random_k(ints, 2).T.tolist() == [[0, 1, 1], [1, 1, 0]]
+
+
+def test_select_random_breaks_ties_by_arm_id():
+    assert select_random(4, 1, _Fixed([0.5, 0.2, 0.2, 0.9])) == (1,)
+    assert select_random(4, 2, _Fixed([0.3, 0.3, 0.3, 0.1])) == (0, 3)
+    assert select_random(4, 3, _Fixed([0.0, 0.0, 0.0, 0.0])) == (0, 1, 2)
+    assert select_random(3, 2, _Fixed([0.7, 0.7, 0.1])) == (0, 2)
 
 
 def test_random_selection_marginal_frequency():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import tracemalloc
@@ -27,6 +28,7 @@ from probesched.policies import POLICY_NAMES, whittle_policy
 from probesched.sim import (
     _Streams,
     _advance,
+    _arm_sum,
     _hazard_table,
     _stream_states,
     aggregate,
@@ -47,24 +49,41 @@ class _Replay:
         return out
 
 
+# every test world uses this code width: codes i * width + t, t < width
+_WIDTH = 256
+
+
+@functools.lru_cache(maxsize=None)
+def _thresholds(specs):
+    """Float flip thresholds by code for the worlds `_step` drives."""
+    return _hazard_table(specs, _WIDTH - 2)
+
+
 def _fresh(n):
-    """One world, all components healthy at clock 0: (1, N) arrays."""
-    return np.zeros((1, n), dtype=bool), np.zeros((1, n), dtype=np.int64)
+    """One world, all components healthy at (0, 0): (N, 1) arrays of the
+    abnormal flags and each arm's flat code arm * 2 * width + i * width + t."""
+    return np.zeros((n, 1), dtype=bool), np.arange(n)[:, None] * 2 * _WIDTH
+
+
+def _phase(world):
+    """Each arm's clock t - i, the slots since its evolution (re)started."""
+    code = world[1] % (2 * _WIDTH)
+    return code % _WIDTH - code // _WIDTH
 
 
 def _step(world, selection, rng, specs):
     """One slot of one world through `_advance`: returns (next world,
     observations, slot cost).  Draws one uniform per arm in arm-id order
     from `rng`; `selection` may be any subset of arms."""
-    abnormal, phase = world
+    abnormal, code = world
     n = len(specs)
-    mask = np.zeros((1, n), dtype=bool)
-    mask[0, list(selection)] = True
-    cost = float(np.array([s.cost for s in specs])[abnormal[0]].sum())
-    observations = {a: int(abnormal[0, a]) for a in selection}
-    hazards = _hazard_table(specs, int(phase.max()) + 1)
-    world = _advance(abnormal, phase, mask, abnormal & mask, rng.random(n)[None, :],
-                     hazards, np.arange(n)[None, :])
+    probe = np.zeros((n, 1), dtype=bool)
+    probe[list(selection), 0] = True
+    cost = float(np.array([s.cost for s in specs])[abnormal[:, 0]].sum())
+    observations = {a: int(abnormal[a, 0]) for a in selection}
+    first = np.arange(n)[:, None] * 2 * _WIDTH + 1
+    world = _advance(abnormal, code, probe, rng.random(n)[:, None], _thresholds(tuple(specs)),
+                     first)
     return world, observations, cost
 
 
@@ -82,8 +101,9 @@ def test_world_step_zero_hazard_never_costs():
 
 def test_world_step_charges_probed_abnormal_then_repairs():
     specs = [markov_spec(0.5, cost=2.0)]
-    world = (np.array([[True]]), np.array([[3]]))
-    (abnormal, phase), obs, cost = _step(world, (0,), _Replay([0.99]), specs)
+    world = (np.array([[True]]), np.array([[3]]))  # arm 0 at (0, 3)
+    world, obs, cost = _step(world, (0,), _Replay([0.99]), specs)
+    abnormal, phase = world[0], _phase(world)
     assert cost == 2.0
     assert obs == {0: 1}
     assert not abnormal[0, 0]  # healthy next slot, no flip after repair
@@ -92,8 +112,9 @@ def test_world_step_charges_probed_abnormal_then_repairs():
 
 def test_world_step_reset_faces_immediate_hazard():
     specs = [markov_spec(0.5)]
-    world = (np.array([[False]]), np.array([[4]]))
-    (abnormal, phase), obs, cost = _step(world, (0,), _Replay([0.0]), specs)
+    world = (np.array([[False]]), np.array([[4]]))  # arm 0 at (0, 4)
+    world, obs, cost = _step(world, (0,), _Replay([0.0]), specs)
+    abnormal, phase = world[0], _phase(world)
     assert obs == {0: 0}
     assert cost == 0.0
     assert abnormal[0, 0]  # flipped with hazard(1) right after the reset
@@ -102,7 +123,7 @@ def test_world_step_reset_faces_immediate_hazard():
 
 def test_world_step_unprobed_abnormal_is_absorbing():
     specs = [markov_spec(0.9)]
-    world = (np.array([[True]]), np.array([[2]]))
+    world = (np.array([[True]]), np.array([[2]]))  # arm 0 at (0, 2)
     for _ in range(5):
         world, _, cost = _step(world, (), _Replay([0.999]), specs)
         assert cost == 1.0
@@ -197,8 +218,8 @@ def test_bisimulation_with_arm_transitions():
                 nxt.append(transition(states[a], PASSIVE))
         states = nxt
         for a in range(2):
-            expected_phase = states[a].t - states[a].i
-            assert world[1][0, a] == expected_phase
+            code = world[1][a, 0] - a * 2 * _WIDTH
+            assert code == states[a].i * _WIDTH + states[a].t
 
 
 # (specs, K, horizon, replications, seed); the second instance probes two
@@ -289,8 +310,25 @@ _MIXED_ARMS = [
 ]
 _ALL_POLICIES = list(POLICY_NAMES)
 
-# (name, config, sha256 of the `simulate` CSV bytes), recorded before the
-# simulator's seeding, uniform layout and selection were vectorised
+
+def _many_arms(n):
+    """n arms mixing Markov and table processes, with uneven and some zero
+    costs, so slot costs sum in an order-sensitive way."""
+    arms = []
+    for a in range(n):
+        cost = 0.0 if a % 11 == 4 else round(0.1 * (1 + (7 * a) % 10) + 0.013 * a, 3)
+        if a % 4 == 3:
+            arms.append({"kind": "table", "p": [0.2, 0.45, 0.45, 0.8, 1.0], "cost": cost})
+        else:
+            arms.append({"kind": "markov", "q": round(0.05 + 0.85 * ((5 * a) % 17) / 16, 4),
+                         "cost": cost})
+    return arms
+
+
+# (name, config, sha256 of the `simulate` CSV bytes).  The first four were
+# recorded before the simulator's seeding, uniform layout and selection were
+# vectorised, the last three before it moved to arm-major arrays: N = 9 and
+# 17 sum slot costs with 8 accumulators and a remainder, N = 130 in halves.
 _GOLDEN_CSV = [
     ("fig4-arms", {"components": _FIG4_ARMS, "K": 2, "horizon": 60,
                    "replications": 200, "seed": 1, "policies": _ALL_POLICIES},
@@ -304,6 +342,15 @@ _GOLDEN_CSV = [
     ("seed-above-2-32", {"components": _FIG4_ARMS[:4], "K": 1, "horizon": 30,
                          "replications": 40, "seed": 2**32 + 7, "policies": _ALL_POLICIES},
      "7b28f934dc3a1964a4b21b2cd6ca239a219d5b050bd6a44701de2587d99574d3"),
+    ("n9-sum-remainder", {"components": _many_arms(9), "K": 2, "horizon": 50,
+                          "replications": 60, "seed": 13, "policies": _ALL_POLICIES},
+     "98871bf8ac32ca6f9d493a93d338bafda3616db5a98f030573a9f32a478f458f"),
+    ("n17-sum-remainder", {"components": _many_arms(17), "K": 3, "horizon": 40,
+                           "replications": 40, "seed": 17, "policies": _ALL_POLICIES},
+     "38b5427a3110bca98d777c4ca4bcd6b9f847515e9a6c2447bd783e3f1cf20c21"),
+    ("n130-sum-split", {"components": _many_arms(130), "K": 9, "horizon": 30,
+                        "replications": 12, "seed": 130, "policies": _ALL_POLICIES},
+     "9e08dbedab635d8ac49ff2b8e221ed894f9694d5ccc62cf871d18f073a78fea5"),
 ]
 
 
@@ -313,6 +360,16 @@ def test_simulate_csv_bytes_are_golden(tmp_path, name, cfg, digest):
     path.write_text(json.dumps(cfg))
     assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_arm_sum_matches_numpy_row_sums_bitwise():
+    # the per-slot cost sums arm rows in the order numpy sums a row of N
+    rng = np.random.default_rng(8)
+    for n in range(1, 301):
+        x = rng.random((n, 7)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        x[rng.random((n, 7)) < 0.3] = 0.0
+        expected = np.ascontiguousarray(x.T).sum(axis=1)
+        assert _arm_sum(x).tobytes() == expected.tobytes(), n
 
 
 def test_random_policy_run_holds_no_uniform_block():
