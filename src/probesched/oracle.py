@@ -29,10 +29,10 @@ DEFAULT_BOUND = 10_000_000
 
 class SearchSpaceError(RuntimeError):
     """Raised when a problem's size exceeds the bound set on it: the
-    oracle's reachable joint states x horizon, its belief table, or one
-    layer's branch entries (states x K-subsets x 2^K outcomes x N arms),
-    checked before the layer is expanded; the simulator's run size; or the
-    rows of an index table."""
+    oracle's reachable joint states x horizon, its belief table, or the
+    branch entries (states x K-subsets x 2^K outcomes x N arms) of its
+    layers so far, checked before each layer is expanded; the simulator's
+    run size; or the rows of an index table."""
 
     def __init__(self, count: int, bound: int, what: str):
         self.count = count
@@ -70,12 +70,13 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     entries = math.comb(n, k) * 2**k * n
     outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
     layers = [np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)]
-    edges, subsets, seen = [], None, None
+    edges, subsets, seen, total = [], None, None, 0
     for slot in range(horizon):
         layer = layers[-1]
-        if len(layer) * entries > bound:
-            raise SearchSpaceError(len(layer) * entries, bound, "branch entries (states x "
-                                   f"K-subsets x 2^K outcomes x N arms) in slot {slot}")
+        total += len(layer) * entries
+        if total > bound:
+            raise SearchSpaceError(total, bound, "branch entries (states x K-subsets x "
+                                   f"2^K outcomes x N arms) in slots 0..{slot}")
         subsets = subsets or list(itertools.combinations(range(n), k))  # once slot 0 passed
         if slot + 1 == horizon:
             return width, beliefs, subsets, layers, edges

@@ -2,16 +2,18 @@
 
 Each rule exists once, as a function on arrays of R independent worlds:
 the simulator calls them on its whole batch, and the scalar selectors
-below are validated R = 1 views of them.  `top_k` ranks (R, N) rows; the
-per-slot rules `smallest_k`, `random_k` and `requeue` work on arm-major
-(N, R) columns, the simulator's layout, where every step is a pass over
-contiguous rows of R.
+below are validated R = 1 views of them.  `top_k` ranks (R, N) rows;
+`rank_table` ranks every arm state of every arm once, for the index,
+myopic and queue policies alike; the per-slot rules `smallest_k` and
+`random_k` work on arm-major (N, R) columns, the simulator's layout, where
+every step is a pass over contiguous rows of R.
 
 All index-ranked selectors break ties by the same deterministic chain:
 larger index, then larger cost-weighted abnormal belief, then longer time
 since the last probe, then smaller arm id.  The probe-age layer is what
 makes the index, myopic and queue policies coincide selection-for-selection
-on homogeneous components instead of merely up to exchangeable sets.
+on homogeneous components instead of merely up to exchangeable sets; the
+queue itself is the chain on probe age alone.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import belief_abnormal
-from .whittle import whittle_index
+from .arm import belief_abnormal, belief_codes, by_code
+from .whittle import index_values, whittle_index
 
 POLICY_NAMES = ("whittle", "myopic", "queue", "random")
 
@@ -51,21 +53,32 @@ def smallest_k(keys, k: int, lift) -> np.ndarray:
     return keys <= kth
 
 
-def requeue(order, head_abnormal, k: int) -> np.ndarray:
-    """Per column of the (N, R) probe order, the order after its K head
-    arms were probed (`head_abnormal` holds their observations, (K, R)):
-    they move to the bottom, those observed healthy above those observed
-    abnormal, each group in arm-id order.
+def rank_table(policy: str, specs, width: int) -> np.ndarray:
+    """rank[arm * 2 * width + i * width + t]: the position of arm state
+    (i, t), t < width, in the policy's chain over every state of every arm.
 
-    A probed-abnormal arm is one repair slot behind a probed-healthy one,
-    so it stays below it (and below the next cohort's healthy arms, whose
-    abnormal probability it matches) for the rest of time.  Id-ordering
-    inside each group mirrors the chain's final tie-break, keeping the
-    queue and the index policy aligned arm for arm.
+    One `top_k` call over all states, in arm-major order, ranks them once;
+    among equal keys the lower arm comes first, as in a per-slot call.  The
+    index and myopic policies rank by the index and by the belief.  The
+    queue ranks by 2t - i, with no belief key: larger t first, then i = 0
+    before i = 1, then the lower id.  That is `queue_step`'s order whenever
+    every arm starts at (0, 1) and the queue in id order, as in a
+    simulator run: each probe moves a cohort to the back, healthy above
+    abnormal, each in id order, and the cohorts stay ordered by probe age.
     """
-    n = len(order)
-    key = head_abnormal * n + order[:k]
-    return np.concatenate([order[k:], np.sort(key, axis=0) % n])
+    code = np.arange(2 * len(specs) * width)
+    t = code % width
+    if policy == "queue":
+        primary, weighted_belief = 2 * t - code // width % 2, np.zeros(t.size)
+    else:
+        beliefs = belief_codes(specs, width).ravel()
+        primary = (by_code([index_values(s, width - 1) for s in specs]).ravel()
+                   if policy == "whittle" else beliefs)
+        weighted_belief = np.repeat([s.cost for s in specs], 2 * width) * beliefs
+    order = top_k(primary[None], weighted_belief[None], t[None], t.size)[0]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank
 
 
 def random_k(draws, k: int) -> np.ndarray:
@@ -143,8 +156,16 @@ def queue_init(n: int, initial_order) -> QueueState:
 
 
 def queue_step(queue: QueueState, k: int, observations: dict):
-    """Probe the K head arms and requeue them by `requeue`; returns the
-    selection and the next queue."""
+    """Probe the K head arms and move them to the back, those observed
+    healthy above those observed abnormal, each group in arm-id order;
+    returns the selection and the next queue.
+
+    A probed-abnormal arm is one repair slot behind a probed-healthy one,
+    so it stays below it (and below the next cohort's healthy arms, whose
+    abnormal probability it matches) for the rest of time.  Id-ordering
+    inside each group mirrors the chain's final tie-break, keeping the
+    queue and the index policy aligned arm for arm.
+    """
     _check_k(len(queue.order), k)
     head = queue.order[:k]
     if set(observations) != set(head):
@@ -154,8 +175,8 @@ def queue_step(queue: QueueState, k: int, observations: dict):
     for a, o in observations.items():
         if o not in (0, 1):
             raise ValueError(f"observation for arm {a} must be 0 or 1, got {o!r}")
-    order = requeue(np.array([queue.order]).T, np.array([[observations[a] for a in head]]).T, k)
-    return tuple(sorted(head)), QueueState(order=tuple(order[:, 0].tolist()))
+    back = sorted(head, key=lambda a: (observations[a], a))
+    return tuple(sorted(head)), QueueState(order=queue.order[k:] + tuple(back))
 
 
 def whittle_policy(specs, k: int):

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attack import (
-    AttackProcess,
-    ComponentSpec,
-    MarkovIID,
-    Table,
-    process_from_json,
-)
+from .attack import AttackProcess, ComponentSpec, process_from_json
 
 
 @dataclass(frozen=True)

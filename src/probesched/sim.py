@@ -27,11 +27,13 @@ Every per-replication array is arm-major, (N, R): a slot's steps are
 passes over N contiguous rows of R, never numpy's per-row loop over R
 rows of N.  Slot costs are summed over the arm rows in the order numpy
 sums a row of N (`_arm_sum`), so they equal the (R, N) row sums bit for
-bit.  The index and myopic policies rank every arm state (i, t) of every
-arm once, by the tie-break chain, before the first slot; a slot then
-probes, per replication, the K arms whose current codes rank first
+bit.  Every policy but the random one ranks every arm state (i, t) of
+every arm once, before the first slot (`policies.rank_table`: the index,
+the belief, or for the queue the probe age); a slot then probes, per
+replication, the K arms whose current codes rank first
 (`policies.smallest_k`: column mins up to K = 2, a partition along the
-arms beyond).
+arms beyond).  The random policy draws its K arms per slot
+(`policies.random_k`).
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import belief_codes, by_code
+from .arm import by_code
 from .attack import ComponentSpec, hazard
 from .oracle import SearchSpaceError
-from .policies import POLICY_NAMES, random_k, requeue, smallest_k, top_k
-from .whittle import index_values
+from .policies import POLICY_NAMES, random_k, rank_table, smallest_k
 
 # a bound on R x N x (T + 20): the R x N x T uniforms a run draws from its
 # arm streams (about 16 times fig4's), which cost time, plus each stream's
@@ -248,21 +249,6 @@ class _Streams:
         return (x >> rot | x << ((64 - rot) & 63)) >> 11
 
 
-def _rank_table(costs, beliefs, primary) -> np.ndarray:
-    """rank[arm * 2 * width + code]: the position of the arm state with
-    code i * width + t in the tie-break chain over every state of every arm.
-
-    One `top_k` call over all states, in arm-major order, ranks them once;
-    among equal keys the lower arm comes first, as in a per-slot call."""
-    n, codes = beliefs.shape
-    b = beliefs.reshape(1, -1)
-    age = np.tile(np.arange(codes // 2), 2 * n).reshape(1, -1)  # t of each code
-    order = top_k(primary.reshape(1, -1), costs.repeat(codes) * b, age, b.size)[0]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank
-
-
 def run(config: RunConfig) -> CostTrajectory:
     """Simulate `replications` independent trajectories of the policy and
     aggregate per-slot mean cumulative cost with its standard error."""
@@ -278,15 +264,9 @@ def run(config: RunConfig) -> CostTrajectory:
     # the draws stay integers: u < h exactly when u 2^53 < ceil(h 2^53)
     thresholds = np.ceil(_hazard_table(specs, t_total) * 2.0**53).astype(np.uint64)
     first = np.arange(n)[:, None] * 2 * width + 1  # each arm's code of (0, 1)
-    ranked = config.policy in ("whittle", "myopic")
+    ranked = config.policy != "random"
     if ranked:
-        beliefs = belief_codes(specs, width)
-        primary = (by_code([index_values(spec, width - 1) for spec in specs])
-                   if config.policy == "whittle" else beliefs)
-        rank = _rank_table(costs.ravel(), beliefs, primary)
-    elif config.policy == "queue":
-        order = np.broadcast_to(np.arange(n)[:, None], (n, r))
-        columns = np.arange(r)
+        rank = rank_table(config.policy, specs, width)
     else:
         # stream [seed, rep, N] draws N uniforms a slot, one row per arm
         pick_draws = _Streams(config.seed, np.column_stack([np.arange(r), np.full(r, n)]), n)
@@ -305,12 +285,6 @@ def run(config: RunConfig) -> CostTrajectory:
         per_slot[:, slot] = _arm_sum(abnormal * costs)
         if ranked:
             probe = smallest_k(rank.take(code), k, rank.size)
-        elif config.policy == "queue":
-            head = order[:k] * r + columns  # flat (arm, rep) of each probed arm
-            probe = np.zeros(n * r, dtype=bool)
-            probe[head] = True
-            probe = probe.reshape(n, r)
-            order = requeue(order, abnormal.take(head), k)
         else:
             probe = random_k(pick_draws.draw(), k)
         if slot + 1 < t_total:

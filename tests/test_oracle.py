@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import json
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +123,25 @@ def test_guard_refuses_oversized_instances():
         policy_evaluate_exact(
             specs, _fresh(8), 2, 500, whittle_policy(specs, 2)
         )
+
+
+def test_guard_bounds_the_branch_entries_of_all_layers(tmp_path):
+    # every layer of this instance passes a per-layer check; the graph once
+    # grew to 3.99M states (~32M branch entries, ~3 s, ~290 MiB) unrefused
+    specs = [markov_spec(0.3), markov_spec(0.6)]
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceError, match="branch entries"):
+        dp_optimal(specs, _fresh(2), 1, 1000)
+    assert time.perf_counter() - start < 2.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "components": [{"kind": "markov", "q": q, "cost": 1.0} for q in (0.3, 0.6)],
+        "K": 1,
+        "horizon": 1000,
+    }))
+    start = time.perf_counter()
+    assert main(["oracle", "--config", str(cfg)]) == 3
+    assert time.perf_counter() - start < 2.0
 
 
 def test_guard_bound_is_configurable():

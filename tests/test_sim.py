@@ -223,10 +223,14 @@ def test_bisimulation_with_arm_transitions():
 
 
 # (specs, K, horizon, replications, seed); the second instance probes two
-# arms per slot, so the queue's healthy-above-abnormal requeue is exercised
+# arms per slot, so the queue's healthy-above-abnormal requeue is exercised;
+# the third probes three of five arms, two pairs of them equal, so the rank
+# table's picks go through `smallest_k`'s partition and ties on equal keys
 _COMPOSITION_CASES = [
     ((markov_spec(0.6, 1.5), markov_spec(0.3, 1.0)), 1, 7, 3, 21),
     ((markov_spec(0.6, 1.5), markov_spec(0.3, 1.0), markov_spec(0.45, 2.0)), 2, 12, 4, 5),
+    ((markov_spec(0.3, 1.0), markov_spec(0.6, 1.5), markov_spec(0.3, 1.0),
+      ComponentSpec(Table((0.4, 0.6, 0.7)), 2.0), markov_spec(0.6, 1.5)), 3, 15, 4, 8),
 ]
 
 
