@@ -21,12 +21,13 @@ from .arm import ArmState
 from .attack import component_from_json, component_to_json
 from .oracle import (
     DEFAULT_BOUND,
+    EXACT_POLICIES,
     SearchSpaceError,
     dp_optimal,
     one_graph,
     policy_evaluate_exact,
 )
-from .policies import POLICY_NAMES, myopic_policy, whittle_policy
+from .policies import POLICY_NAMES
 from .presets import PRESETS
 from .queueing import queue_network_from_json, to_rmab
 from .sim import RunConfig, run
@@ -156,12 +157,11 @@ def cmd_simulate(cfg):
     return header, rows
 
 
-def _exact_policy(name, specs, k):
-    if name == "whittle":
-        return whittle_policy(specs, k)
-    if name == "myopic":
-        return myopic_policy(specs, k)
-    raise ConfigError(f"config.policies: exact evaluation supports whittle|myopic, got {name!r}")
+def _exact_policy(name):
+    if name not in EXACT_POLICIES:
+        raise ConfigError("config.policies: exact evaluation supports "
+                          f"{'|'.join(EXACT_POLICIES)}, got {name!r}")
+    return name
 
 
 def cmd_evaluate(cfg):
@@ -175,8 +175,7 @@ def cmd_evaluate(cfg):
     rows = []
     with one_graph():
         for name in _policies(cfg):
-            val = policy_evaluate_exact(specs, initial, k, horizon,
-                                        _exact_policy(name, specs, k), bound)
+            val = policy_evaluate_exact(specs, initial, k, horizon, _exact_policy(name), bound)
             rows.append([name, horizon, val])
     return header, rows
 
@@ -187,10 +186,10 @@ def cmd_oracle(cfg):
     horizon = _positive(cfg, "horizon")
     _bounded_costs(specs, horizon)
     bound = _positive(cfg, "bound") if "bound" in cfg else DEFAULT_BOUND
-    policies = [(name, _exact_policy(name, specs, k)) for name in _policies(cfg)]
+    policies = [_exact_policy(name) for name in _policies(cfg)]
     initial = [ArmState(0, 1)] * len(specs)
     header = ["horizon", "optimal_cost"]
-    for name, _pol in policies:
+    for name in policies:
         header += [f"{name}_cost", f"{name}_rel_gap"]
     rows = []
     # Longest horizon first: the op's one graph is built for it, so its guards
@@ -200,8 +199,8 @@ def cmd_oracle(cfg):
         for t in range(horizon, 0, -1):
             opt, _table = dp_optimal(specs, initial, k, t, bound)
             row = [t, opt]
-            for _name, pol in policies:
-                val = policy_evaluate_exact(specs, initial, k, t, pol, bound)
+            for name in policies:
+                val = policy_evaluate_exact(specs, initial, k, t, name, bound)
                 row += [val, (val - opt) / opt if opt > 0 else 0.0]
             rows.append(row)
     return header, rows[::-1]

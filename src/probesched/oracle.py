@@ -7,7 +7,11 @@ any K-subset may be probed, once per call, or once per `one_graph` scope,
 where shorter horizons read a prefix of the longest one's graph; one
 backward induction over them (`_sweep`) gives the optimal expected cost
 (least value-to-go over every K-subset) or a policy's exact value (its own
-selection's).  Each slot costs sum(c_n * P(abnormal)) before its probes
+selection's).  A policy is a rank policy's name, which picks each state's K
+arms first in `policies.rank_table` for whole layers at once, as the
+simulator does, or any callable, asked once per state it reaches; a name
+and its scalar selector (`whittle_policy`, `myopic_policy`) give bitwise
+equal values.  Each slot costs sum(c_n * P(abnormal)) before its probes
 take effect, from exact marginals.
 """
 
@@ -23,8 +27,11 @@ from collections.abc import Mapping
 import numpy as np
 
 from .arm import ArmState, belief_codes
+from .policies import rank_table, smallest_k
 
 DEFAULT_BOUND = 10_000_000
+# the rank policies `policy_evaluate_exact` takes by name
+EXACT_POLICIES = ("whittle", "myopic")
 
 
 class SearchSpaceError(RuntimeError):
@@ -40,14 +47,24 @@ class SearchSpaceError(RuntimeError):
         super().__init__(f"search space too large: {count} {what} exceeds the bound {bound}")
 
 
-def _unique_rows(rows):
-    """The distinct rows, sorted, and each row's position among them."""
-    order = np.lexsort(rows.T)
-    rows = rows[order]
-    first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+def _unique_rows(rows, base: int):
+    """The distinct rows of entries in [0, base), in `np.lexsort(rows.T)`
+    order, and each row's position among them.  Each row sorts by one int64
+    key, its entries as base-`base` digits, the last column most significant;
+    before a digit would overflow the key, the key is replaced by its dense
+    rank, which keeps its order."""
+    key, span = np.zeros(len(rows), dtype=np.int64), 1
+    for col in rows.T[::-1]:
+        if span * base > 2**63:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key, span = key * base + col, span * base
+    order = np.argsort(key)
+    key = key[order]
+    first = np.r_[True, key[1:] != key[:-1]]
     position = np.empty(len(rows), dtype=np.int32)
     position[order] = np.cumsum(first) - 1
-    return rows[first], position
+    return rows[order[first]], position
 
 
 def _graph(specs, initial, k: int, horizon: int, bound: int):
@@ -90,11 +107,12 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
             child[:, arms] = outcomes[branch] * width + 1
             parts.append((parent * len(subsets) + j, child, pr[parent, branch]))
         group, child, pr = (np.concatenate(col) for col in zip(*parts))
-        nxt, child = _unique_rows(child)
+        nxt, child = _unique_rows(child, 2 * width)
         layers.append(nxt)
         edges.append((group, child, pr))
         if seen is not None or sum(map(len, layers)) > bound // horizon:  # union <= this sum
-            seen = _unique_rows(np.concatenate(layers if seen is None else [seen, nxt]))[0]
+            seen = _unique_rows(np.concatenate(layers if seen is None else [seen, nxt]),
+                                2 * width)[0]
         if seen is not None and len(seen) > bound // horizon:
             raise SearchSpaceError(len(seen), bound, f"reachable joint states x horizon {horizon}")
 
@@ -202,14 +220,39 @@ def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND)
     return value, _PolicyTable(width, subsets, layers, picks)
 
 
+def _rank_picks(policy: str, specs, k: int, width: int, layers):
+    """Each layer's subset ids under a rank policy: per state, the K arms
+    whose codes come first in `rank_table`, the simulator's rule."""
+    n = len(specs)
+    rank = rank_table(policy, specs, width)
+    codes = np.ascontiguousarray(np.concatenate(layers).T)  # arm-major: rows of states
+    mask = smallest_k(rank[codes + np.arange(n)[:, None] * 2 * width], k, rank.size)
+    # A subset's id is its place in lexicographic order: C(N, K) - 1 minus,
+    # for each arm a in it, C(N - 1 - a, r), where r (`left`) of its arms are >= a.
+    ids, left = np.full(codes.shape[1], math.comb(n, k) - 1), np.full(codes.shape[1], k)
+    for a, chosen in enumerate(mask):
+        ids -= chosen * np.array([math.comb(n - 1 - a, r) for r in range(k + 1)])[left]
+        left -= chosen
+    return np.split(ids, np.cumsum([len(layer) for layer in layers[:-1]]))
+
+
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
                           bound: int = DEFAULT_BOUND) -> float:
-    """Exact expected total cost of a stationary deterministic selector,
-    asked once per distinct joint state it reaches (a list of ArmStates) for
-    K distinct arm ids.  Its graph is `dp_optimal`'s: both refuse alike."""
+    """Exact expected total cost of a stationary deterministic policy: a
+    rank policy's name, "whittle" or "myopic", or a selector asked once per
+    distinct joint state it reaches (a list of ArmStates) for K distinct arm
+    ids.  A name picks each layer's K arms first in `policies.rank_table`
+    without a call per state; its value is bitwise that of
+    `whittle_policy`/`myopic_policy`, which apply the same chain one state
+    at a time.  Its graph is `dp_optimal`'s: both refuse alike."""
+    if isinstance(policy, str) and policy not in EXACT_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
+                         f"or one of {', '.join(EXACT_POLICIES)}")
     specs = list(specs)
     graph = width, _beliefs, subsets, layers, edges = _shared_graph(specs, initial, k,
                                                                     horizon, bound)
+    if isinstance(policy, str):
+        return _sweep(specs, graph, _rank_picks(policy, specs, k, width, layers))[0]
     index = {sel: j for j, sel in enumerate(subsets)}
     asked, picks, reached = {}, [], np.ones(1, dtype=bool)
     for slot, layer in enumerate(layers):

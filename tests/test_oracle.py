@@ -16,8 +16,9 @@ from probesched import (
     policy_evaluate_exact,
 )
 import probesched.oracle
+import probesched.policies
 from probesched.cli import main
-from probesched.oracle import one_graph
+from probesched.oracle import _graph, _rank_picks, _unique_rows, one_graph
 from probesched.policies import myopic_policy, whittle_policy
 from probesched.subsidy import average_cost_rate, solve_lambda_star
 from helpers import markov_spec
@@ -270,6 +271,82 @@ def test_dp_table_is_golden():
     assert repr(value) == "7.099849999999999"
     assert hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest() == (
         "c3579e9a470f060a9c8c227f9b4699131740b9b24643667c695056e5202db564")
+
+
+@pytest.mark.parametrize("command, horizon, digest", [_GOLDEN_FIG3[2], _GOLDEN_FIG3[4]],
+                         ids=["oracle-T8", "evaluate-T8"])
+def test_cli_makes_no_scalar_policy_call(tmp_path, monkeypatch, command, horizon, digest):
+    # the CLI names its policies, so every pick comes from the rank table
+    def scalar(*args):
+        raise AssertionError("a scalar policy call")
+
+    for name in ("select_whittle", "select_myopic", "whittle_index", "belief_abnormal"):
+        monkeypatch.setattr(probesched.policies, name, scalar)
+    out = tmp_path / "out.csv"
+    assert main([command, "--preset", "fig3", "--horizon", str(horizon), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_rank_names_equal_their_callables():
+    # repeated specs and states make the chain's ties occur; a largest
+    # initial t > 1 makes the code width differ from the horizon's
+    rng = np.random.default_rng(5)
+    pool = [markov_spec(0.3), markov_spec(0.3, 2.0), ComponentSpec(Table((0.4, 0.6, 0.7)), 1.0)]
+    cases = 0
+    for trial in range(12):
+        n = int(rng.integers(1, 6))
+        specs = [pool[j] for j in rng.integers(0, len(pool), n)]
+        initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 4))) for _ in range(n)]
+        initial[int(rng.integers(0, n))] = ArmState(0, 3)
+        horizon = 4 if n <= 3 else 3
+        for k in range(1, n + 1):
+            for name, make in (("whittle", whittle_policy), ("myopic", myopic_policy)):
+                pol, asked = make(specs, k), {}
+
+                def counting(states):
+                    asked[tuple(states)] = pol(states)
+                    return asked[tuple(states)]
+
+                value = policy_evaluate_exact(specs, initial, k, horizon, name)
+                assert repr(value) == repr(policy_evaluate_exact(specs, initial, k, horizon, pol))
+                assert repr(value) == repr(policy_evaluate_exact(specs, initial, k, horizon,
+                                                                 counting))
+                width, _b, subsets, layers, _e = _graph(specs, initial, k, horizon, 10**7)
+                for layer, picks in zip(layers, _rank_picks(name, specs, k, width, layers)):
+                    for codes, j in zip(layer.tolist(), picks.tolist()):
+                        states = tuple(ArmState(c // width, c % width) for c in codes)
+                        if states in asked:
+                            assert subsets[j] == asked[states]
+                            cases += 1
+    assert cases > 1000
+
+
+def _lexsort_unique(rows):
+    """The reference: distinct rows in `np.lexsort` order, and each row's position."""
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    first = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    position = np.empty(len(rows), dtype=np.int32)
+    position[order] = np.cumsum(first) - 1
+    return rows[first], position
+
+
+@pytest.mark.parametrize("n, base", [(1, 5), (4, 18), (3, 2002), (12, 2**20)])
+def test_unique_rows_matches_lexsort(n, base):
+    # 12 digits of base 2^20 overflow one int64 key, so the key is re-ranked
+    rng = np.random.default_rng(n)
+    for digits in ([0, 1, base - 1], np.arange(base)):  # shared prefixes, then any
+        distinct = rng.choice(digits, size=(300, n)).astype(np.int32)
+        rows = distinct[rng.integers(0, len(distinct), 2000)]
+        got, want = _unique_rows(rows, base), _lexsort_unique(rows)
+        assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+        assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+
+
+@pytest.mark.parametrize("name", ["queue", "random", "Whittle"])
+def test_unknown_policy_name_is_refused(name):
+    with pytest.raises(ValueError, match="whittle, myopic"):
+        policy_evaluate_exact([markov_spec(0.3)] * 2, _fresh(2), 1, 2, name)
 
 
 @pytest.mark.parametrize("selection", [(5,), (), (0, 0), (-1,), (0, 1)])
