@@ -157,37 +157,33 @@ def cmd_simulate(cfg):
     return header, rows
 
 
-def _exact_policy(name):
-    if name not in EXACT_POLICIES:
-        raise ConfigError("config.policies: exact evaluation supports "
-                          f"{'|'.join(EXACT_POLICIES)}, got {name!r}")
-    return name
-
-
-def cmd_evaluate(cfg):
+def _exact_instance(cfg):
+    """(specs, K, horizon, bound, initial states, policies) of an exact op,
+    every field checked, policy names included, before any graph is built."""
     specs = _components(cfg)
     k = _k(cfg, len(specs))
     horizon = _positive(cfg, "horizon")
     _bounded_costs(specs, horizon)
     bound = _positive(cfg, "bound") if "bound" in cfg else DEFAULT_BOUND
-    initial = [ArmState(0, 1)] * len(specs)
+    policies = _policies(cfg)
+    for name in policies:
+        if name not in EXACT_POLICIES:
+            raise ConfigError("config.policies: exact evaluation supports "
+                              f"{'|'.join(EXACT_POLICIES)}, got {name!r}")
+    return specs, k, horizon, bound, [ArmState(0, 1)] * len(specs), policies
+
+
+def cmd_evaluate(cfg):
+    specs, k, horizon, bound, initial, policies = _exact_instance(cfg)
     header = ["policy", "horizon", "expected_cost"]
-    rows = []
     with one_graph():
-        for name in _policies(cfg):
-            val = policy_evaluate_exact(specs, initial, k, horizon, _exact_policy(name), bound)
-            rows.append([name, horizon, val])
+        rows = [[name, horizon, policy_evaluate_exact(specs, initial, k, horizon, name, bound)]
+                for name in policies]
     return header, rows
 
 
 def cmd_oracle(cfg):
-    specs = _components(cfg)
-    k = _k(cfg, len(specs))
-    horizon = _positive(cfg, "horizon")
-    _bounded_costs(specs, horizon)
-    bound = _positive(cfg, "bound") if "bound" in cfg else DEFAULT_BOUND
-    policies = [_exact_policy(name) for name in _policies(cfg)]
-    initial = [ArmState(0, 1)] * len(specs)
+    specs, k, horizon, bound, initial, policies = _exact_instance(cfg)
     header = ["horizon", "optimal_cost"]
     for name in policies:
         header += [f"{name}_cost", f"{name}_rel_gap"]
@@ -297,10 +293,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         header, rows = COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchSpaceError as exc:

@@ -12,7 +12,7 @@ arms first in `policies.rank_table` for whole layers at once, as the
 simulator does, or any callable, asked once per state it reaches; a name
 and its scalar selector (`whittle_policy`, `myopic_policy`) give bitwise
 equal values.  Each slot costs sum(c_n * P(abnormal)) before its probes
-take effect, from exact marginals.
+take effect, from exact marginals; `_graph` computes it once per state.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ def _unique_rows(rows, base: int):
 
 
 def _graph(specs, initial, k: int, horizon: int, bound: int):
-    """(code width, belief table, K-subsets, layers, edges).  layers[s] holds
-    the distinct joint states reachable at slot s; edges[s] = (group, child,
+    """(code width, slot costs, K-subsets, layers, edges).  layers[s] holds
+    the distinct joint states reachable at slot s and costs[s] their slot
+    costs, sum(c_n * P(arm n abnormal)); edges[s] = (group, child,
     probability) arrays into layer s + 1, group = parent * len(subsets) +
     subset, ordered by subset, parent, then outcome (the subset's first arm
     varying slowest, 0 before 1), without outcomes of belief 0 or 1."""
@@ -87,7 +88,7 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     entries = math.comb(n, k) * 2**k * n
     outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
     layers = [np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)]
-    edges, subsets, seen, total = [], None, None, 0
+    costs, edges, subsets, seen, total = [], [], None, None, 0
     for slot in range(horizon):
         layer = layers[-1]
         total += len(layer) * entries
@@ -95,8 +96,9 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
             raise SearchSpaceError(total, bound, "branch entries (states x K-subsets x "
                                    f"2^K outcomes x N arms) in slots 0..{slot}")
         subsets = subsets or list(itertools.combinations(range(n), k))  # once slot 0 passed
+        costs.append(sum(s.cost * beliefs[n, layer[:, n]] for n, s in enumerate(specs)))
         if slot + 1 == horizon:
-            return width, beliefs, subsets, layers, edges
+            return width, costs, subsets, layers, edges
         parts = []
         for j, arms in enumerate(subsets):
             b = beliefs[arms, layer[:, arms]][:, None, :]
@@ -146,8 +148,8 @@ def _shared_graph(specs, initial, k: int, horizon: int, bound: int):
     key = (tuple(specs), tuple(initial), k, bound)
     if held[0] is None or held[0][0] != key or not 1 <= horizon <= held[0][1]:
         held[0] = key, horizon, _graph(specs, initial, k, horizon, bound)
-    width, beliefs, subsets, layers, edges = held[0][2]
-    return width, beliefs, subsets, layers[:horizon], edges[:horizon - 1]
+    width, costs, subsets, layers, edges = held[0][2]
+    return width, costs[:horizon], subsets, layers[:horizon], edges[:horizon - 1]
 
 
 def _first_min(future):
@@ -159,12 +161,12 @@ def _first_min(future):
     return pick
 
 
-def _sweep(specs, graph, picks=None):
+def _sweep(graph, picks=None):
     """Backward induction: a state's value is its slot cost plus the
     value-to-go future[state, subset], summed in branch order, of the subset
     picks[slot][state] names (by default `_first_min`'s).  Returns the
     initial state's value and the picks."""
-    _width, beliefs, subsets, layers, edges = graph
+    _width, costs, subsets, layers, edges = graph
     chosen = [None] * len(layers)
     for slot in range(len(layers) - 1, -1, -1):
         layer = layers[slot]
@@ -174,8 +176,7 @@ def _sweep(specs, graph, picks=None):
             future = np.bincount(group, weights=pr * values[child],
                                  minlength=future.size).reshape(future.shape)
         chosen[slot] = _first_min(future) if picks is None else picks[slot]
-        cost = sum(s.cost * beliefs[n, layer[:, n]] for n, s in enumerate(specs))
-        values = cost + future[np.arange(len(layer)), chosen[slot]]
+        values = costs[slot] + future[np.arange(len(layer)), chosen[slot]]
     return float(values[0]), chosen
 
 
@@ -213,10 +214,9 @@ def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND)
     """Exact minimal expected total cost over `horizon` slots, plus the
     optimal policy table, a read-only mapping {(slot, joint state):
     selection} that is built the first time it is read."""
-    specs = list(specs)
-    graph = width, _beliefs, subsets, layers, _edges = _shared_graph(specs, initial, k,
-                                                                     horizon, bound)
-    value, picks = _sweep(specs, graph)
+    graph = width, _costs, subsets, layers, _edges = _shared_graph(list(specs), initial, k,
+                                                                   horizon, bound)
+    value, picks = _sweep(graph)
     return value, _PolicyTable(width, subsets, layers, picks)
 
 
@@ -249,10 +249,10 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
         raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
                          f"or one of {', '.join(EXACT_POLICIES)}")
     specs = list(specs)
-    graph = width, _beliefs, subsets, layers, edges = _shared_graph(specs, initial, k,
-                                                                    horizon, bound)
+    graph = width, _costs, subsets, layers, edges = _shared_graph(specs, initial, k,
+                                                                  horizon, bound)
     if isinstance(policy, str):
-        return _sweep(specs, graph, _rank_picks(policy, specs, k, width, layers))[0]
+        return _sweep(graph, _rank_picks(policy, specs, k, width, layers))[0]
     index = {sel: j for j, sel in enumerate(subsets)}
     asked, picks, reached = {}, [], np.ones(1, dtype=bool)
     for slot, layer in enumerate(layers):
@@ -274,4 +274,4 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
             taken = reached[parent] & (subset == picks[slot][parent])
             reached = np.zeros(len(layers[slot + 1]), dtype=bool)
             reached[child[taken]] = True
-    return _sweep(specs, graph, picks)[0]
+    return _sweep(graph, picks)[0]

@@ -27,8 +27,7 @@ class CustomerClass:
     holding_cost: float
 
     def __post_init__(self):
-        if self.holding_cost < 0.0:
-            raise ValueError(f"holding cost must be nonnegative, got {self.holding_cost}")
+        ComponentSpec(process=self.arrival, cost=self.holding_cost)  # a component's rules
 
 
 @dataclass(frozen=True)

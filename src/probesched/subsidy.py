@@ -107,12 +107,8 @@ def _best_stopping(spec: ComponentSpec, lam: float, t_cap: int):
 
 def optimal_stopping(spec: ComponentSpec, lam: float, t_cap: int = DEFAULT_T_CAP) -> SubsidyPolicy:
     """Optimal probe delays under subsidy lam, searching t0 in [1, t_cap]."""
-    if t_cap < 1:
-        raise ValueError(f"t_cap must be >= 1, got {t_cap}")
-    if lam < 0.0:
-        return SubsidyPolicy(t0_star=1, t1_star=1)
-    t0, _ = _best_stopping(spec, lam, t_cap)
-    return SubsidyPolicy(t0_star=t0, t1_star=t0 + 1)
+    t0 = gain(spec, lam, t_cap).t0_star
+    return SubsidyPolicy(t0_star=t0, t1_star=1 if lam < 0.0 else t0 + 1)
 
 
 def gain(spec: ComponentSpec, lam: float, t_cap: int = DEFAULT_T_CAP) -> GainResult:
@@ -131,8 +127,7 @@ def activation_rate(spec: ComponentSpec, lam: float, t_cap: int = DEFAULT_T_CAP)
     """Long-run fraction of active slots, 1 / (t0* + p(t0*)): each probe
     cycle lasts t0* slots plus one more when the probe finds the component
     abnormal."""
-    pol = optimal_stopping(spec, lam, t_cap)
-    t0 = pol.t0_star
+    t0 = gain(spec, lam, t_cap).t0_star
     return 1.0 / (t0 + marginal_p(spec.process, t0))
 
 
@@ -308,26 +303,16 @@ def single_arm_q(spec: ComponentSpec, lam: float, state: ArmState, horizon: int)
     proc, c = spec.process, spec.cost
     tmax = state.t + horizon + 2
     p = np.array([marginal_p(proc, k) for k in range(tmax + 2)])
-    b0 = p[1 : tmax + 1]
-    b1 = p[0:tmax]
-    v0 = np.zeros(tmax + 2)
-    v1 = np.zeros(tmax + 2)
+    belief = np.array([p[1 : tmax + 1], p[0:tmax]])  # at (0, t) and (1, t), t = 1..tmax
+    v = np.zeros((2, tmax + 2))  # v[i, t]: value at state (i, t), 0 at t = 0 and past tmax
     for _ in range(horizon - 1):
-        probe_cont = b0 * v1[1] + (1.0 - b0) * v0[1]
-        pas0 = lam - c * b0 + v0[2 : tmax + 2]
-        act0 = -c * b0 + probe_cont
-        probe_cont1 = b1 * v1[1] + (1.0 - b1) * v0[1]
-        pas1 = lam - c * b1 + v1[2 : tmax + 2]
-        act1 = -c * b1 + probe_cont1
-        nv0 = np.zeros(tmax + 2)
-        nv1 = np.zeros(tmax + 2)
-        nv0[1 : tmax + 1] = np.maximum(pas0, act0)
-        nv1[1 : tmax + 1] = np.maximum(pas1, act1)
-        v0, v1 = nv0, nv1
+        probe_cont = belief * v[1, 1] + (1.0 - belief) * v[0, 1]
+        passive = lam - c * belief + v[:, 2 : tmax + 2]
+        active = -c * belief + probe_cont
+        v[:, 1 : tmax + 1] = np.maximum(passive, active)
     b = marginal_p(proc, state.t - state.i)
-    vown = v0 if state.i == 0 else v1
-    q_passive = lam - c * b + vown[state.t + 1]
-    q_active = -c * b + b * v1[1] + (1.0 - b) * v0[1]
+    q_passive = lam - c * b + v[state.i, state.t + 1]
+    q_active = -c * b + b * v[1, 1] + (1.0 - b) * v[0, 1]
     return q_passive, q_active
 
 

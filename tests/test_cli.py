@@ -323,6 +323,25 @@ def test_oracle_rejects_inexact_policies(tmp_path, capsys, policy):
     assert "config.policies" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "queueing"])
+def test_exact_evaluation_refuses_a_policy_before_building(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # `evaluate` once built the graph and solved whittle before refusing queue
+    builds = []
+    monkeypatch.setattr(probesched.oracle, "_graph", lambda *args: builds.append(args))
+    arms = [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2
+    cfg = {"horizon": 2, "policies": ["whittle", "queue"]}
+    if command == "queueing":
+        cfg.update(queueing_mode="evaluate", queueing={"servers": 1, "classes": [
+            {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0}] * 2})
+    else:
+        cfg.update(components=arms, K=1)
+    assert main([command, "--config", _write_cfg(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == ("error: config.policies: exact evaluation supports "
+                                       "whittle|myopic, got 'queue'\n")
+    assert builds == []
+
+
 @pytest.mark.parametrize("command", ["index", "simulate", "evaluate", "oracle", "subsidy"])
 def test_infinite_cost_rejected(tmp_path, capsys, command):
     # JSON's Infinity once passed validation and came out as nan/inf rows

@@ -1,8 +1,10 @@
 """Every module-level import in the package is used in its module or
-re-exported through its `__all__`: a lint check that needs no linter."""
+re-exported through its `__all__`, and every module-level private name is
+used somewhere in the package: lint checks that need no linter."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -36,3 +38,48 @@ def test_every_import_is_used_or_exported(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "pi")]
+
+
+def _private_names(tree) -> dict:
+    """{module-level private name: the statement that defines it}."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return {name: node for name, node in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree) -> Counter:
+    """Names read, attributes read, and names imported from other modules."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def _dead_private_names(trees) -> list:
+    """Private names read nowhere in `trees` but in their own definitions."""
+    used = sum(map(_references, trees), Counter())
+    return sorted(name for tree in trees for name, node in _private_names(tree).items()
+                  if used[name] == _references(node)[name])
+
+
+def test_every_private_name_is_used():
+    # a dedup that leaves a dead helper behind fails here
+    assert _dead_private_names([ast.parse(path.read_text()) for path in MODULES]) == []
+
+
+def test_the_check_sees_a_dead_private_name():
+    trees = [ast.parse("def _used(): pass\ndef _dead(n): return _dead(n - 1)\n"
+                       "_X: int = 1\n_y = _used\n__all__ = []\n"),
+             ast.parse("from m import _y\n")]
+    assert _dead_private_names(trees) == ["_X", "_dead"]

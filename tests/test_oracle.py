@@ -57,6 +57,30 @@ def test_single_slot_cost_is_sum_of_beliefs():
     assert value == pytest.approx(0.8, abs=1e-12)
 
 
+def test_graph_slot_costs_match_the_scalar_beliefs():
+    # each layer's slot costs, bitwise, against beliefs computed one arm at a time
+    rng = np.random.default_rng(5)
+    states = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        specs = [markov_spec(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0, 3)))
+                 if rng.random() < 0.5 else
+                 ComponentSpec(Table(tuple(np.sort(rng.uniform(0, 1, 3)).tolist())),
+                               float(rng.uniform(0, 3)))
+                 for _ in range(n)]
+        initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 5))) for _ in range(n)]
+        k, horizon = int(rng.integers(1, n + 1)), int(rng.integers(1, 5))
+        width, costs, _s, layers, _e = _graph(specs, initial, k, horizon, 10**7)
+        assert len(costs) == len(layers) == horizon
+        for layer, cost in zip(layers, costs):
+            for codes, got in zip(layer.tolist(), cost.tolist()):
+                want = sum(s.cost * belief_abnormal(s, ArmState(*divmod(c, width)))
+                           for s, c in zip(specs, codes))
+                assert repr(got) == repr(want)
+                states += 1
+    assert states > 200
+
+
 def test_single_slot_all_policies_equal():
     specs = [markov_spec(0.5), markov_spec(0.3), markov_spec(0.7)]
     opt, _ = dp_optimal(specs, _fresh(3), 1, 1)

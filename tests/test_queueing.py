@@ -56,8 +56,11 @@ def test_rejects_servers_at_or_above_classes():
 
 
 def test_rejects_negative_holding_cost():
-    with pytest.raises(ValueError):
-        CustomerClass(arrival=MarkovIID(0.2), holding_cost=-0.5)
+    # a buffer is checked as the component it maps to, at construction
+    for arrival, cost in [(MarkovIID(0.2), -0.5), (MarkovIID(0.2), float("nan")),
+                          (MarkovIID(0.2), float("inf")), (0.2, 1.0)]:  # 0.2: no process
+        with pytest.raises(ValueError):
+            CustomerClass(arrival=arrival, holding_cost=cost)
 
 
 def test_round_trip_matches_direct_construction():
