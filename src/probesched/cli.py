@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import json
 import math
@@ -275,7 +276,10 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call of a process and
+    reused by every later one: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="probesched",
         description="Index-policy probe scheduling: indices, simulation, exact oracles.",
@@ -289,7 +293,11 @@ def main(argv=None) -> int:
         p.add_argument("--replications", type=int)
         p.add_argument("--horizon", type=int)
         p.add_argument("--out", help="output CSV path (default: stdout)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         header, rows = COMMANDS[args.command](cfg)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .arm import ArmState
 from .attack import ComponentSpec, Table, marginal_p
-from .whittle import index_values, whittle_index
+from .whittle import index_from_marginals, whittle_index
 
 DEFAULT_T_CAP = 10_000
 _CONVERGENCE_EPS = 1e-12
@@ -141,9 +141,10 @@ def _activation_prob(w: float, lam: float, gamma: float) -> float:
 
 def _arm_table(spec: ComponentSpec, t_cap: int):
     """(p(t), W(0, t)) for t = 0..stop, the slots `_marginals` keeps: the
-    renewal walk and the lambda* candidates both end at stop."""
+    renewal walk and the lambda* candidates both end at stop.  W(0, stop)
+    takes the one marginal past them, p(stop + 1)."""
     p = _marginals(spec.process, t_cap)
-    return p, index_values(spec, len(p) - 1)
+    return p, list(index_from_marginals(spec.cost, [*p[1:], marginal_p(spec.process, len(p))]))
 
 
 def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, table):
@@ -188,9 +189,19 @@ def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, table):
     return e_gap, p_obs1, e_cost, first
 
 
-def _renewal(spec: ComponentSpec, lam: float, gamma: float, table, t_cap: int):
-    """`_policy_rates` plus t0*, the first slot after a 0-observation that
-    may probe (t_cap for a parked arm)."""
+def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table,
+                  t_cap: int = DEFAULT_T_CAP):
+    """Stationary (activation rate, cost rate, t0*) of the threshold-with-
+    mixing policy on the arm table `_arm_table(spec, t_cap)`: active when
+    the state index exceeds lam, passive below it, Bernoulli(gamma) at
+    index-equal states.  t0* is the first slot after a 0-observation that
+    may probe.
+
+    Probes form a Markov renewal process alternating interval types by the
+    last observation; solving for the stationary observation mix gives the
+    long-run rates.  A parked arm is never probed again, so its activation
+    rate is zero, its belief settles at p(t_cap) and t0* is t_cap.
+    """
     stats0 = _interval_stats(spec, lam, gamma, table)
     if stats0 is None:
         return 0.0, spec.cost * marginal_p(spec.process, t_cap), t_cap
@@ -208,23 +219,9 @@ def _renewal(spec: ComponentSpec, lam: float, gamma: float, table, t_cap: int):
     return rate, cost_rate, t0
 
 
-def _policy_rates(spec: ComponentSpec, lam: float, gamma: float,
-                  t_cap: int = DEFAULT_T_CAP):
-    """Stationary (activation rate, cost rate) of the threshold-with-mixing
-    policy: active when the state index exceeds lam, passive below it,
-    Bernoulli(gamma) at index-equal states.
-
-    Probes form a Markov renewal process alternating interval types by the
-    last observation; solving for the stationary observation mix gives the
-    long-run rates.  A parked arm is never probed again, so its activation
-    rate is zero and its belief settles at p(t_cap).
-    """
-    return _renewal(spec, lam, gamma, _arm_table(spec, t_cap), t_cap)[:2]
-
-
 def average_cost_rate(spec: ComponentSpec, lam: float, gamma: float = 0.0) -> float:
     """Long-run abnormal cost per slot under the subsidy-lam policy."""
-    return _policy_rates(spec, lam, gamma)[1]
+    return _policy_rates(spec, lam, gamma, _arm_table(spec, DEFAULT_T_CAP))[1]
 
 
 def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
@@ -245,32 +242,42 @@ def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
         raise ValueError(f"t_cap must be >= 1, got {t_cap}")
     arms = [(s, _arm_table(s, t_cap)) for s in specs]
 
-    def total(lam: float, gamma: float) -> float:
-        return sum(_renewal(s, lam, gamma, table, t_cap)[0] for s, table in arms)
+    def total(lam: float) -> float:  # the summed rates at gamma = 0
+        return sum(_policy_rates(s, lam, 0.0, table, t_cap)[0] for s, table in arms)
 
     def finish(lam: float) -> RelaxedPlan:
+        # An arm's rate moves with gamma only where it meets an index equal
+        # to lam: the walk's W(0, t), t = 1..stop, or the fresh repair's
+        # W(0, 0) = 0.  Every other arm is walked once here.
+        tied = [lam in w for _s, (_p, w) in arms]
+        at0 = [_policy_rates(s, lam, 0.0, table, t_cap) for s, table in arms]
+
+        def mixed_total(gamma: float) -> float:  # summed in arm order, as `total` sums
+            return sum(_policy_rates(s, lam, gamma, table, t_cap)[0] if tie else r[0]
+                       for tie, r, (s, table) in zip(tied, at0, arms))
+
         lo, hi = 0.0, 1.0
         for _ in range(100):  # bisect the common mixing probability
             mid = 0.5 * (lo + hi)
-            if total(lam, mid) < K:
-                lo = mid
-            else:
-                hi = mid
+            step = (mid, hi) if mixed_total(mid) < K else (lo, mid)
+            if step == (lo, hi):
+                break  # a fixed point: every later step would repeat this one
+            lo, hi = step
         g = 0.5 * (lo + hi)
-        mixing, plan = [], []
-        for s, table in arms:  # only arms whose rate moves with gamma mix
-            r0, r1 = (_renewal(s, lam, gamma, table, t_cap)[0] for gamma in (0.0, 1.0))
-            mixing.append(g if r1 != r0 else 0.0)
-            plan.append(_renewal(s, lam, mixing[-1], table, t_cap))
+        # only arms whose rate moves with gamma mix
+        mixing = [g if tie and _policy_rates(s, lam, 1.0, table, t_cap)[0] != r[0] else 0.0
+                  for tie, r, (s, table) in zip(tied, at0, arms)]
+        plan = [_policy_rates(s, lam, m, table, t_cap) if m else r
+                for m, r, (s, table) in zip(mixing, at0, arms)]
         rates, _costs, t0s = zip(*plan)
         return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates)
 
-    if total(0.0, 0.0) <= K:
+    if total(0.0) <= K:
         return finish(0.0)
     cands = sorted({v for _s, (_p, w) in arms for v in w[1:] if v > 0.0})
     # At the largest candidate no index exceeds lam, so every arm is parked
     # and the total is 0 <= K: the search always lands on a candidate.
-    i = bisect.bisect_left(cands, True, key=lambda lam: total(lam, 0.0) <= K + 1e-12)
+    i = bisect.bisect_left(cands, True, key=lambda lam: total(lam) <= K + 1e-12)
     return finish(cands[i])
 
 

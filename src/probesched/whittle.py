@@ -13,25 +13,30 @@ at each state.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import pairwise
 
 from .arm import ArmState
 from .attack import ComponentSpec, marginal_p
+
+
+def index_from_marginals(cost: float, marginals):
+    """W(0, 0), W(0, 1), ... lazily from the marginals p(1), p(2), ...:
+    W(0, t) takes p(t + 1), so n >= 1 marginals give W(0, 0..n-1).  The
+    closed form is written here only."""
+    yield 0.0
+    cum = 0.0
+    for t, (p_t, p_next) in enumerate(pairwise(marginals), 1):
+        cum += p_t
+        yield (p_next * (t + p_t) / (1.0 + p_next - p_t) - cum) * cost
 
 
 def index_values(spec: ComponentSpec, horizon: int) -> list:
     """W(0, t) for t = 0..horizon, by forward accumulation of sum p(k)."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    proc, c = spec.process, spec.cost
-    out = [0.0]
-    cum = 0.0
-    p_next = marginal_p(proc, 1)
-    for t in range(1, horizon + 1):
-        p_t, p_next = p_next, marginal_p(proc, t + 1)  # p(t + 1) is the next slot's p(t)
-        cum += p_t
-        out.append((p_next * (t + p_t) / (1.0 + p_next - p_t) - cum) * c)
-    return out
+    marginals = map(partial(marginal_p, spec.process), range(1, horizon + 2))
+    return list(index_from_marginals(spec.cost, marginals))
 
 
 @lru_cache(maxsize=512)

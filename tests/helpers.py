@@ -1,8 +1,13 @@
-"""Shared fixtures: reference processes and random spec generators."""
+"""Shared fixtures: reference processes, random spec generators and the
+reference relaxed-budget solve."""
+
+import bisect
 
 import numpy as np
 
 from probesched import ComponentSpec, MarkovIID, Table
+from probesched.subsidy import DEFAULT_T_CAP, RelaxedPlan, _marginals, _policy_rates
+from probesched.whittle import index_values
 
 # Concave marginal table used by the bundled index preset: p(1)..p(8).
 CONCAVE8 = (0.5, 0.7, 0.85, 0.95, 0.97, 0.975, 0.978, 0.98)
@@ -37,3 +42,66 @@ def random_strict_specs(n, seed, table_length=14):
         else:
             specs.append(ComponentSpec(random_concave_table(rng, table_length), cost))
     return specs
+
+
+def random_relaxed_instances(count, seed):
+    """(specs, K) instances of the relaxed budget, 2..5 arms and 1 <= K < N.
+    Each arm is one of: a memoryless arm (q in 0.06..0.94); a tiny-q
+    memoryless arm (q log-uniform in 0.005..0.05, converging after
+    hundreds to thousands of slots); the q = 1e-175 arm, whose p rounds to
+    0.0; a strictly concave table; a repeat of an earlier arm."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        specs = []
+        while len(specs) < n:
+            kind = int(rng.choice(5, p=(0.35, 0.15, 0.1, 0.25, 0.15)))
+            cost = float(rng.uniform(0.3, 3.0))
+            if kind == 0:
+                specs.append(ComponentSpec(MarkovIID(float(rng.uniform(0.06, 0.94))), cost))
+            elif kind == 1:
+                q = float(10.0 ** rng.uniform(np.log10(0.005), np.log10(0.05)))
+                specs.append(ComponentSpec(MarkovIID(q), cost))
+            elif kind == 2:
+                specs.append(ComponentSpec(MarkovIID(1e-175), cost))
+            elif kind == 3:
+                specs.append(ComponentSpec(random_concave_table(rng), cost))
+            elif specs:
+                specs.append(specs[int(rng.integers(len(specs)))])
+        yield specs, int(rng.integers(1, n))
+
+
+def reference_solve_lambda_star(specs, K, t_cap=DEFAULT_T_CAP):
+    """The relaxed solve as first written: each arm table's indices from
+    `index_values`, and a mixing bisection that walks every arm at each of
+    its 100 steps.  `solve_lambda_star` gives the same plan, bit for bit."""
+    arms = []
+    for s in specs:
+        p = _marginals(s.process, t_cap)
+        arms.append((s, (p, index_values(s, len(p) - 1))))
+
+    def total(lam, gamma):
+        return sum(_policy_rates(s, lam, gamma, table, t_cap)[0] for s, table in arms)
+
+    def finish(lam):
+        lo, hi = 0.0, 1.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if total(lam, mid) < K:
+                lo = mid
+            else:
+                hi = mid
+        g = 0.5 * (lo + hi)
+        mixing, plan = [], []
+        for s, table in arms:
+            r0, r1 = (_policy_rates(s, lam, gamma, table, t_cap)[0] for gamma in (0.0, 1.0))
+            mixing.append(g if r1 != r0 else 0.0)
+            plan.append(_policy_rates(s, lam, mixing[-1], table, t_cap))
+        rates, _costs, t0s = zip(*plan)
+        return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates)
+
+    if total(0.0, 0.0) <= K:
+        return finish(0.0)
+    cands = sorted({v for _s, (_p, w) in arms for v in w[1:] if v > 0.0})
+    i = bisect.bisect_left(cands, True, key=lambda lam: total(lam, 0.0) <= K + 1e-12)
+    return finish(cands[i])

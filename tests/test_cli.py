@@ -575,3 +575,41 @@ def test_simulate_leaves_numpy_random_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, env=env, check=True, text=True)
     assert proc.stdout.split() == ["0", "0", "False"]
+
+
+def test_flag_override_does_not_carry_over_to_the_next_call(tmp_path):
+    # one parser serves every call of a process; each call parses afresh
+    short, default = tmp_path / "short.csv", tmp_path / "default.csv"
+    assert main(["index", "--preset", "fig2", "--horizon", "3", "--out", str(short)]) == 0
+    assert main(["index", "--preset", "fig2", "--out", str(default)]) == 0
+    assert len(_read_csv(short)) == 6
+    assert len(_read_csv(default)) == 2 * FIG2["horizon"]
+
+
+def test_bad_argv_leaves_the_next_call_unchanged(tmp_path, capsys):
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    argv = ["subsidy", "--config", _write_cfg(tmp_path, {
+        "components": [{"kind": "markov", "q": 0.3, "cost": 1.0},
+                       {"kind": "markov", "q": 0.6, "cost": 0.7}],
+        "K": 1,
+    })]
+    assert main([*argv, "--out", str(first)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["subsidy", "--horizon", "three", "--bogus"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main([*argv, "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built by the first `main` call, not at import
+    src = os.path.dirname(os.path.dirname(probesched.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import probesched.cli as cli; print(cli._parser.cache_info().currsize)"],
+        capture_output=True, env=env, check=True, text=True,
+    )
+    assert proc.stdout.strip() == "0"

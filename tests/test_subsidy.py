@@ -21,13 +21,20 @@ from probesched import (
 )
 from probesched.subsidy import (
     DEFAULT_T_CAP,
+    _arm_table,
     _converged,
     _policy_rates,
     average_cost_rate,
     single_arm_q,
 )
 from probesched.whittle import index_values
-from helpers import concave_spec, markov_spec, random_strict_specs
+from helpers import (
+    concave_spec,
+    markov_spec,
+    random_relaxed_instances,
+    random_strict_specs,
+    reference_solve_lambda_star,
+)
 
 
 def _criterion_8_instances():
@@ -43,6 +50,11 @@ def _criterion_8_specs():
     """The arm sets of acceptance criterion 8's 20 instances."""
     for specs, _k in _criterion_8_instances():
         yield specs
+
+
+def _rates(spec, lam, gamma):
+    """(activation rate, cost rate) of the threshold-with-mixing policy."""
+    return _policy_rates(spec, lam, gamma, _arm_table(spec, DEFAULT_T_CAP))[:2]
 
 
 def test_negative_subsidy_probes_immediately():
@@ -175,7 +187,7 @@ def test_walk_rates_match_direct_simulation():
     spec = markov_spec(0.5)
     lam = whittle_index(spec, ArmState(0, 1))
     for gamma in (0.0, 0.6, 1.0):
-        analytic, _ = _policy_rates(spec, lam, gamma)
+        analytic, _ = _rates(spec, lam, gamma)
         rng = np.random.default_rng(5)
         i, t, acts = 0, 1, 0
         slots = 200_000
@@ -278,10 +290,11 @@ def test_walk_matches_renewal_formula_at_index_multipliers():
         for spec in specs:
             p = lambda t: marginal_p(spec.process, t)
             w = lambda t: whittle_index(spec, ArmState(0, t))
+            table = _arm_table(spec, DEFAULT_T_CAP)
             t = 1
             while not _converged(spec.process, t, p(t)) and w(t + 1) > w(t):
                 for gamma, t0 in ((0.0, t + 1), (1.0, t)):
-                    rate, cost_rate = _policy_rates(spec, w(t), gamma)
+                    rate, cost_rate, _t0 = _policy_rates(spec, w(t), gamma, table)
                     cycle = t0 + p(t0)
                     cum = sum(p(k) for k in range(1, t0 + 1))
                     assert rate == pytest.approx(1.0 / cycle, rel=1e-12, abs=0.0)
@@ -290,7 +303,7 @@ def test_walk_matches_renewal_formula_at_index_multipliers():
                 if w(t + 1) - w(t) > 1e-6:
                     mid = 0.5 * (w(t) + w(t + 1))
                     assert optimal_stopping(spec, mid).t0_star == t + 1
-                    assert _policy_rates(spec, mid, 0.0)[0] == pytest.approx(
+                    assert _policy_rates(spec, mid, 0.0, table)[0] == pytest.approx(
                         activation_rate(spec, mid), rel=1e-12, abs=0.0)
                 checked += 1
                 t += 1
@@ -325,7 +338,7 @@ def test_tie_in_converged_tail_is_a_geometric_series(gamma):
     tail_p = p(big_l)
     e_len = big_l + extra + tail_p  # (1 - theta) e0 + theta (e0 + 1), theta = p_inf
     cum = sum(p(k) for k in range(1, big_l + 1)) + tail_p * extra
-    rate, cost_rate = _terminates(_policy_rates, spec, lam, gamma)
+    rate, cost_rate = _terminates(_rates, spec, lam, gamma)
     assert math.isfinite(rate) and rate > 0.0
     assert rate == pytest.approx(1.0 / e_len, rel=1e-12, abs=0.0)
     assert cost_rate == pytest.approx(spec.cost * cum / e_len, rel=1e-12, abs=0.0)
@@ -370,7 +383,7 @@ def test_zero_subsidy_mixes_at_the_fresh_repair(spec, gamma):
     e1, b1, c1 = 2.0 - gamma, (1.0 - gamma) * p1, (1.0 - gamma) * spec.cost * p1
     theta = b0 / (1.0 - b1 + b0)
     e_len = (1.0 - theta) * e0 + theta * e1
-    rate, cost_rate = _policy_rates(spec, 0.0, gamma)
+    rate, cost_rate = _rates(spec, 0.0, gamma)
     assert rate == pytest.approx(1.0 / e_len, rel=1e-12, abs=0.0)
     assert cost_rate == pytest.approx(((1.0 - theta) * c0 + theta * c1) / e_len,
                                       rel=1e-12, abs=0.0)
@@ -429,8 +442,45 @@ def test_lambda_star_is_the_smallest_candidate_within_budget():
     for specs, k in instances:
         plan = solve_lambda_star(specs, k)
         cands = sorted({v for s in specs for v in index_values(s, DEFAULT_T_CAP) if v > 0.0})
-        total = lambda lam: sum(_policy_rates(s, lam, 0.0)[0] for s in specs)
+        tables = [_arm_table(s, DEFAULT_T_CAP) for s in specs]
+        total = lambda lam: sum(_policy_rates(s, lam, 0.0, table)[0]
+                                for s, table in zip(specs, tables))
         assert plan.lambda_star == 0.0 or plan.lambda_star in cands, (specs, plan)
         assert total(plan.lambda_star) <= k + 1e-12, (specs, plan)
         below = bisect.bisect_left(cands, plan.lambda_star)
         assert below == 0 or total(cands[below - 1]) > k + 1e-12, (specs, plan)
+
+
+def test_arm_table_indices_match_index_values():
+    # The arm table evaluates W(0, t) from the marginals it already holds,
+    # plus p(stop + 1); index_values takes each p(t) itself.  Same bits.
+    # Criterion 8's arms, a q = 0.01 arm (stop 2750) and the q = 1e-175 arm.
+    specs = [s for specs in _criterion_8_specs() for s in specs]
+    specs += [markov_spec(0.01, cost=0.7), markov_spec(1e-175, cost=2.0)]
+    for spec in specs:
+        p, w = _arm_table(spec, DEFAULT_T_CAP)
+        assert len(w) == len(p)
+        assert [x.hex() for x in w] == [x.hex() for x in index_values(spec, len(p) - 1)]
+
+
+def test_solve_matches_the_reference_solve_bit_for_bit():
+    # The solve walks only the arms whose rate moves with the mixing
+    # probability and stops the bisection at its fixed point; the reference
+    # walks every arm at each of 100 steps.  The plans agree in every bit:
+    # 500 random instances (repeated arms, tiny q, the q = 1e-175 arm),
+    # criterion 8's, the late-converging pairs and the hex-pinned triple.
+    instances = [
+        *random_relaxed_instances(500, seed=14),
+        *_criterion_8_instances(),
+        (_late_converging_pair(), 1),
+        (_late_converging_pair(slow_q=0.01, slow_cost=0.01), 1),
+        ([markov_spec(0.3, cost=1.0), markov_spec(1e-175, cost=2.0),
+          markov_spec(0.6, cost=0.7)], 1),
+    ]
+    zero = mixed = 0
+    for specs, k in instances:
+        plan = solve_lambda_star(specs, k)
+        assert repr(plan) == repr(reference_solve_lambda_star(specs, k)), (specs, k)
+        zero += plan.lambda_star == 0.0
+        mixed += any(plan.mixing)
+    assert zero >= 50 and mixed >= 300, (zero, mixed)
