@@ -147,15 +147,19 @@ def cmd_simulate(cfg):
     reps = _positive(cfg, "replications")
     _bounded_costs(specs, horizon, reps)
     seed = _require(cfg, "seed", int)
+    configs = [RunConfig(specs=tuple(specs), k=k, horizon=horizon, policy=policy,
+                         replications=reps, seed=seed) for policy in _policies(cfg)]
     header = ["policy", "slot", "mean_cumulative_cost", "stderr"]
-    rows = []
-    for policy in _policies(cfg):
-        traj = run(RunConfig(specs=tuple(specs), k=k, horizon=horizon,
-                             policy=policy, replications=reps, seed=seed))
-        for slot in range(horizon):
-            rows.append([policy, slot + 1, float(traj.mean_cumulative[slot]),
-                         float(traj.stderr[slot])])
-    return header, rows
+
+    # every check above has run; each policy's run starts as its rows are written
+    def rows():
+        for config in configs:
+            traj = run(config)
+            pairs = zip(traj.mean_cumulative.tolist(), traj.stderr.tolist())
+            for slot, (mean, err) in enumerate(pairs, 1):
+                yield config.policy, slot, mean, err
+
+    return header, rows()
 
 
 def _exact_instance(cfg):

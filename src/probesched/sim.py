@@ -21,7 +21,14 @@ iteration order and byte-identical across runs of the same configuration.
 The streams' seed states are hashed for all of them in one array pass, and
 PCG64 itself runs on arrays (`_Streams`): each slot draws its uniforms
 from every stream at once, so a run holds O(R x N) stream state and no
-block of uniforms.
+block of uniforms.  Nor does it hold an (R, T) matrix of costs: each
+replication's cumulative cost is a running sum, copied slot by slot into
+an (R, w) block of at most 64 slots that is aggregated into the (T,)
+trajectory when full.  The horizon splits into blocks of widths as equal
+as possible, so no block is one slot wide unless T = 1 (numpy would sum
+an (R, 1) column pairwise, where it adds the rows of a wider block in
+order), and every mean and standard error equals, bit for bit, the
+reduction of the whole (R, T) matrix.
 
 Every per-replication array is arm-major, (N, R): a slot's steps are
 passes over N contiguous rows of R, never numpy's per-row loop over R
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -50,8 +58,12 @@ from .policies import POLICY_NAMES, random_k, rank_table, smallest_k
 
 # a bound on R x N x (T + 20): the R x N x T uniforms a run draws from its
 # arm streams (about 16 times fig4's), which cost time, plus each stream's
-# peak state, about 160 B or 20 draws, which costs memory
+# peak state, about 160 B or 20 draws, which costs memory.  Nothing else a
+# run holds grows with R x T: its cumulative costs go through one block of
+# at most _BLOCK_SLOTS slots per replication.
 MAX_UNIFORMS = 2**27
+# slots of cumulative cost held per replication before they are aggregated
+_BLOCK_SLOTS = 64
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words)
 _POOL = 4
@@ -84,6 +96,10 @@ class RunConfig:
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICY_NAMES}")
         _words(self.seed)  # a negative seed fails here, as SeedSequence would
+        size = self.replications * n * (self.horizon + 20)
+        if size > MAX_UNIFORMS:
+            what = "draws and stream state (replications x components x (horizon + 20))"
+            raise SearchSpaceError(size, MAX_UNIFORMS, what)
 
 
 @dataclass
@@ -255,10 +271,6 @@ def run(config: RunConfig) -> CostTrajectory:
     specs = list(config.specs)
     n = len(specs)
     r, t_total, k = config.replications, config.horizon, config.k
-    size = r * n * (t_total + 20)
-    if size > MAX_UNIFORMS:
-        what = "draws and stream state (replications x components x (horizon + 20))"
-        raise SearchSpaceError(size, MAX_UNIFORMS, what)
     costs = np.array([[s.cost] for s in specs])
     width = t_total + 2  # codes i * width + t, t <= horizon
     # the draws stay integers: u < h exactly when u 2^53 < ceil(h 2^53)
@@ -274,24 +286,31 @@ def run(config: RunConfig) -> CostTrajectory:
     arm, rep = np.divmod(np.arange(n * r), r)
     arm_draws = _Streams(config.seed, np.column_stack([rep, arm]))
 
-    per_slot = np.empty((r, t_total))
     no_probe = np.zeros((n, r), dtype=bool)
     # one hazard step takes the fresh world, every arm healthy at (0, 0),
     # to the first slot
     abnormal, code = _advance(no_probe, np.broadcast_to(first - 1, (n, r)), no_probe,
                               arm_draws.draw().reshape(n, r), thresholds, first)
 
-    for slot in range(t_total):
-        per_slot[:, slot] = _arm_sum(abnormal * costs)
-        if ranked:
-            probe = smallest_k(rank.take(code), k, rank.size)
-        else:
-            probe = random_k(pick_draws.draw(), k)
-        if slot + 1 < t_total:
-            abnormal, code = _advance(abnormal, code, probe, arm_draws.draw().reshape(n, r),
-                                      thresholds, first)
-
-    return aggregate(np.cumsum(per_slot, axis=1, out=per_slot))
+    mean, stderr = np.empty(t_total), np.empty(t_total)
+    cum = np.zeros(r)  # each replication's cumulative cost
+    blocks = -(-t_total // _BLOCK_SLOTS)
+    bounds = [t_total * b // blocks for b in range(blocks + 1)]
+    for lo, hi in pairwise(bounds):
+        block = np.empty((r, hi - lo))
+        for slot in range(lo, hi):
+            cum += _arm_sum(abnormal * costs)
+            block[:, slot - lo] = cum
+            if ranked:
+                probe = smallest_k(rank.take(code), k, rank.size)
+            else:
+                probe = random_k(pick_draws.draw(), k)
+            if slot + 1 < t_total:
+                abnormal, code = _advance(abnormal, code, probe,
+                                          arm_draws.draw().reshape(n, r), thresholds, first)
+        part = aggregate(block)
+        mean[lo:hi], stderr[lo:hi] = part.mean_cumulative, part.stderr
+    return CostTrajectory(mean_cumulative=mean, stderr=stderr)
 
 
 def aggregate(cumulative: np.ndarray) -> CostTrajectory:

@@ -14,7 +14,7 @@ at each state.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import pairwise
+from itertools import islice, pairwise
 
 from .arm import ArmState
 from .attack import ComponentSpec, marginal_p
@@ -75,10 +75,13 @@ def index_rows(spec: ComponentSpec, horizon: int):
     """(i, t, index) for (0, 1..horizon) then (1, 1..horizon), lazily."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    w = index_values(spec, horizon)
+    # row (i, t) reads W(0, t - i): one pass over the marginals per i, so no
+    # list of indices is held
     for i in (0, 1):
-        for t in range(1, horizon + 1):
-            yield i, t, w[t - i]
+        marginals = map(partial(marginal_p, spec.process), range(1, horizon + 2 - i))
+        values = islice(index_from_marginals(spec.cost, marginals), 1 - i, None)
+        for t, w in enumerate(values, 1):
+            yield i, t, w
 
 
 def index_table(spec: ComponentSpec, horizon: int) -> list:

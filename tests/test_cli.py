@@ -540,6 +540,41 @@ def test_index_errors_come_before_the_first_byte(tmp_path):
     assert not out.exists()
 
 
+def test_simulate_errors_come_before_the_first_byte(tmp_path, monkeypatch):
+    # the rows stream out policy by policy, so every policy's config, the
+    # size guard and the cost bound are checked before any run starts
+    out = tmp_path / "out.csv"
+    runs = []
+    monkeypatch.setattr(probesched.cli, "run", runs.append)
+    arms = [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2
+    base = {"components": arms, "K": 1, "horizon": 3, "replications": 2}
+    for bad, code in (({"policies": ["whittle", "optimal"]}, 2),
+                      ({"seed": -1}, 2),
+                      ({"components": [{"kind": "markov", "q": 0.5, "cost": 1e300}] * 2}, 2),
+                      ({"horizon": 2**27}, 3)):
+        cfg = _write_cfg(tmp_path, {**base, **bad})
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == code
+    queue = {"queueing": {"servers": 1, "classes": [
+        {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0}] * 2}}
+    cfg = _write_cfg(tmp_path, {**queue, "horizon": 2**27, "replications": 2})
+    assert main(["queueing", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert runs == []
+
+
+def test_simulate_rows_are_written_in_chunks(tmp_path, monkeypatch):
+    # chunk boundaries fall inside and across policies and leave no mark
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    cfg = _write_cfg(tmp_path, {**FIG4, "horizon": 30, "replications": 20,
+                                "policies": ["whittle", "myopic", "queue", "random"]})
+    argv = ["simulate", "--config", cfg, "--out"]
+    assert main(argv + [str(whole)]) == 0
+    monkeypatch.setattr(probesched.cli, "_CHUNK_ROWS", 7)
+    assert main(argv + [str(chunked)]) == 0
+    assert chunked.read_bytes() == whole.read_bytes()
+    assert len(whole.read_bytes().splitlines()) == 1 + 4 * 30
+
+
 def test_simulate_negative_seed_exits_promptly(capsys):
     start = time.perf_counter()
     assert main(["simulate", "--preset", "fig4", "--seed", "-1"]) == 2

@@ -24,6 +24,7 @@ from probesched import (
     transition,
 )
 from probesched.cli import main as cli_main
+from probesched.oracle import SearchSpaceError
 from probesched.policies import POLICY_NAMES, whittle_policy
 from probesched.sim import (
     _Streams,
@@ -355,6 +356,21 @@ _GOLDEN_CSV = [
     ("n130-sum-split", {"components": _many_arms(130), "K": 9, "horizon": 30,
                         "replications": 12, "seed": 130, "policies": _ALL_POLICIES},
      "9e08dbedab635d8ac49ff2b8e221ed894f9694d5ccc62cf871d18f073a78fea5"),
+    # recorded before the (R, T) cost matrix gave way to blocks of at most 64
+    # slots: T = 65, 130, 257 and 131 split into uneven widths 32 + 33,
+    # 43 + 43 + 44, 51 + 51 + 52 + 51 + 52 and 43 + 44 + 44
+    ("t65-two-blocks", {"components": _FIG4_ARMS, "K": 2, "horizon": 65,
+                        "replications": 33, "seed": 65, "policies": _ALL_POLICIES},
+     "419e0a88b11520b441cb9140d2e7462d5d16ff9e797f3c6219401670f189864d"),
+    ("t130-three-blocks", {"components": _MIXED_ARMS, "K": 2, "horizon": 130,
+                           "replications": 5, "seed": 130, "policies": _ALL_POLICIES},
+     "906a993275ace43c3553494eb91fcaf05aba37c9f0d927c6eee38df601e95e86"),
+    ("t257-five-blocks", {"components": _many_arms(9), "K": 3, "horizon": 257,
+                          "replications": 2, "seed": 257, "policies": _ALL_POLICIES},
+     "e7050b826cd3b0b6a7701f26ea81b3ac8b1c032148bd73c7ba617273aebdb6c7"),
+    ("t131-one-replication", {"components": _FIG4_ARMS[:5], "K": 1, "horizon": 131,
+                              "replications": 1, "seed": 31, "policies": _ALL_POLICIES},
+     "202e92fb36832ed06603f577cc1f854e98f1e62ab8dabf0b8adeb45a9f6104a0"),
 ]
 
 
@@ -391,6 +407,28 @@ def test_random_policy_run_holds_no_uniform_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * r * len(specs) * horizon
+
+
+def test_run_holds_no_cost_matrix():
+    # one arm at R = 2000, T = 10,000: the (R, T) matrix of cumulative costs
+    # is 153 MiB, and its standard error made a second one; a run that
+    # aggregates blocks of 64 slots holds about 1 MiB of them
+    cfg = RunConfig(specs=(markov_spec(0.3),), k=1, horizon=10_000, policy="whittle",
+                    replications=2000, seed=1)
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_run_refuses_an_oversized_config():
+    # the size guard is the config's own check, so library callers meet it too
+    with pytest.raises(SearchSpaceError):
+        RunConfig(specs=(markov_spec(0.5),) * 8, k=2, horizon=2_000_000, policy="whittle",
+                  replications=2000, seed=0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])

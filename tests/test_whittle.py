@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from probesched import (
     whittle_index,
 )
 import probesched.whittle
-from probesched.whittle import index_values
+from probesched.whittle import index_rows, index_values
 from helpers import concave_spec, markov_spec, random_strict_specs
 
 
@@ -158,3 +161,25 @@ def test_index_values_takes_each_marginal_once(monkeypatch, spec):
     monkeypatch.setattr(probesched.whittle, "marginal_p", counted)
     assert index_values(spec, horizon) == expected
     assert calls == list(range(1, horizon + 2))
+
+
+@pytest.mark.parametrize("spec", [markov_spec(0.3), concave_spec()], ids=["markov", "table"])
+@pytest.mark.parametrize("horizon", [1, 2, 300])
+def test_index_rows_read_index_values_bitwise(spec, horizon):
+    # row (i, t) is W(0, t - i), each pass over the marginals its own
+    w = index_values(spec, horizon)
+    expected = [(i, t, w[t - i]) for i in (0, 1) for t in range(1, horizon + 1)]
+    assert [(i, t, x.hex()) for i, t, x in index_rows(spec, horizon)] == [
+        (i, t, x.hex()) for i, t, x in expected]
+
+
+def test_index_rows_hold_no_list_of_indices():
+    # 2 x 10^5 rows: a list of the horizon's indices peaks at 3.1 MiB, about
+    # 16 B a row; rows made from the marginals as they are read hold none
+    tracemalloc.start()
+    try:
+        deque(index_rows(markov_spec(0.3), 100_000), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
