@@ -49,7 +49,7 @@ def by_code(by_clock) -> np.ndarray:
     re-indexed by arm-state code i * width + t, t < width = the rows'
     length.  The unused code of (1, 0) reads clock 0."""
     t = np.arange(len(by_clock[0]))
-    return np.array(by_clock)[:, np.maximum(t - np.arange(2)[:, None], 0).ravel()]
+    return np.take(by_clock, np.maximum(t - np.arange(2)[:, None], 0).ravel(), axis=1)
 
 
 def belief_codes(specs, width: int) -> np.ndarray:

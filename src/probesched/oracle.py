@@ -3,9 +3,10 @@
 A joint state is an int32 row of per-arm codes i * width + t, the
 simulator's encoding: a probe observing o moves an arm to o * width + 1,
 waiting adds 1.  `_graph` builds the layers of joint states reachable when
-any K-subset may be probed, once per call, or once per `one_graph` scope,
-where shorter horizons read a prefix of the longest one's graph; one
-backward induction over them (`_sweep`) gives the optimal expected cost
+any K-subset may be probed, each layer's subsets expanded in one pass, once
+per call, or once per `one_graph` scope, where shorter horizons read a
+prefix of the longest one's graph and of each rank policy's picks on it;
+one backward induction over them (`_sweep`) gives the optimal expected cost
 (least value-to-go over every K-subset) or a policy's exact value (its own
 selection's).  A policy is a rank policy's name, which picks each state's K
 arms first in `policies.rank_table` for whole layers at once, as the
@@ -58,13 +59,39 @@ def _unique_rows(rows, base: int):
         if span * base > 2**63:
             distinct, key = np.unique(key, return_inverse=True)
             span = len(distinct)
-        key, span = key * base + col, span * base
+        key *= base
+        key += col
+        span *= base
     order = np.argsort(key)
-    key = key[order]
-    first = np.r_[True, key[1:] != key[:-1]]
+    key = key.take(order)
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     position = np.empty(len(rows), dtype=np.int32)
-    position[order] = np.cumsum(first) - 1
-    return rows[order[first]], position
+    position[order] = np.cumsum(first, dtype=np.int32) - 1
+    return rows.take(order[first], axis=0), position
+
+
+def _branches(belief, arms, outcomes):
+    """Every probe outcome of every K-subset from every state: (subset,
+    parent, outcome, probability) arrays ordered by subset, parent, then
+    outcome, without outcomes of belief 0 or 1.  `belief` holds each arm's
+    beliefs across the states, `arms` the subsets' arm ids and `outcomes`
+    each outcome's bits, the subset's first arm the most significant."""
+    k = arms.shape[1]
+    b = belief.take(arms, axis=0)  # (subsets, K, states)
+    factor = 1.0 - b, b  # by outcome bit
+    pr = np.empty((len(arms), belief.shape[1], 2**k))
+    live = np.empty(pr.shape, dtype=bool)
+    for o, bits in enumerate(outcomes):
+        f = [factor[bit][:, r] for r, bit in enumerate(bits)]
+        pr[:, :, o] = functools.reduce(np.multiply, f)  # left to right
+        # not pr != 0: a possible outcome's probability may underflow
+        live[:, :, o] = functools.reduce(np.logical_and, [x != 0.0 for x in f])
+    ids = np.flatnonzero(live)
+    pr = pr.take(ids)
+    subset = np.repeat(np.arange(len(arms)), np.count_nonzero(live.reshape(len(arms), -1), 1))
+    ids -= subset * live[0].size  # parent * 2^K + outcome
+    return subset, ids >> k, ids & (2**k - 1), pr
 
 
 def _graph(specs, initial, k: int, horizon: int, bound: int):
@@ -73,7 +100,8 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     costs, sum(c_n * P(arm n abnormal)); edges[s] = (group, child,
     probability) arrays into layer s + 1, group = parent * len(subsets) +
     subset, ordered by subset, parent, then outcome (the subset's first arm
-    varying slowest, 0 before 1), without outcomes of belief 0 or 1."""
+    varying slowest, 0 before 1), without outcomes of belief 0 or 1.  Each
+    layer expands every subset at once (`_branches`)."""
     n = len(specs)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
@@ -84,31 +112,33 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     width = max(st.t for st in initial) + horizon
     if 2 * n * width > bound:
         raise SearchSpaceError(2 * n * width, bound, "belief entries (2N x (largest t + horizon))")
-    beliefs = belief_codes(specs, width)
+    beliefs, lift = belief_codes(specs, width), np.arange(n)[:, None] * 2 * width
     entries = math.comb(n, k) * 2**k * n
     outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    probed = (outcomes.T * width + 1).astype(np.int32)  # (K, 2^K): an arm's code after a probe
     layers = [np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)]
-    costs, edges, subsets, seen, total = [], [], None, None, 0
+    costs, edges, arms, seen, total = [], [], None, None, 0
     for slot in range(horizon):
         layer = layers[-1]
         total += len(layer) * entries
         if total > bound:
             raise SearchSpaceError(total, bound, "branch entries (states x K-subsets x "
                                    f"2^K outcomes x N arms) in slots 0..{slot}")
-        subsets = subsets or list(itertools.combinations(range(n), k))  # once slot 0 passed
-        costs.append(sum(s.cost * beliefs[n, layer[:, n]] for n, s in enumerate(specs)))
+        if arms is None:  # once slot 0 passed
+            arms = np.array(list(itertools.combinations(range(n), k)))
+        # arm-major (N, states), so each pass runs along the states
+        belief = beliefs.take(np.ascontiguousarray(layer.T) + lift)
+        costs.append(sum(s.cost * belief[a] for a, s in enumerate(specs)))
         if slot + 1 == horizon:
-            return width, costs, subsets, layers, edges
-        parts = []
-        for j, arms in enumerate(subsets):
-            b = beliefs[arms, layer[:, arms]][:, None, :]
-            factors = np.where(outcomes == 1, b, 1.0 - b)  # (states, 2^K, K)
-            pr = functools.reduce(np.multiply, np.moveaxis(factors, -1, 0))  # left to right
-            parent, branch = np.nonzero((factors != 0.0).all(axis=-1))  # not pr: it may underflow
-            child = layer[parent] + 1
-            child[:, arms] = outcomes[branch] * width + 1
-            parts.append((parent * len(subsets) + j, child, pr[parent, branch]))
-        group, child, pr = (np.concatenate(col) for col in zip(*parts))
+            return width, costs, list(map(tuple, arms.tolist())), layers, edges
+        subset, parent, branch, pr = _branches(belief, arms, outcomes)
+        group = parent * len(arms) + subset
+        child = layer.take(parent, axis=0)
+        child += 1
+        place = arms.T.take(subset, axis=1)  # (K, edges): flat places of the probed arms
+        place += np.arange(0, child.size, n)
+        child.reshape(-1)[place] = probed.take(branch, axis=1)
+        del subset, parent, branch, place  # before `_unique_rows`'s sort
         nxt, child = _unique_rows(child, 2 * width)
         layers.append(nxt)
         edges.append((group, child, pr))
@@ -119,8 +149,8 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
             raise SearchSpaceError(len(seen), bound, f"reachable joint states x horizon {horizon}")
 
 
-# Inside `one_graph`: a one-item list holding (instance key, horizon, graph)
-# or None; outside it, None.
+# Inside `one_graph`: a one-item list holding (instance key, horizon, graph,
+# {rank policy name: its picks}) or None; outside it, None.
 _held = contextvars.ContextVar("held", default=None)
 
 
@@ -132,7 +162,11 @@ def one_graph():
     layers.  The code width is the longest horizon's, which keeps every
     code's order, so each call's result is bit for bit its own graph's; and
     a graph that passed the guards at a horizon passes them at every shorter
-    one.  Nothing is kept after the scope ends."""
+    one.  With the graph the scope holds each rank policy's picks on all
+    its layers, made by the first `policy_evaluate_exact` call that names
+    the policy; a state's pick depends only on its codes and the width, so
+    a horizon-h call reads the first h layers of those too.  Nothing is
+    kept after the scope ends."""
     token = _held.set([None])
     try:
         yield
@@ -140,16 +174,21 @@ def one_graph():
         _held.reset(token)
 
 
-def _shared_graph(specs, initial, k: int, horizon: int, bound: int):
-    """`_graph`, or inside `one_graph` a prefix of the graph it holds."""
+def _shared_graph(specs, initial, k: int, horizon: int, bound: int, policy=None):
+    """`_graph`, and a rank policy's `_rank_picks` on it if `policy` names
+    one; inside `one_graph`, prefixes of the graph and of the picks held."""
     held = _held.get()
-    if held is None:
-        return _graph(specs, initial, k, horizon, bound)
     key = (tuple(specs), tuple(initial), k, bound)
-    if held[0] is None or held[0][0] != key or not 1 <= horizon <= held[0][1]:
-        held[0] = key, horizon, _graph(specs, initial, k, horizon, bound)
-    width, costs, subsets, layers, edges = held[0][2]
-    return width, costs[:horizon], subsets, layers[:horizon], edges[:horizon - 1]
+    entry = None if held is None else held[0]
+    if entry is None or entry[0] != key or not 1 <= horizon <= entry[1]:
+        entry = key, horizon, _graph(specs, initial, k, horizon, bound), {}
+        if held is not None:
+            held[0] = entry
+    _key, _longest, (width, costs, subsets, layers, edges), picks = entry
+    if policy is not None and policy not in picks:
+        picks[policy] = _rank_picks(policy, specs, k, width, layers)
+    graph = width, costs[:horizon], subsets, layers[:horizon], edges[:horizon - 1]
+    return graph, None if policy is None else picks[policy][:horizon]
 
 
 def _first_min(future):
@@ -173,10 +212,11 @@ def _sweep(graph, picks=None):
         future = np.zeros((len(layer), len(subsets)))  # nothing follows the last slot
         if slot < len(edges):
             group, child, pr = edges[slot]
-            future = np.bincount(group, weights=pr * values[child],
+            future = np.bincount(group, weights=pr * values.take(child),
                                  minlength=future.size).reshape(future.shape)
         chosen[slot] = _first_min(future) if picks is None else picks[slot]
-        values = costs[slot] + future[np.arange(len(layer)), chosen[slot]]
+        values = costs[slot] + future.take(chosen[slot] + np.arange(0, future.size,
+                                                                    len(subsets)))
     return float(values[0]), chosen
 
 
@@ -214,9 +254,9 @@ def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND)
     """Exact minimal expected total cost over `horizon` slots, plus the
     optimal policy table, a read-only mapping {(slot, joint state):
     selection} that is built the first time it is read."""
-    graph = width, _costs, subsets, layers, _edges = _shared_graph(list(specs), initial, k,
-                                                                   horizon, bound)
+    graph, _picks = _shared_graph(list(specs), initial, k, horizon, bound)
     value, picks = _sweep(graph)
+    width, _costs, subsets, layers, _edges = graph
     return value, _PolicyTable(width, subsets, layers, picks)
 
 
@@ -224,16 +264,19 @@ def _rank_picks(policy: str, specs, k: int, width: int, layers):
     """Each layer's subset ids under a rank policy: per state, the K arms
     whose codes come first in `rank_table`, the simulator's rule."""
     n = len(specs)
-    rank = rank_table(policy, specs, width)
-    codes = np.ascontiguousarray(np.concatenate(layers).T)  # arm-major: rows of states
-    mask = smallest_k(rank[codes + np.arange(n)[:, None] * 2 * width], k, rank.size)
+    rank, lift = rank_table(policy, specs, width), np.arange(n)[:, None] * 2 * width
     # A subset's id is its place in lexicographic order: C(N, K) - 1 minus,
     # for each arm a in it, C(N - 1 - a, r), where r (`left`) of its arms are >= a.
-    ids, left = np.full(codes.shape[1], math.comb(n, k) - 1), np.full(codes.shape[1], k)
-    for a, chosen in enumerate(mask):
-        ids -= chosen * np.array([math.comb(n - 1 - a, r) for r in range(k + 1)])[left]
-        left -= chosen
-    return np.split(ids, np.cumsum([len(layer) for layer in layers[:-1]]))
+    drop = [np.array([math.comb(n - 1 - a, r) for r in range(k + 1)]) for a in range(n)]
+    picks = []
+    for layer in layers:
+        mask = smallest_k(rank.take(np.ascontiguousarray(layer.T) + lift), k, rank.size)
+        ids, left = np.full(len(layer), math.comb(n, k) - 1), np.full(len(layer), k)
+        for a, chosen in enumerate(mask):
+            ids -= chosen * drop[a].take(left)
+            left -= chosen
+        picks.append(ids)
+    return picks
 
 
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
@@ -249,10 +292,11 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
         raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
                          f"or one of {', '.join(EXACT_POLICIES)}")
     specs = list(specs)
-    graph = width, _costs, subsets, layers, edges = _shared_graph(specs, initial, k,
-                                                                  horizon, bound)
-    if isinstance(policy, str):
-        return _sweep(graph, _rank_picks(policy, specs, k, width, layers))[0]
+    name = policy if isinstance(policy, str) else None
+    graph, picks = _shared_graph(specs, initial, k, horizon, bound, name)
+    if name is not None:
+        return _sweep(graph, picks)[0]
+    width, _costs, subsets, layers, edges = graph
     index = {sel: j for j, sel in enumerate(subsets)}
     asked, picks, reached = {}, [], np.ones(1, dtype=bool)
     for slot, layer in enumerate(layers):

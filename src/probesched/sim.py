@@ -56,12 +56,17 @@ from .attack import ComponentSpec, hazard
 from .oracle import SearchSpaceError
 from .policies import POLICY_NAMES, random_k, rank_table, smallest_k
 
-# a bound on R x N x (T + 20): the R x N x T uniforms a run draws from its
-# arm streams (about 16 times fig4's), which cost time, plus each stream's
-# peak state, about 160 B or 20 draws, which costs memory.  Nothing else a
-# run holds grows with R x T: its cumulative costs go through one block of
-# at most _BLOCK_SLOTS slots per replication.
+# a bound on a run's size in uniform draws, 8 B or about 50 ns each: the
+# R x N x T uniforms it draws from its arm streams (about 16 times fig4's),
+# plus each stream's peak state, about 160 B or 20 draws; the per-code
+# tables (hazard thresholds, rank table), which peak at about 160 B or
+# _TABLE_DRAWS draws per arm and slot of the horizon while they are built;
+# and each slot's fixed cost, about 65 us of Python and numpy calls
+# whatever R x N is, or _SLOT_DRAWS draws.  Nothing else a run holds grows
+# with R x T: its cumulative costs go through one block of at most
+# _BLOCK_SLOTS slots per replication.
 MAX_UNIFORMS = 2**27
+_TABLE_DRAWS, _SLOT_DRAWS = 20, 1024
 # slots of cumulative cost held per replication before they are aggregated
 _BLOCK_SLOTS = 64
 
@@ -96,9 +101,11 @@ class RunConfig:
         if self.policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICY_NAMES}")
         _words(self.seed)  # a negative seed fails here, as SeedSequence would
-        size = self.replications * n * (self.horizon + 20)
+        size = (self.replications * n * (self.horizon + 20)
+                + (_TABLE_DRAWS * n + _SLOT_DRAWS) * self.horizon)
         if size > MAX_UNIFORMS:
-            what = "draws and stream state (replications x components x (horizon + 20))"
+            what = ("draws: streams (replications x components x (horizon + 20)), tables "
+                    f"({_TABLE_DRAWS} x components x horizon) and slots ({_SLOT_DRAWS} x horizon)")
             raise SearchSpaceError(size, MAX_UNIFORMS, what)
 
 

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from probesched import (
 import probesched.oracle
 import probesched.policies
 from probesched.cli import main
-from probesched.oracle import _graph, _rank_picks, _unique_rows, one_graph
+from probesched.arm import belief_codes
+from probesched.oracle import EXACT_POLICIES, _graph, _rank_picks, _unique_rows, one_graph
 from probesched.policies import myopic_policy, whittle_policy
 from probesched.subsidy import average_cost_rate, solve_lambda_star
 from helpers import markov_spec
@@ -367,6 +370,84 @@ def test_unique_rows_matches_lexsort(n, base):
         assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
 
 
+def _loop_graph(specs, initial, k, horizon):
+    """The reference: `_graph` without its guards, expanding one K-subset at
+    a time and concatenating the parts, with `_lexsort_unique`'s rows."""
+    n = len(specs)
+    width = max(st.t for st in initial) + horizon
+    beliefs = belief_codes(specs, width)
+    outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    subsets = list(itertools.combinations(range(n), k))
+    layers = [np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)]
+    costs, edges = [], []
+    for slot in range(horizon):
+        layer = layers[-1]
+        costs.append(sum(s.cost * beliefs[a, layer[:, a]] for a, s in enumerate(specs)))
+        if slot + 1 == horizon:
+            return width, costs, subsets, layers, edges
+        parts = []
+        for j, arms in enumerate(subsets):
+            b = beliefs[arms, layer[:, arms]][:, None, :]
+            factors = np.where(outcomes == 1, b, 1.0 - b)  # (states, 2^K, K)
+            pr = functools.reduce(np.multiply, np.moveaxis(factors, -1, 0))
+            parent, branch = np.nonzero((factors != 0.0).all(axis=-1))
+            child = layer[parent] + 1
+            child[:, arms] = outcomes[branch] * width + 1
+            parts.append((parent * len(subsets) + j, child, pr[parent, branch]))
+        group, child, pr = (np.concatenate(col) for col in zip(*parts))
+        nxt, child = _lexsort_unique(child)
+        layers.append(nxt)
+        edges.append((group, child, pr))
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_graph_expands_every_subset_as_the_per_subset_loop_did():
+    # beliefs of exactly 0.0 (any arm just seen abnormal, a table's 0.0) and
+    # 1.0 (a table's 1.0) drop outcomes; a largest initial t > 1 widens the codes
+    rng = np.random.default_rng(17)
+    pool = [markov_spec(0.3), markov_spec(0.55, 2.0), ComponentSpec(Table((0.0, 1.0)), 1.5),
+            ComponentSpec(Table((0.0, 0.4, 1.0)), 0.7), ComponentSpec(Table((0.2, 0.5, 0.6)), 1.0)]
+    dropped = edges = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 6))
+        k = int(rng.integers(1, min(n, 3) + 1))
+        specs = [pool[j] for j in rng.integers(0, len(pool), n)]
+        initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 6))) for _ in range(n)]
+        horizon = int(rng.integers(2, 7 if n <= 3 else 5))
+        got = _graph(specs, initial, k, horizon, 10**7)
+        want = _loop_graph(specs, initial, k, horizon)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert len(got[1]) == len(got[3]) == horizon and len(got[4]) == horizon - 1
+        for layer, ref in zip(got[3], want[3], strict=True):
+            _assert_bitwise(layer, ref)
+        for cost, ref in zip(got[1], want[1], strict=True):
+            _assert_bitwise(cost, ref)
+        for layer, arrays, refs in zip(got[3][:-1], got[4], want[4], strict=True):
+            for array, ref in zip(arrays, refs, strict=True):
+                _assert_bitwise(array, ref)
+            dropped += len(layer) * len(got[2]) * 2**k - len(arrays[0])
+            edges += len(arrays[0])
+    assert edges > 10_000 and dropped > 10_000
+
+
+def test_refused_graph_stays_under_its_recorded_peak():
+    # 6 Markov arms, K = 2, T = 7: the guard refuses slot 5's expansion; the
+    # per-subset loop with `np.concatenate` peaked at 140.7 MiB on the way
+    specs = [markov_spec(0.1 + 0.13 * i) for i in range(6)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceError, match="branch entries"):
+            dp_optimal(specs, _fresh(6), 2, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 140.7 * 2**20
+
+
 @pytest.mark.parametrize("name", ["queue", "random", "Whittle"])
 def test_unknown_policy_name_is_refused(name):
     with pytest.raises(ValueError, match="whittle, myopic"):
@@ -421,14 +502,28 @@ def _count_builds(monkeypatch):
     return builds
 
 
+def _count_ranks(monkeypatch):
+    ranked = []
+    rank = probesched.oracle.rank_table
+
+    def counted(policy, *args):
+        ranked.append(policy)
+        return rank(policy, *args)
+
+    monkeypatch.setattr(probesched.oracle, "rank_table", counted)
+    return ranked
+
+
 def test_oracle_op_builds_one_graph(tmp_path, monkeypatch):
     # once per op, for its longest horizon, where each of the 8 horizons
-    # once built its own graph for `dp_optimal` and each policy
-    builds = _count_builds(monkeypatch)
+    # once built its own graph for `dp_optimal` and each policy; and one
+    # rank table per policy, where each horizon once ranked both (16 tables)
+    builds, ranked = _count_builds(monkeypatch), _count_ranks(monkeypatch)
     for run in range(2):
         out = tmp_path / f"oracle{run}.csv"
         assert main(["oracle", "--preset", "fig3", "--horizon", "8", "--out", str(out)]) == 0
         assert builds == [8] * (run + 1)
+        assert ranked == ["whittle", "myopic"] * (run + 1)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_FIG3[2][2]
     # outside the scope a library call builds its own graph
     specs = [markov_spec(0.4)] * 3
@@ -439,7 +534,8 @@ def test_oracle_op_builds_one_graph(tmp_path, monkeypatch):
 
 def test_graph_prefixes_give_each_horizon_its_own_bits(monkeypatch):
     # non-fresh initial states with a largest t > 1: the code width depends
-    # on the horizon, so shorter horizons read codes of a wider graph
+    # on the horizon, so shorter horizons read codes of a wider graph, and a
+    # rank policy's name reads picks made once on all of its layers
     rng = np.random.default_rng(11)
     for trial in range(8):
         n = int(rng.integers(2, 4))
@@ -449,16 +545,17 @@ def test_graph_prefixes_give_each_horizon_its_own_bits(monkeypatch):
         big = int(rng.integers(2, 6))
         initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 6))) for _ in range(n)]
         initial[0] = ArmState(0, 7)
-        pols = [whittle_policy(specs, k), myopic_policy(specs, k)]
+        pols = [whittle_policy(specs, k), myopic_policy(specs, k), *EXACT_POLICIES]
         alone = [(dp_optimal(specs, initial, k, h),
                   [policy_evaluate_exact(specs, initial, k, h, pol) for pol in pols])
                  for h in range(1, big + 1)]
-        builds = _count_builds(monkeypatch)
+        builds, ranked = _count_builds(monkeypatch), _count_ranks(monkeypatch)
         with one_graph():
             shared = [(dp_optimal(specs, initial, k, h),
                        [policy_evaluate_exact(specs, initial, k, h, pol) for pol in pols])
                       for h in range(big, 0, -1)][::-1]
         assert builds == [big]
+        assert ranked == list(EXACT_POLICIES)
         monkeypatch.undo()
         for ((v0, t0), p0), ((v1, t1), p1) in zip(alone, shared):
             assert repr(v1) == repr(v0)

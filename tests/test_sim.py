@@ -431,6 +431,14 @@ def test_run_refuses_an_oversized_config():
                   replications=2000, seed=0)
 
 
+def test_run_refuses_a_long_horizon_on_one_stream():
+    # R = N = 1 draws only T uniforms, but the per-code tables take about
+    # 160 B and each slot about 65 us: 1.5 GiB and 11 minutes at T = 10^7
+    with pytest.raises(SearchSpaceError, match="tables"):
+        RunConfig(specs=(markov_spec(0.5),), k=1, horizon=10**7, policy="whittle",
+                  replications=1, seed=0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
 def test_stream_states_match_seed_sequence(seed):
     tails = [(rep, arm) for rep in (0, 1, 2, 7, 1999, 2**31) for arm in (0, 1, 5, 8, 2**32 - 1)]
