@@ -8,10 +8,11 @@ then.  Probing resets t to 1; waiting increments it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .attack import ComponentSpec, marginal_p
+from .attack import ComponentSpec, marginal_p, marginals
 
 PASSIVE = 0
 ACTIVE = 1
@@ -54,7 +55,7 @@ def by_code(by_clock) -> np.ndarray:
 
 def belief_codes(specs, width: int) -> np.ndarray:
     """b[n, i * width + t] = belief_abnormal(specs[n], ArmState(i, t)), t < width."""
-    return by_code([[marginal_p(s.process, c) for c in range(width)] for s in specs])
+    return by_code([list(islice(marginals(s.process), width)) for s in specs])
 
 
 def transition(state: ArmState, action: int, observation: int | None = None) -> ArmState:

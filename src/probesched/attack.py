@@ -3,13 +3,15 @@
 A component's exposure is summarised by the marginal probability p(t) that
 it is abnormal t slots after its last reset.  p(0) = 0 by the reset
 convention and p is nondecreasing because the abnormal state is absorbing
-until the component is probed.
+until the component is probed.  Every per-arm table reads the one walk
+of p, `marginals`, or the hazards derived from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, count, islice, pairwise, repeat
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,15 @@ class ComponentSpec:
         object.__setattr__(self, "cost", c)
 
 
+def marginals(process: AttackProcess):
+    """p(0), p(1), ... without end, bit for bit `marginal_p`'s (Python's
+    float power, not numpy's; a table clamps to its last entry)."""
+    if isinstance(process, MarkovIID):
+        keep = 1.0 - process.q
+        return (1.0 - keep ** t for t in count())
+    return chain((0.0,), process.values, repeat(process.values[-1]))
+
+
 def marginal_p(process: AttackProcess, t: int) -> float:
     """P(abnormal t slots after a reset).  Pure; clamps table overruns."""
     if t < 0:
@@ -79,21 +90,24 @@ def marginal_p(process: AttackProcess, t: int) -> float:
     return vals[t - 1] if t <= len(vals) else vals[-1]
 
 
-def hazard(process: AttackProcess, t: int) -> float:
-    """Conditional flip probability at step t since reset.
+def hazards(process: AttackProcess):
+    """Conditional flip probabilities h(1), h(2), ... at each step since reset.
 
     h(t) = (p(t) - p(t-1)) / (1 - p(t-1)), the 0->1 transition rate whose
     products reproduce the marginals.  When p(t-1) = 1 the conditioning
     event is vacuous and the hazard is 1 by convention.
     """
+    if isinstance(process, MarkovIID):
+        return repeat(process.q)
+    return (1.0 if prev >= 1.0 else (p - prev) / (1.0 - prev)
+            for prev, p in pairwise(marginals(process)))
+
+
+def hazard(process: AttackProcess, t: int) -> float:
+    """h(t), the t-th element of `hazards(process)`."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if isinstance(process, MarkovIID):
-        return process.q
-    prev = marginal_p(process, t - 1)
-    if prev >= 1.0:
-        return 1.0
-    return (marginal_p(process, t) - prev) / (1.0 - prev)
+    return next(islice(hazards(process), t - 1, None))
 
 
 def check_c1(process: AttackProcess, horizon: int) -> bool:
@@ -109,11 +123,8 @@ def check_c1(process: AttackProcess, horizon: int) -> bool:
         raise ValueError(f"horizon must be >= 2, got {horizon}")
     if isinstance(process, MarkovIID):
         return True
-    deltas = [
-        marginal_p(process, t + 1) - marginal_p(process, t)
-        for t in range(1, horizon)
-    ]
-    return all(a > b for a, b in zip(deltas, deltas[1:]))
+    deltas = [b - a for a, b in pairwise(islice(marginals(process), 1, horizon + 1))]
+    return all(a > b for a, b in pairwise(deltas))
 
 
 def process_to_json(process: AttackProcess) -> dict:

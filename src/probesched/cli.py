@@ -40,12 +40,6 @@ class ConfigError(Exception):
     """A configuration field failed validation; the message names it."""
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 # rows formatted and written at a time, so a long table is never held whole
 _CHUNK_ROWS = 4096
 
@@ -55,7 +49,7 @@ def _write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         rows_left = iter(rows)
         while chunk := list(itertools.islice(rows_left, _CHUNK_ROWS)):
-            fh.write("".join(",".join(_fmt(v) for v in row) + "\n" for row in chunk))
+            fh.write("".join(",".join(map(str, row)) + "\n" for row in chunk))
 
     if path is None:
         write(sys.stdout)

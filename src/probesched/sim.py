@@ -47,12 +47,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise
 
 import numpy as np
 
 from .arm import by_code
-from .attack import ComponentSpec, hazard
+from .attack import ComponentSpec, hazards
 from .oracle import SearchSpaceError
 from .policies import POLICY_NAMES, random_k, rank_table, smallest_k
 
@@ -121,10 +121,7 @@ class CostTrajectory:
 def _hazard_table(specs, horizon: int) -> np.ndarray:
     """h[n, i * width + t] = hazard of arm n at clock t - i, the flip
     threshold of its code, for width = horizon + 2 (clock 0 reads 0)."""
-    table = np.zeros((len(specs), horizon + 2))
-    for n, spec in enumerate(specs):
-        table[n, 1:] = [hazard(spec.process, k) for k in range(1, horizon + 2)]
-    return by_code(table)
+    return by_code([[0.0, *islice(hazards(s.process), horizon + 1)] for s in specs])
 
 
 def _advance(abnormal, code, probe, draws, thresholds, first):

@@ -11,21 +11,23 @@ maximised over t0, and the activation rate 1 / (t0* + p(t0*)).  When the
 per-slot probe budget K binds only on average, the optimal policy runs
 each arm's subsidy policy at a common multiplier lam*, chosen so the
 activation rates sum to K, randomising at index-equal states to hit the
-boundary exactly.
+boundary exactly.  An arm's slots are read from `attack.marginals` up to
+p's convergence or the constant stopping cap `T_CAP`.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .arm import ArmState
-from .attack import ComponentSpec, Table, marginal_p
+from .attack import ComponentSpec, Table, marginal_p, marginals
 from .whittle import index_from_marginals, whittle_index
 
-DEFAULT_T_CAP = 10_000
+T_CAP = 10_000
 _CONVERGENCE_EPS = 1e-12
 
 
@@ -55,7 +57,7 @@ class RelaxedPlan:
     0-observation: W(0, t) > lam*, or W(0, t) = lam* and the arm's mixing
     is positive, the rule `relaxed_select` applies.  A parked arm (its
     index stays below lam*, so it is never probed again) reports activation
-    rate 0.0 and t0_star = t_cap."""
+    rate 0.0 and t0_star = T_CAP."""
 
     lambda_star: float
     mixing: tuple
@@ -76,58 +78,56 @@ def _converged(proc, t: int, p_t: float) -> bool:
     return 1.0 - p_t <= _CONVERGENCE_EPS or p_t == 0.0
 
 
-def _marginals(proc, t_cap: int) -> list:
+def _marginals(proc) -> list:
     """p(t) for t = 0..stop, where stop is the first t >= 1 at which p has
-    converged, or t_cap: every scan of an arm's slots ends at stop."""
+    converged, or T_CAP: every scan of an arm's slots ends at stop."""
     p = [0.0]
-    while True:
-        t = len(p)
-        p.append(marginal_p(proc, t))
-        if t >= t_cap or _converged(proc, t, p[t]):
-            return p
+    for t, p_t in enumerate(islice(marginals(proc), 1, T_CAP + 1), 1):
+        p.append(p_t)
+        if _converged(proc, t, p_t):
+            break
+    return p
 
 
-def _best_stopping(spec: ComponentSpec, lam: float, t_cap: int):
+def _best_stopping(spec: ComponentSpec, lam: float):
     """Scan t0 = 1..stop for the largest cycle reward, smallest argmax on
     ties.  Past a converged stop the objective approaches lam - c p(stop)
-    monotonically, so only t0 = t_cap can still beat the scan."""
-    p = _marginals(spec.process, t_cap)
+    monotonically, so only t0 = T_CAP can still beat the scan."""
+    p = _marginals(spec.process)
     best_t, best_v, cum = 1, None, 0.0
     for t in range(1, len(p)):
         cum += p[t]
         v = _objective(spec, lam, t, p[t], cum)
         if best_v is None or v > best_v:
             best_t, best_v = t, v
-    if t < t_cap and lam - spec.cost * p[t] > best_v:
-        v_cap = _objective(spec, lam, t_cap, p[t], cum + (t_cap - t) * p[t])
+    if t < T_CAP and lam - spec.cost * p[t] > best_v:
+        v_cap = _objective(spec, lam, T_CAP, p[t], cum + (T_CAP - t) * p[t])
         if v_cap > best_v:
-            best_t, best_v = t_cap, v_cap
+            best_t, best_v = T_CAP, v_cap
     return best_t, best_v
 
 
-def optimal_stopping(spec: ComponentSpec, lam: float, t_cap: int = DEFAULT_T_CAP) -> SubsidyPolicy:
-    """Optimal probe delays under subsidy lam, searching t0 in [1, t_cap]."""
-    t0 = gain(spec, lam, t_cap).t0_star
+def optimal_stopping(spec: ComponentSpec, lam: float) -> SubsidyPolicy:
+    """Optimal probe delays under subsidy lam, searching t0 in [1, T_CAP]."""
+    t0 = gain(spec, lam).t0_star
     return SubsidyPolicy(t0_star=t0, t1_star=1 if lam < 0.0 else t0 + 1)
 
 
-def gain(spec: ComponentSpec, lam: float, t_cap: int = DEFAULT_T_CAP) -> GainResult:
+def gain(spec: ComponentSpec, lam: float) -> GainResult:
     """Average reward of the optimal stopping rule (cycle-reward formula
     evaluated at t0*; a negative subsidy pins t0* = 1)."""
-    if t_cap < 1:
-        raise ValueError(f"t_cap must be >= 1, got {t_cap}")
     if lam < 0.0:
         p1 = marginal_p(spec.process, 1)
         return GainResult(g=_objective(spec, lam, 1, p1, p1), t0_star=1)
-    t0, v = _best_stopping(spec, lam, t_cap)
+    t0, v = _best_stopping(spec, lam)
     return GainResult(g=v, t0_star=t0)
 
 
-def activation_rate(spec: ComponentSpec, lam: float, t_cap: int = DEFAULT_T_CAP) -> float:
+def activation_rate(spec: ComponentSpec, lam: float) -> float:
     """Long-run fraction of active slots, 1 / (t0* + p(t0*)): each probe
     cycle lasts t0* slots plus one more when the probe finds the component
     abnormal."""
-    t0 = gain(spec, lam, t_cap).t0_star
+    t0 = gain(spec, lam).t0_star
     return 1.0 / (t0 + marginal_p(spec.process, t0))
 
 
@@ -139,11 +139,11 @@ def _activation_prob(w: float, lam: float, gamma: float) -> float:
     return 0.0
 
 
-def _arm_table(spec: ComponentSpec, t_cap: int):
+def _arm_table(spec: ComponentSpec):
     """(p(t), W(0, t)) for t = 0..stop, the slots `_marginals` keeps: the
     renewal walk and the lambda* candidates both end at stop.  W(0, stop)
     takes the one marginal past them, p(stop + 1)."""
-    p = _marginals(spec.process, t_cap)
+    p = _marginals(spec.process)
     return p, list(index_from_marginals(spec.cost, [*p[1:], marginal_p(spec.process, len(p))]))
 
 
@@ -189,10 +189,9 @@ def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, table):
     return e_gap, p_obs1, e_cost, first
 
 
-def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table,
-                  t_cap: int = DEFAULT_T_CAP):
+def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table):
     """Stationary (activation rate, cost rate, t0*) of the threshold-with-
-    mixing policy on the arm table `_arm_table(spec, t_cap)`: active when
+    mixing policy on the arm table `_arm_table(spec)`: active when
     the state index exceeds lam, passive below it, Bernoulli(gamma) at
     index-equal states.  t0* is the first slot after a 0-observation that
     may probe.
@@ -200,11 +199,11 @@ def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table,
     Probes form a Markov renewal process alternating interval types by the
     last observation; solving for the stationary observation mix gives the
     long-run rates.  A parked arm is never probed again, so its activation
-    rate is zero, its belief settles at p(t_cap) and t0* is t_cap.
+    rate is zero, its belief settles at p(T_CAP) and t0* is T_CAP.
     """
     stats0 = _interval_stats(spec, lam, gamma, table)
     if stats0 is None:
-        return 0.0, spec.cost * marginal_p(spec.process, t_cap), t_cap
+        return 0.0, spec.cost * marginal_p(spec.process, T_CAP), T_CAP
     e0, b0, c0, t0 = stats0
     # After a 1-observation the repair lands one slot later: the first slot
     # sits at index W(0, 0) = 0 and cannot find the component abnormal; if
@@ -221,10 +220,10 @@ def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table,
 
 def average_cost_rate(spec: ComponentSpec, lam: float, gamma: float = 0.0) -> float:
     """Long-run abnormal cost per slot under the subsidy-lam policy."""
-    return _policy_rates(spec, lam, gamma, _arm_table(spec, DEFAULT_T_CAP))[1]
+    return _policy_rates(spec, lam, gamma, _arm_table(spec))[1]
 
 
-def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
+def solve_lambda_star(specs, K: int) -> RelaxedPlan:
     """Smallest multiplier at which the summed activation rates cross K,
     with boundary mixing chosen so the crossing is hit exactly.
 
@@ -238,22 +237,20 @@ def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
     n = len(specs)
     if not 1 <= K < n:
         raise ValueError(f"need 1 <= K < N, got K={K}, N={n}")
-    if t_cap < 1:
-        raise ValueError(f"t_cap must be >= 1, got {t_cap}")
-    arms = [(s, _arm_table(s, t_cap)) for s in specs]
+    arms = [(s, _arm_table(s)) for s in specs]
 
     def total(lam: float) -> float:  # the summed rates at gamma = 0
-        return sum(_policy_rates(s, lam, 0.0, table, t_cap)[0] for s, table in arms)
+        return sum(_policy_rates(s, lam, 0.0, table)[0] for s, table in arms)
 
     def finish(lam: float) -> RelaxedPlan:
         # An arm's rate moves with gamma only where it meets an index equal
         # to lam: the walk's W(0, t), t = 1..stop, or the fresh repair's
         # W(0, 0) = 0.  Every other arm is walked once here.
         tied = [lam in w for _s, (_p, w) in arms]
-        at0 = [_policy_rates(s, lam, 0.0, table, t_cap) for s, table in arms]
+        at0 = [_policy_rates(s, lam, 0.0, table) for s, table in arms]
 
         def mixed_total(gamma: float) -> float:  # summed in arm order, as `total` sums
-            return sum(_policy_rates(s, lam, gamma, table, t_cap)[0] if tie else r[0]
+            return sum(_policy_rates(s, lam, gamma, table)[0] if tie else r[0]
                        for tie, r, (s, table) in zip(tied, at0, arms))
 
         lo, hi = 0.0, 1.0
@@ -265,9 +262,9 @@ def solve_lambda_star(specs, K: int, t_cap: int = DEFAULT_T_CAP) -> RelaxedPlan:
             lo, hi = step
         g = 0.5 * (lo + hi)
         # only arms whose rate moves with gamma mix
-        mixing = [g if tie and _policy_rates(s, lam, 1.0, table, t_cap)[0] != r[0] else 0.0
+        mixing = [g if tie and _policy_rates(s, lam, 1.0, table)[0] != r[0] else 0.0
                   for tie, r, (s, table) in zip(tied, at0, arms)]
-        plan = [_policy_rates(s, lam, m, table, t_cap) if m else r
+        plan = [_policy_rates(s, lam, m, table) if m else r
                 for m, r, (s, table) in zip(mixing, at0, arms)]
         rates, _costs, t0s = zip(*plan)
         return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates)
@@ -309,7 +306,7 @@ def single_arm_q(spec: ComponentSpec, lam: float, state: ArmState, horizon: int)
         raise ValueError("action values are undefined at the (0,0) sentinel")
     proc, c = spec.process, spec.cost
     tmax = state.t + horizon + 2
-    p = np.array([marginal_p(proc, k) for k in range(tmax + 2)])
+    p = np.fromiter(islice(marginals(proc), tmax + 2), float, tmax + 2)
     belief = np.array([p[1 : tmax + 1], p[0:tmax]])  # at (0, t) and (1, t), t = 1..tmax
     v = np.zeros((2, tmax + 2))  # v[i, t]: value at state (i, t), 0 at t = 0 and past tmax
     for _ in range(horizon - 1):

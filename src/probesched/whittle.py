@@ -13,11 +13,11 @@ at each state.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice, pairwise
 
 from .arm import ArmState
-from .attack import ComponentSpec, marginal_p
+from .attack import ComponentSpec, marginals
 
 
 def index_from_marginals(cost: float, marginals):
@@ -35,8 +35,7 @@ def index_values(spec: ComponentSpec, horizon: int) -> list:
     """W(0, t) for t = 0..horizon, by forward accumulation of sum p(k)."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    marginals = map(partial(marginal_p, spec.process), range(1, horizon + 2))
-    return list(index_from_marginals(spec.cost, marginals))
+    return list(index_from_marginals(spec.cost, islice(marginals(spec.process), 1, horizon + 2)))
 
 
 @lru_cache(maxsize=512)
@@ -78,8 +77,8 @@ def index_rows(spec: ComponentSpec, horizon: int):
     # row (i, t) reads W(0, t - i): one pass over the marginals per i, so no
     # list of indices is held
     for i in (0, 1):
-        marginals = map(partial(marginal_p, spec.process), range(1, horizon + 2 - i))
-        values = islice(index_from_marginals(spec.cost, marginals), 1 - i, None)
+        p = islice(marginals(spec.process), 1, horizon + 2 - i)
+        values = islice(index_from_marginals(spec.cost, p), 1 - i, None)
         for t, w in enumerate(values, 1):
             yield i, t, w
 

@@ -6,7 +6,7 @@ import bisect
 import numpy as np
 
 from probesched import ComponentSpec, MarkovIID, Table
-from probesched.subsidy import DEFAULT_T_CAP, RelaxedPlan, _marginals, _policy_rates
+from probesched.subsidy import RelaxedPlan, _marginals, _policy_rates
 from probesched.whittle import index_values
 
 # Concave marginal table used by the bundled index preset: p(1)..p(8).
@@ -71,17 +71,17 @@ def random_relaxed_instances(count, seed):
         yield specs, int(rng.integers(1, n))
 
 
-def reference_solve_lambda_star(specs, K, t_cap=DEFAULT_T_CAP):
+def reference_solve_lambda_star(specs, K):
     """The relaxed solve as first written: each arm table's indices from
     `index_values`, and a mixing bisection that walks every arm at each of
     its 100 steps.  `solve_lambda_star` gives the same plan, bit for bit."""
     arms = []
     for s in specs:
-        p = _marginals(s.process, t_cap)
+        p = _marginals(s.process)
         arms.append((s, (p, index_values(s, len(p) - 1))))
 
     def total(lam, gamma):
-        return sum(_policy_rates(s, lam, gamma, table, t_cap)[0] for s, table in arms)
+        return sum(_policy_rates(s, lam, gamma, table)[0] for s, table in arms)
 
     def finish(lam):
         lo, hi = 0.0, 1.0
@@ -94,9 +94,9 @@ def reference_solve_lambda_star(specs, K, t_cap=DEFAULT_T_CAP):
         g = 0.5 * (lo + hi)
         mixing, plan = [], []
         for s, table in arms:
-            r0, r1 = (_policy_rates(s, lam, gamma, table, t_cap)[0] for gamma in (0.0, 1.0))
+            r0, r1 = (_policy_rates(s, lam, gamma, table)[0] for gamma in (0.0, 1.0))
             mixing.append(g if r1 != r0 else 0.0)
-            plan.append(_policy_rates(s, lam, mixing[-1], table, t_cap))
+            plan.append(_policy_rates(s, lam, mixing[-1], table))
         rates, _costs, t0s = zip(*plan)
         return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates)
 

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,7 +14,23 @@ from probesched import (
     hazard,
     marginal_p,
 )
+from probesched.attack import hazards, marginals
 from helpers import CONCAVE8
+
+# edge cases of the walk: 1 - q rounds to 1, q near 1, a zero prefix, a
+# table reaching 1.0; every table here ends before t = 40
+WALK_EDGES = [MarkovIID(1e-175), MarkovIID(1.0 - 1e-9), Table((0.0, 0.0, 0.3, 0.5)),
+              Table((0.2, 0.6, 1.0))]
+
+
+def _two_marginal_hazard(proc, t):
+    # h(t) from two scalar marginals, the reference `hazards` is pinned against
+    if isinstance(proc, MarkovIID):
+        return proc.q
+    prev = marginal_p(proc, t - 1)
+    if prev >= 1.0:
+        return 1.0
+    return (marginal_p(proc, t) - prev) / (1.0 - prev)
 
 
 def test_markov_marginal_closed_form():
@@ -67,14 +84,16 @@ def test_hazard_rejects_t_below_one():
 
 @pytest.mark.parametrize(
     "proc",
-    [MarkovIID(0.07), MarkovIID(0.5), Table(CONCAVE8), Table((0.2, 0.2, 0.9))],
+    [MarkovIID(0.07), MarkovIID(0.5), Table(CONCAVE8), Table((0.2, 0.2, 0.9)), *WALK_EDGES],
 )
 def test_marginals_nondecreasing(proc):
-    vals = [marginal_p(proc, t) for t in range(0, 25)]
+    vals = [marginal_p(proc, t) for t in range(0, 41)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
+    # the walk is the scalar bit for bit, past a table's end too
+    assert [p.hex() for p in islice(marginals(proc), 41)] == [p.hex() for p in vals]
 
 
-@pytest.mark.parametrize("proc", [MarkovIID(0.35), Table(CONCAVE8)])
+@pytest.mark.parametrize("proc", [MarkovIID(0.35), Table(CONCAVE8), *WALK_EDGES])
 def test_marginal_hazard_consistency(proc):
     # 1 - p(t) must equal the product of (1 - h(k)) up to rounding
     limit = len(proc.values) if isinstance(proc, Table) else 20
@@ -82,6 +101,10 @@ def test_marginal_hazard_consistency(proc):
     for t in range(1, limit + 1):
         survival *= 1.0 - hazard(proc, t)
         assert math.isclose(1.0 - marginal_p(proc, t), survival, abs_tol=1e-12)
+    # the walk and its scalar view give the two-marginal formula bit for bit
+    expected = [_two_marginal_hazard(proc, t).hex() for t in range(1, 41)]
+    assert [h.hex() for h in islice(hazards(proc), 40)] == expected
+    assert [hazard(proc, t).hex() for t in range(1, 41)] == expected
 
 
 def test_check_c1_markov_always_true():

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used in its module or
-re-exported through its `__all__`, and every module-level private name is
-used somewhere in the package: lint checks that need no linter."""
+re-exported through its `__all__`, every module-level private name is
+used somewhere in the package, and p(t) and h(t) are walked only by
+`attack.marginals` and `attack.hazards`: lint checks that need no linter."""
 
 import ast
 import pathlib
@@ -83,3 +84,45 @@ def test_the_check_sees_a_dead_private_name():
                        "_X: int = 1\n_y = _used\n__all__ = []\n"),
              ast.parse("from m import _y\n")]
     assert _dead_private_names(trees) == ["_X", "_dead"]
+
+
+# the scalar views of the one walk; stepping them over t repeats the walk
+_SCALAR_VIEWS = {"marginal_p", "hazard"}
+_REPEATED = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+
+
+def _scalar_walks(tree, walks=()) -> list:
+    """Lines that reference `marginal_p` or `hazard` inside a loop, a
+    comprehension or a `map`/`partial` call, outside the functions `walks`."""
+    found = set()
+
+    def visit(node, repeated):
+        if isinstance(node, ast.FunctionDef) and node.name in walks:
+            return
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if repeated and name in _SCALAR_VIEWS:
+            found.add(node.lineno)
+        repeated = repeated or isinstance(node, _REPEATED) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("map", "partial"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, repeated)
+
+    visit(tree, False)
+    return sorted(found)
+
+
+def test_only_the_walk_steps_the_marginals():
+    # every per-arm table reads `attack.marginals` (or `hazards`) through islice
+    walks = {path.name: _scalar_walks(ast.parse(path.read_text()),
+                                      ("marginals", "hazards") if path.name == "attack.py" else ())
+             for path in MODULES}
+    assert {name: lines for name, lines in walks.items() if lines} == {}
+
+
+def test_the_check_sees_a_scalar_walk():
+    tree = ast.parse("def marginals(p):\n    for t in count(): yield marginal_p(p, t)\n"
+                     "a = [hazard(p, t) for t in r]\nb = map(partial(marginal_p, p), r)\n"
+                     "while True:\n    c = m.marginal_p(p, 1)\nd = marginal_p(p, 1)\n")
+    assert _scalar_walks(tree, ("marginals",)) == [3, 4, 6]

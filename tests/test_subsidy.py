@@ -20,7 +20,7 @@ from probesched import (
     whittle_index,
 )
 from probesched.subsidy import (
-    DEFAULT_T_CAP,
+    T_CAP,
     _arm_table,
     _converged,
     _policy_rates,
@@ -54,7 +54,7 @@ def _criterion_8_specs():
 
 def _rates(spec, lam, gamma):
     """(activation rate, cost rate) of the threshold-with-mixing policy."""
-    return _policy_rates(spec, lam, gamma, _arm_table(spec, DEFAULT_T_CAP))[:2]
+    return _policy_rates(spec, lam, gamma, _arm_table(spec))[:2]
 
 
 def test_negative_subsidy_probes_immediately():
@@ -93,11 +93,10 @@ def test_gain_values_by_hand():
 def test_gain_envelope_at_cap_saturation():
     spec = markov_spec(0.5)
     lam = 50.0
-    t_cap = 7
-    res = gain(spec, lam, t_cap=t_cap)
-    assert res.t0_star == t_cap
+    res = gain(spec, lam)
+    assert res.t0_star == T_CAP
     assert res.g <= lam
-    assert lam - res.g <= lam / t_cap + spec.cost
+    assert lam - res.g <= lam / T_CAP + spec.cost
 
 
 def test_stopping_time_nondecreasing_in_subsidy():
@@ -127,9 +126,8 @@ def test_activation_rate_values():
 
 def test_activation_rate_cap_saturation():
     spec = markov_spec(0.5)
-    t_cap = 9
-    rate = activation_rate(spec, 1e6, t_cap=t_cap)
-    assert rate == pytest.approx(1.0 / (t_cap + marginal_p(spec.process, t_cap)), abs=1e-12)
+    rate = activation_rate(spec, 1e6)
+    assert rate == pytest.approx(1.0 / (T_CAP + marginal_p(spec.process, T_CAP)), abs=1e-12)
 
 
 def test_activation_rate_nonincreasing():
@@ -270,15 +268,6 @@ def test_average_cost_rate_matches_renewal_formula():
         assert average_cost_rate(spec, lam) == pytest.approx(expected, abs=1e-9)
 
 
-def test_invalid_t_cap_rejected():
-    with pytest.raises(ValueError):
-        optimal_stopping(markov_spec(0.5), 0.2, t_cap=0)
-    with pytest.raises(ValueError):
-        gain(markov_spec(0.5), 0.2, t_cap=-1)
-    with pytest.raises(ValueError):
-        solve_lambda_star([markov_spec(0.5)] * 2, 1, t_cap=0)
-
-
 def test_walk_matches_renewal_formula_at_index_multipliers():
     # At lam = W(0, t) the threshold policy probes t0 = t + 1 slots after a
     # healthy observation when ties stay passive (gamma = 0) and t0 = t when
@@ -290,7 +279,7 @@ def test_walk_matches_renewal_formula_at_index_multipliers():
         for spec in specs:
             p = lambda t: marginal_p(spec.process, t)
             w = lambda t: whittle_index(spec, ArmState(0, t))
-            table = _arm_table(spec, DEFAULT_T_CAP)
+            table = _arm_table(spec)
             t = 1
             while not _converged(spec.process, t, p(t)) and w(t + 1) > w(t):
                 for gamma, t0 in ((0.0, t + 1), (1.0, t)):
@@ -349,14 +338,14 @@ def test_parked_arm_reports_zero_rate_and_cap():
     specs = random_strict_specs(4, seed=5_007)
     plan = solve_lambda_star(specs, 1)
     assert plan.rates[2] == 0.0
-    assert plan.t0_star[2] == DEFAULT_T_CAP
+    assert plan.t0_star[2] == T_CAP
     assert [r > 0.0 for r in plan.rates] == [True, True, False, True]
     assert sum(plan.rates) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_float_zero_markov_arm_converges_at_once():
     # 1 - 1e-175 == 1.0, so the middle arm's p(t) is 0.0 at every t and its
-    # index is 0; each of its walks once ran to t_cap (about 3 s a solve).
+    # index is 0; each of its walks once ran to T_CAP (about 3 s a solve).
     # The plan is the one those full walks gave, bit for bit.
     specs = [markov_spec(0.3, cost=1.0), markov_spec(1e-175, cost=2.0), markov_spec(0.6, cost=0.7)]
     start = time.perf_counter()
@@ -364,7 +353,7 @@ def test_float_zero_markov_arm_converges_at_once():
     assert time.perf_counter() - start < 0.5
     assert plan.lambda_star == float.fromhex("0x1.5ad6b5ad6b5b1p-2")
     assert plan.mixing == (0.0, 0.0, float.fromhex("0x1.e64bcc97992f2p-1"))
-    assert plan.t0_star == (2, DEFAULT_T_CAP, 1)
+    assert plan.t0_star == (2, T_CAP, 1)
     assert plan.rates == (float.fromhex("0x1.97f7d73404147p-2"), 0.0,
                           float.fromhex("0x1.34041465fdf5cp-1"))
 
@@ -391,7 +380,7 @@ def test_zero_subsidy_mixes_at_the_fresh_repair(spec, gamma):
 
 def test_plan_t0_star_is_the_first_slot_the_plan_may_probe():
     # relaxed_select probes (0, t) when W(0, t) > lam*, or when W(0, t) =
-    # lam* and the arm mixes; t0_star is the first such t >= 1, and t_cap
+    # lam* and the arm mixes; t0_star is the first such t >= 1, and T_CAP
     # for a parked arm.  Criterion 8's 20 instances.
     rng = np.random.default_rng(88)
     for trial in range(20):
@@ -404,8 +393,8 @@ def test_plan_t0_star_is_the_first_slot_the_plan_may_probe():
                 w = whittle_index(spec, ArmState(0, t))
                 return w > lam or (w == lam and plan.mixing[idx] > 0.0)
 
-            first = next((t for t in range(1, DEFAULT_T_CAP + 1) if may_probe(t)),
-                         DEFAULT_T_CAP)
+            first = next((t for t in range(1, T_CAP + 1) if may_probe(t)),
+                         T_CAP)
             assert plan.t0_star[idx] == first, (trial, idx, plan)
             assert (plan.rates[idx] == 0.0) == (not may_probe(first))
 
@@ -432,7 +421,7 @@ def test_lambda_star_reaches_past_slot_64_of_a_late_converging_arm():
 
 
 def test_lambda_star_is_the_smallest_candidate_within_budget():
-    # Candidates taken from every positive W(0, t), t <= DEFAULT_T_CAP, of
+    # Candidates taken from every positive W(0, t), t <= T_CAP, of
     # every arm: lambda* is 0 or a candidate, the gamma = 0 rates sum to at
     # most K there, and at the largest candidate below it they sum to more.
     # Criterion 8's instances, the late-converging pair, and the pair with
@@ -441,8 +430,8 @@ def test_lambda_star_is_the_smallest_candidate_within_budget():
                  (_late_converging_pair(slow_q=0.01, slow_cost=0.01), 1)]
     for specs, k in instances:
         plan = solve_lambda_star(specs, k)
-        cands = sorted({v for s in specs for v in index_values(s, DEFAULT_T_CAP) if v > 0.0})
-        tables = [_arm_table(s, DEFAULT_T_CAP) for s in specs]
+        cands = sorted({v for s in specs for v in index_values(s, T_CAP) if v > 0.0})
+        tables = [_arm_table(s) for s in specs]
         total = lambda lam: sum(_policy_rates(s, lam, 0.0, table)[0]
                                 for s, table in zip(specs, tables))
         assert plan.lambda_star == 0.0 or plan.lambda_star in cands, (specs, plan)
@@ -458,7 +447,7 @@ def test_arm_table_indices_match_index_values():
     specs = [s for specs in _criterion_8_specs() for s in specs]
     specs += [markov_spec(0.01, cost=0.7), markov_spec(1e-175, cost=2.0)]
     for spec in specs:
-        p, w = _arm_table(spec, DEFAULT_T_CAP)
+        p, w = _arm_table(spec)
         assert len(w) == len(p)
         assert [x.hex() for x in w] == [x.hex() for x in index_values(spec, len(p) - 1)]
 

@@ -12,11 +12,11 @@ from probesched import (
     check_c1,
     index_table,
     indifference_gap,
-    marginal_p,
     verify_strict_indexability,
     whittle_index,
 )
 import probesched.whittle
+from probesched.attack import marginals
 from probesched.whittle import index_rows, index_values
 from helpers import concave_spec, markov_spec, random_strict_specs
 
@@ -149,18 +149,20 @@ def test_monotone_index_for_fixed_branch():
 
 @pytest.mark.parametrize("spec", [markov_spec(0.3), concave_spec()], ids=["markov", "table"])
 def test_index_values_takes_each_marginal_once(monkeypatch, spec):
-    # p(t + 1) is carried forward as the next slot's p(t)
-    calls = []
+    # p(t + 1) is carried forward as the next slot's p(t): the walk is drawn
+    # once, p(0) skipped and p(1)..p(horizon + 1) each read once
+    drawn = []
 
-    def counted(process, t):
-        calls.append(t)
-        return marginal_p(process, t)
+    def counted(process):
+        for t, p in enumerate(marginals(process)):
+            drawn.append(t)
+            yield p
 
     horizon = 40
     expected = index_values(spec, horizon)
-    monkeypatch.setattr(probesched.whittle, "marginal_p", counted)
+    monkeypatch.setattr(probesched.whittle, "marginals", counted)
     assert index_values(spec, horizon) == expected
-    assert calls == list(range(1, horizon + 2))
+    assert drawn == list(range(horizon + 2))
 
 
 @pytest.mark.parametrize("spec", [markov_spec(0.3), concave_spec()], ids=["markov", "table"])
