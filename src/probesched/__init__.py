@@ -8,6 +8,8 @@ them against exact finite-horizon dynamic programming on small instances,
 and solves the time-averaged probe budget via a passivity subsidy.
 """
 
+import importlib
+
 from .arm import ACTIVE, PASSIVE, ArmState, belief_abnormal, transition
 from .attack import (
     ComponentSpec,
@@ -19,16 +21,8 @@ from .attack import (
     hazard,
     marginal_p,
 )
-from .oracle import SearchSpaceError, dp_optimal, policy_evaluate_exact
-from .policies import (
-    queue_init,
-    queue_step,
-    select_myopic,
-    select_random,
-    select_whittle,
-)
+from .guard import SearchSpaceError
 from .queueing import CustomerClass, QueueNetworkSpec, to_rmab
-from .sim import RunConfig, run
 from .subsidy import (
     activation_rate,
     gain,
@@ -38,6 +32,34 @@ from .subsidy import (
     solve_lambda_star,
 )
 from .whittle import index_table, verify_strict_indexability, whittle_index
+
+# The names of the array modules, which import numpy, are bound on first
+# access (`__getattr__`, PEP 562), so importing the package loads none of
+# them.
+_ARRAY_NAMES = {
+    "dp_optimal": "oracle",
+    "policy_evaluate_exact": "oracle",
+    "queue_init": "policies",
+    "queue_step": "policies",
+    "select_myopic": "policies",
+    "select_random": "policies",
+    "select_whittle": "policies",
+    "RunConfig": "sim",
+    "run": "sim",
+}
+
+
+def __getattr__(name):
+    if name not in _ARRAY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ARRAY_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "ACTIVE",

@@ -8,11 +8,8 @@ then.  Probing resets t to 1; waiting increments it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
-import numpy as np
-
-from .attack import ComponentSpec, marginal_p, marginals
+from .attack import ComponentSpec, marginal_p
 
 PASSIVE = 0
 ACTIVE = 1
@@ -43,19 +40,6 @@ def belief_abnormal(spec: ComponentSpec, state: ArmState) -> float:
     if state.t < 1:
         raise ValueError("belief is undefined at the (0,0) sentinel")
     return marginal_p(spec.process, state.t - state.i)
-
-
-def by_code(by_clock) -> np.ndarray:
-    """Per-arm rows over the clock t - i (slots since the last reset),
-    re-indexed by arm-state code i * width + t, t < width = the rows'
-    length.  The unused code of (1, 0) reads clock 0."""
-    t = np.arange(len(by_clock[0]))
-    return np.take(by_clock, np.maximum(t - np.arange(2)[:, None], 0).ravel(), axis=1)
-
-
-def belief_codes(specs, width: int) -> np.ndarray:
-    """b[n, i * width + t] = belief_abnormal(specs[n], ArmState(i, t)), t < width."""
-    return by_code([list(islice(marginals(s.process), width)) for s in specs])
 
 
 def transition(state: ArmState, action: int, observation: int | None = None) -> ArmState:

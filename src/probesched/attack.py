@@ -67,6 +67,12 @@ class ComponentSpec:
         if not math.isfinite(c) or c < 0.0:
             raise ValueError(f"cost must be finite and nonnegative, got {self.cost!r}")
         object.__setattr__(self, "cost", c)
+        # the dataclass hash of the fields, taken once: `whittle_index`'s
+        # memo hashes the spec on every lookup
+        object.__setattr__(self, "_hash", hash((self.process, c)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def marginals(process: AttackProcess):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -20,20 +21,43 @@ import sys
 
 from .arm import ArmState
 from .attack import component_from_json, component_to_json
-from .oracle import (
-    DEFAULT_BOUND,
-    EXACT_POLICIES,
-    SearchSpaceError,
-    dp_optimal,
-    one_graph,
-    policy_evaluate_exact,
-)
-from .policies import POLICY_NAMES
+from .guard import DEFAULT_BOUND, SearchSpaceError
 from .presets import PRESETS
 from .queueing import queue_network_from_json, to_rmab
-from .sim import RunConfig, run
 from .subsidy import solve_lambda_star
 from .whittle import index_rows
+
+# The names this module takes from the array modules, which import numpy.
+# `_arrays` binds them before a subcommand that needs them runs; `index`
+# and `subsidy` never do, so they run without numpy.  Each name stays a
+# module attribute the subcommands call through, so a wrapper set on it is
+# the one they call.
+_ARRAY_NAMES = {
+    "EXACT_POLICIES": "oracle",
+    "dp_optimal": "oracle",
+    "one_graph": "oracle",
+    "policy_evaluate_exact": "oracle",
+    "POLICY_NAMES": "policies",
+    "RunConfig": "sim",
+    "run": "sim",
+}
+_CORE_COMMANDS = ("index", "subsidy")
+
+
+def _arrays():
+    """Bind every array-backed name not bound yet; a name already set, by
+    a tracer or a test, is kept."""
+    for name, module in _ARRAY_NAMES.items():
+        if name not in globals():
+            globals()[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name):
+    # PEP 562: an array-backed name is bound on its first access
+    if name not in _ARRAY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _arrays()
+    return globals()[name]
 
 
 class ConfigError(Exception):
@@ -298,6 +322,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        if args.command not in _CORE_COMMANDS:
+            _arrays()
         header, rows = COMMANDS[args.command](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,25 +27,12 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .arm import ArmState, belief_codes
-from .policies import rank_table, smallest_k
+from .arm import ArmState
+from .guard import DEFAULT_BOUND, SearchSpaceError
+from .policies import belief_codes, rank_table, smallest_k
 
-DEFAULT_BOUND = 10_000_000
 # the rank policies `policy_evaluate_exact` takes by name
 EXACT_POLICIES = ("whittle", "myopic")
-
-
-class SearchSpaceError(RuntimeError):
-    """Raised when a problem's size exceeds the bound set on it: the
-    oracle's reachable joint states x horizon, its belief table, or the
-    branch entries (states x K-subsets x 2^K outcomes x N arms) of its
-    layers so far, checked before each layer is expanded; the simulator's
-    run size; or the rows of an index table."""
-
-    def __init__(self, count: int, bound: int, what: str):
-        self.count = count
-        self.bound = bound
-        super().__init__(f"search space too large: {count} {what} exceeds the bound {bound}")
 
 
 def _unique_rows(rows, base: int):

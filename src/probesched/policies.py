@@ -6,7 +6,9 @@ below are validated R = 1 views of them.  `top_k` ranks (R, N) rows;
 `rank_table` ranks every arm state of every arm once, for the index,
 myopic and queue policies alike; the per-slot rules `smallest_k` and
 `random_k` work on arm-major (N, R) columns, the simulator's layout, where
-every step is a pass over contiguous rows of R.
+every step is a pass over contiguous rows of R.  `by_code` lays per-arm
+values out by arm-state code, the index of every per-code table here, in
+the simulator and in the oracle.
 
 All index-ranked selectors break ties by the same deterministic chain:
 larger index, then larger cost-weighted abnormal belief, then longer time
@@ -19,13 +21,28 @@ queue itself is the chain on probe age alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .arm import belief_abnormal, belief_codes, by_code
+from .arm import belief_abnormal
+from .attack import marginals
 from .whittle import index_values, whittle_index
 
 POLICY_NAMES = ("whittle", "myopic", "queue", "random")
+
+
+def by_code(by_clock) -> np.ndarray:
+    """Per-arm rows over the clock t - i (slots since the last reset),
+    re-indexed by arm-state code i * width + t, t < width = the rows'
+    length.  The unused code of (1, 0) reads clock 0."""
+    t = np.arange(len(by_clock[0]))
+    return np.take(by_clock, np.maximum(t - np.arange(2)[:, None], 0).ravel(), axis=1)
+
+
+def belief_codes(specs, width: int) -> np.ndarray:
+    """b[n, i * width + t] = belief_abnormal(specs[n], ArmState(i, t)), t < width."""
+    return by_code([list(islice(marginals(s.process), width)) for s in specs])
 
 
 def top_k(primary, weighted_belief, age, k: int) -> np.ndarray:

@@ -51,10 +51,9 @@ from itertools import islice, pairwise
 
 import numpy as np
 
-from .arm import by_code
 from .attack import ComponentSpec, hazards
-from .oracle import SearchSpaceError
-from .policies import POLICY_NAMES, random_k, rank_table, smallest_k
+from .guard import SearchSpaceError
+from .policies import POLICY_NAMES, by_code, random_k, rank_table, smallest_k
 
 # a bound on a run's size in uniform draws, 8 B or about 50 ns each: the
 # R x N x T uniforms it draws from its arm streams (about 16 times fig4's),

@@ -21,8 +21,6 @@ import bisect
 from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
 from .arm import ArmState
 from .attack import ComponentSpec, Table, marginal_p, marginals
 from .whittle import index_from_marginals, whittle_index
@@ -304,6 +302,8 @@ def single_arm_q(spec: ComponentSpec, lam: float, state: ArmState, horizon: int)
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if state.t < 1:
         raise ValueError("action values are undefined at the (0,0) sentinel")
+    import numpy as np  # here, so that a plan is solved without loading numpy
+
     proc, c = spec.process, spec.cost
     tmax = state.t + horizon + 2
     p = np.fromiter(islice(marginals(proc), tmax + 2), float, tmax + 2)

@@ -1,16 +1,26 @@
-"""Shared fixtures: reference processes, random spec generators and the
-reference relaxed-budget solve."""
+"""Shared fixtures: reference processes, random spec generators, the
+reference relaxed-budget solve and the environment of a child interpreter."""
 
 import bisect
+import os
 
 import numpy as np
 
+import probesched
 from probesched import ComponentSpec, MarkovIID, Table
 from probesched.subsidy import RelaxedPlan, _marginals, _policy_rates
 from probesched.whittle import index_values
 
 # Concave marginal table used by the bundled index preset: p(1)..p(8).
 CONCAVE8 = (0.5, 0.7, 0.85, 0.95, 0.97, 0.975, 0.978, 0.98)
+
+
+def child_env():
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(probesched.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def concave_spec(cost=1.0):

@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 import probesched
 from probesched.cli import main
 from probesched.presets import FIG2, FIG3, FIG4, PRESETS
+from helpers import child_env
 
 
 def _run(args, capsys=None):
@@ -358,12 +358,9 @@ def test_infinite_cost_rejected(tmp_path, capsys, command):
 
 
 def test_module_entry_point_prints_csv(tmp_path):
-    src = os.path.dirname(os.path.dirname(probesched.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "probesched.cli", "index", "--preset", "fig2"],
-        capture_output=True, env=env, check=False,
+        capture_output=True, env=child_env(), check=False,
     )
     out = tmp_path / "idx.csv"
     assert main(["index", "--preset", "fig2", "--out", str(out)]) == 0
@@ -582,25 +579,62 @@ def test_simulate_negative_seed_exits_promptly(capsys):
     assert "expected non-negative integer" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random is imported on the first simulation, not at start-up
-    src = os.path.dirname(os.path.dirname(probesched.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, probesched.cli; print('numpy.random' in sys.modules)"],
-        capture_output=True, env=env, check=True, text=True,
-    )
-    assert proc.stdout.strip() == "False"
+# Imports the CLI, then runs each op in argv[2] (JSON) with --out
+# argv[1]/<op>.csv; prints whether numpy was loaded after the import and
+# after each op.
+_NUMPY_FREE_CHILD = """
+import json, sys
+import probesched.cli as cli
+loaded = ["numpy" in sys.modules]
+for op, argv in json.loads(sys.argv[2]).items():
+    assert cli.main([*argv, "--out", f"{sys.argv[1]}/{op}.csv"]) == 0
+    loaded.append("numpy" in sys.modules)
+print(*loaded)
+"""
+# A benchmark tracer's view: the hooked names resolve on the module before
+# any op runs, and a wrapper set on `dp_optimal` is what `oracle` calls.
+_TRACER_CHILD = """
+import sys
+import probesched.cli as cli
+hooks = ("dp_optimal", "policy_evaluate_exact", "run", "solve_lambda_star")
+resolved = [callable(getattr(cli, name)) for name in hooks]
+solve, horizons = cli.dp_optimal, []
+def counted(specs, initial, k, horizon, *rest):
+    horizons.append(horizon)
+    return solve(specs, initial, k, horizon, *rest)
+cli.dp_optimal = counted
+code = cli.main(["oracle", "--preset", "fig3", "--horizon", "4", "--out", sys.argv[1]])
+print(*resolved, code, *horizons)
+"""
+
+
+def test_index_and_subsidy_run_without_numpy(tmp_path):
+    cfg = _write_cfg(tmp_path, {"components": [{"kind": "markov", "q": 0.3, "cost": 1.0},
+                                               {"kind": "table", "p": [0.2, 0.5], "cost": 0.7}],
+                                "K": 1})
+    ops = {"index": ["index", "--preset", "fig2"], "subsidy": ["subsidy", "--config", cfg]}
+    child, here = tmp_path / "child", tmp_path / "here"
+    child.mkdir()
+    here.mkdir()
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_CHILD, str(child), json.dumps(ops)],
+                          capture_output=True, env=child_env(), check=True, text=True)
+    assert proc.stdout.split() == ["False", "False", "False"]
+    for op, argv in ops.items():
+        assert main([*argv, "--out", str(here / f"{op}.csv")]) == 0
+        assert (child / f"{op}.csv").read_bytes() == (here / f"{op}.csv").read_bytes()
+
+    out = tmp_path / "oracle.csv"
+    proc = subprocess.run([sys.executable, "-c", _TRACER_CHILD, str(out)],
+                          capture_output=True, env=child_env(), check=True, text=True)
+    assert proc.stdout.split() == ["True"] * 4 + ["0", "4", "3", "2", "1"]
+    assert main(["oracle", "--preset", "fig3", "--horizon", "4",
+                 "--out", str(here / "oracle.csv")]) == 0
+    assert out.read_bytes() == (here / "oracle.csv").read_bytes()
 
 
 def test_simulate_leaves_numpy_random_unloaded(tmp_path):
     # every simulator stream is an array PCG64 inside `sim`, so no numpy
     # Generator is built: fig4's preset, then the queue and random policies
-    src = os.path.dirname(os.path.dirname(probesched.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cfg = _write_cfg(tmp_path, {**FIG4, "policies": ["queue", "random"]})
     tiny = ["--replications", "3", "--horizon", "6", "--out", str(tmp_path / "sim.csv")]
     code = ("import sys; from probesched.cli import main; "
@@ -608,7 +642,7 @@ def test_simulate_leaves_numpy_random_unloaded(tmp_path):
             f"main(['simulate', '--config', {cfg!r}, *{tiny!r}])]; "
             "print(*codes, 'numpy.random' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, env=env, check=True, text=True)
+                          capture_output=True, env=child_env(), check=True, text=True)
     assert proc.stdout.split() == ["0", "0", "False"]
 
 
@@ -639,12 +673,9 @@ def test_bad_argv_leaves_the_next_call_unchanged(tmp_path, capsys):
 
 def test_cli_import_builds_no_parser():
     # the parser is built by the first `main` call, not at import
-    src = os.path.dirname(os.path.dirname(probesched.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import probesched.cli as cli; print(cli._parser.cache_info().currsize)"],
-        capture_output=True, env=env, check=True, text=True,
+        capture_output=True, env=child_env(), check=True, text=True,
     )
     assert proc.stdout.strip() == "0"

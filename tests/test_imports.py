@@ -1,15 +1,24 @@
 """Every module-level import in the package is used in its module or
 re-exported through its `__all__`, every module-level private name is
-used somewhere in the package, and p(t) and h(t) are walked only by
-`attack.marginals` and `attack.hazards`: lint checks that need no linter."""
+used somewhere in the package, p(t) and h(t) are walked only by
+`attack.marginals` and `attack.hazards`, and only the array modules import
+numpy when they are imported: lint checks that need no linter.  And the
+package namespace, whose array-backed names are bound on first access,
+stays complete."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
 import probesched
+import probesched.cli
+import probesched.oracle
+import probesched.sim
+from helpers import child_env
 
 MODULES = sorted(pathlib.Path(probesched.__file__).parent.glob("*.py"))
 
@@ -126,3 +135,75 @@ def test_the_check_sees_a_scalar_walk():
                      "a = [hazard(p, t) for t in r]\nb = map(partial(marginal_p, p), r)\n"
                      "while True:\n    c = m.marginal_p(p, 1)\nd = marginal_p(p, 1)\n")
     assert _scalar_walks(tree, ("marginals",)) == [3, 4, 6]
+
+
+# the modules that work on numpy arrays; every other one runs without numpy
+ARRAY_MODULES = {"oracle", "policies", "sim"}
+
+
+def _array_imports(tree) -> list:
+    """(line, module) of each import of numpy or of an array module that
+    runs when the module is imported: any outside a function body."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found.extend((node.lineno, base if node.module else base + a.name)
+                         for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return [(line, name) for line, name in found
+            if name.split(".")[0] == "numpy"
+            or name.lstrip(".").removeprefix("probesched.").split(".")[0] in ARRAY_MODULES]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem not in ARRAY_MODULES],
+                         ids=lambda p: p.name)
+def test_only_the_array_modules_import_numpy(path):
+    assert _array_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_an_array_import():
+    tree = ast.parse("import numpy.random\nfrom .sim import run\nfrom . import oracle, arm\n"
+                     "from probesched.policies import x\nfrom .arm import y\n"
+                     "class C:\n    import numpy as np\n"
+                     "def f():\n    import numpy as np\n    from .sim import run\n")
+    assert _array_imports(tree) == [(1, "numpy.random"), (2, ".sim"), (3, ".oracle"),
+                                    (4, "probesched.policies"), (7, "numpy")]
+
+
+def test_the_lazy_namespace_is_complete():
+    # `dir` in a fresh interpreter, where no array-backed name is bound yet
+    code = ("import sys, probesched; print(set(probesched.__all__) - set(dir(probesched)), "
+            "'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env(),
+                          check=True, text=True)
+    assert proc.stdout.split() == ["set()", "False"]
+    for name in probesched.__all__:
+        getattr(probesched, name)
+    for module in (probesched, probesched.cli):
+        with pytest.raises(AttributeError):
+            getattr(module, "no_such_name")
+
+
+def test_one_search_space_error(monkeypatch, capsys):
+    # the class `oracle` re-exports is the one every guard raises and
+    # `cli.main` maps to exit 3
+    from probesched.oracle import SearchSpaceError
+
+    assert SearchSpaceError is probesched.SearchSpaceError is probesched.cli.SearchSpaceError
+    assert SearchSpaceError is probesched.sim.SearchSpaceError
+
+    def refuse(*args):
+        raise SearchSpaceError(2, 1, "states")
+
+    monkeypatch.setattr(probesched.oracle, "_graph", refuse)
+    assert probesched.cli.main(["oracle", "--preset", "fig3"]) == 3
+    assert capsys.readouterr().err.startswith("refused: search space too large: 2 states")

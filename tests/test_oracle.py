@@ -20,9 +20,8 @@ from probesched import (
 import probesched.oracle
 import probesched.policies
 from probesched.cli import main
-from probesched.arm import belief_codes
 from probesched.oracle import EXACT_POLICIES, _graph, _rank_picks, _unique_rows, one_graph
-from probesched.policies import myopic_policy, whittle_policy
+from probesched.policies import belief_codes, myopic_policy, whittle_policy
 from probesched.subsidy import average_cost_rate, solve_lambda_star
 from helpers import markov_spec
 

@@ -185,3 +185,18 @@ def test_index_rows_hold_no_list_of_indices():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10
+
+
+def test_equal_specs_share_one_memo_entry_without_rehashing(monkeypatch):
+    # the memo hashes the spec on every lookup; the spec hashes its fields
+    # once, when it is built, to the value the dataclass hash gives
+    a, b = (ComponentSpec(Table((0.2, 0.5, 0.6)), 1.5) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b) == hash((a.process, a.cost))
+    table_hash, hashed = Table.__hash__, []
+    monkeypatch.setattr(Table, "__hash__", lambda self: hashed.append(self) or table_hash(self))
+    probesched.whittle._cached_values.cache_clear()
+    values = {whittle_index(spec, ArmState(0, 3)).hex() for spec in (a, b, a)}
+    info = probesched.whittle._cached_values.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    assert values == {index_values(a, 3)[3].hex()}
+    assert hashed == []
