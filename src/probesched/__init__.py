@@ -23,14 +23,7 @@ from .attack import (
 )
 from .guard import SearchSpaceError
 from .queueing import CustomerClass, QueueNetworkSpec, to_rmab
-from .subsidy import (
-    activation_rate,
-    gain,
-    indifference_gap,
-    optimal_stopping,
-    relaxed_select,
-    solve_lambda_star,
-)
+from .subsidy import indifference_gap, optimal_stopping, relaxed_select, solve_lambda_star
 from .whittle import index_table, verify_strict_indexability, whittle_index
 
 # The names of the array modules, which import numpy, are bound on first
@@ -72,13 +65,11 @@ __all__ = [
     "RunConfig",
     "SearchSpaceError",
     "Table",
-    "activation_rate",
     "belief_abnormal",
     "check_c1",
     "component_from_json",
     "component_to_json",
     "dp_optimal",
-    "gain",
     "hazard",
     "index_table",
     "indifference_gap",

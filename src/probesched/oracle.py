@@ -104,7 +104,7 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
     probed = (outcomes.T * width + 1).astype(np.int32)  # (K, 2^K): an arm's code after a probe
     layers = [np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)]
-    costs, edges, arms, seen, total = [], [], None, None, 0
+    costs, edges, arms, total = [], [], None, 0
     for slot in range(horizon):
         layer = layers[-1]
         total += len(layer) * entries
@@ -129,11 +129,6 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
         nxt, child = _unique_rows(child, 2 * width)
         layers.append(nxt)
         edges.append((group, child, pr))
-        if seen is not None or sum(map(len, layers)) > bound // horizon:  # union <= this sum
-            seen = _unique_rows(np.concatenate(layers if seen is None else [seen, nxt]),
-                                2 * width)[0]
-        if seen is not None and len(seen) > bound // horizon:
-            raise SearchSpaceError(len(seen), bound, f"reachable joint states x horizon {horizon}")
 
 
 # Inside `one_graph`: a one-item list holding (instance key, horizon, graph,

@@ -31,36 +31,37 @@ _CONVERGENCE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SubsidyPolicy:
-    """Probe delays after a 0- and a 1-observation.  t1_star = t0_star + 1
-    for nonnegative subsidies; a negative subsidy makes every state active."""
+    """The optimal stopping rule under a subsidy: probe delays after a 0-
+    and a 1-observation (t1_star = t0_star + 1 for nonnegative subsidies; a
+    negative subsidy makes every state active), the average reward g per
+    slot it earns, and its activation rate 1 / (t0_star + p(t0_star)): each
+    probe cycle lasts t0_star slots plus one more when the probe finds the
+    component abnormal."""
 
     t0_star: int
     t1_star: int
-
-
-@dataclass(frozen=True)
-class GainResult:
-    """Maximum average reward per slot under the subsidy, and its argmax."""
-
     g: float
-    t0_star: int
+    activation_rate: float
 
 
 @dataclass(frozen=True)
 class RelaxedPlan:
     """Common multiplier lam*, per-arm boundary mixing probabilities, and
-    the resulting stopping delays and activation rates.
+    the resulting stopping delays, activation rates and abnormal cost
+    rates per slot.
 
     t0_star is the first t >= 1 at which the plan may probe an arm after a
     0-observation: W(0, t) > lam*, or W(0, t) = lam* and the arm's mixing
     is positive, the rule `relaxed_select` applies.  A parked arm (its
     index stays below lam*, so it is never probed again) reports activation
-    rate 0.0 and t0_star = T_CAP."""
+    rate 0.0, t0_star = T_CAP and the cost rate c p(T_CAP) of its settled
+    belief."""
 
     lambda_star: float
     mixing: tuple
     t0_star: tuple
     rates: tuple
+    cost_rates: tuple
 
 
 def _objective(spec: ComponentSpec, lam: float, t: int, p_t: float, cum: float) -> float:
@@ -106,27 +107,16 @@ def _best_stopping(spec: ComponentSpec, lam: float):
 
 
 def optimal_stopping(spec: ComponentSpec, lam: float) -> SubsidyPolicy:
-    """Optimal probe delays under subsidy lam, searching t0 in [1, T_CAP]."""
-    t0 = gain(spec, lam).t0_star
-    return SubsidyPolicy(t0_star=t0, t1_star=1 if lam < 0.0 else t0 + 1)
-
-
-def gain(spec: ComponentSpec, lam: float) -> GainResult:
-    """Average reward of the optimal stopping rule (cycle-reward formula
-    evaluated at t0*; a negative subsidy pins t0* = 1)."""
+    """The optimal stopping rule under subsidy lam, t0 searched in
+    [1, T_CAP], from one scan of the arm's slots; g is the cycle-reward
+    formula at t0*.  A negative subsidy pins t0* = 1 and reads only p(1)."""
     if lam < 0.0:
         p1 = marginal_p(spec.process, 1)
-        return GainResult(g=_objective(spec, lam, 1, p1, p1), t0_star=1)
-    t0, v = _best_stopping(spec, lam)
-    return GainResult(g=v, t0_star=t0)
-
-
-def activation_rate(spec: ComponentSpec, lam: float) -> float:
-    """Long-run fraction of active slots, 1 / (t0* + p(t0*)): each probe
-    cycle lasts t0* slots plus one more when the probe finds the component
-    abnormal."""
-    t0 = gain(spec, lam).t0_star
-    return 1.0 / (t0 + marginal_p(spec.process, t0))
+        return SubsidyPolicy(t0_star=1, t1_star=1, g=_objective(spec, lam, 1, p1, p1),
+                             activation_rate=1.0 / (1.0 + p1))
+    t0, g = _best_stopping(spec, lam)
+    return SubsidyPolicy(t0_star=t0, t1_star=t0 + 1, g=g,
+                         activation_rate=1.0 / (t0 + marginal_p(spec.process, t0)))
 
 
 def _activation_prob(w: float, lam: float, gamma: float) -> float:
@@ -216,11 +206,6 @@ def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table):
     return rate, cost_rate, t0
 
 
-def average_cost_rate(spec: ComponentSpec, lam: float, gamma: float = 0.0) -> float:
-    """Long-run abnormal cost per slot under the subsidy-lam policy."""
-    return _policy_rates(spec, lam, gamma, _arm_table(spec))[1]
-
-
 def solve_lambda_star(specs, K: int) -> RelaxedPlan:
     """Smallest multiplier at which the summed activation rates cross K,
     with boundary mixing chosen so the crossing is hit exactly.
@@ -264,8 +249,9 @@ def solve_lambda_star(specs, K: int) -> RelaxedPlan:
                   for tie, r, (s, table) in zip(tied, at0, arms)]
         plan = [_policy_rates(s, lam, m, table) if m else r
                 for m, r, (s, table) in zip(mixing, at0, arms)]
-        rates, _costs, t0s = zip(*plan)
-        return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates)
+        rates, costs, t0s = zip(*plan)
+        return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates,
+                           cost_rates=costs)
 
     if total(0.0) <= K:
         return finish(0.0)

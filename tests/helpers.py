@@ -107,8 +107,9 @@ def reference_solve_lambda_star(specs, K):
             r0, r1 = (_policy_rates(s, lam, gamma, table)[0] for gamma in (0.0, 1.0))
             mixing.append(g if r1 != r0 else 0.0)
             plan.append(_policy_rates(s, lam, mixing[-1], table))
-        rates, _costs, t0s = zip(*plan)
-        return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates)
+        rates, costs, t0s = zip(*plan)
+        return RelaxedPlan(lambda_star=lam, mixing=tuple(mixing), t0_star=t0s, rates=rates,
+                           cost_rates=costs)
 
     if total(0.0, 0.0) <= K:
         return finish(0.0)

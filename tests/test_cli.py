@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -161,6 +162,16 @@ def test_oracle_guard_exit_code(tmp_path):
         "policies": ["whittle"],
     })
     assert main(["oracle", "--config", cfg]) == 3
+    # Again, traced, now that the parser is built and the array modules are
+    # loaded: the branch-entries guard refuses slot 3 at the peak that a
+    # guard on the union of reachable states reached on this instance.
+    tracemalloc.start()
+    try:
+        assert main(["oracle", "--config", cfg]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 75.8 * 2**20
 
 
 def test_subsidy_homogeneous_pair(tmp_path):

@@ -1,4 +1,7 @@
 import bisect
+import dataclasses
+import hashlib
+import json
 import math
 import threading
 import time
@@ -11,8 +14,7 @@ from probesched import (
     ComponentSpec,
     MarkovIID,
     Table,
-    activation_rate,
-    gain,
+    component_to_json,
     marginal_p,
     optimal_stopping,
     relaxed_select,
@@ -24,9 +26,9 @@ from probesched.subsidy import (
     _arm_table,
     _converged,
     _policy_rates,
-    average_cost_rate,
     single_arm_q,
 )
+from probesched.cli import main
 from probesched.whittle import index_values
 from helpers import (
     concave_spec,
@@ -86,14 +88,14 @@ def test_stopping_consistent_with_index_everywhere():
 
 def test_gain_values_by_hand():
     spec = markov_spec(0.5)
-    assert gain(spec, 0.0).g == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    assert gain(spec, -1.0).g == pytest.approx(-2.0 / 3.0, abs=1e-12)
+    assert optimal_stopping(spec, 0.0).g == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert optimal_stopping(spec, -1.0).g == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
 
 def test_gain_envelope_at_cap_saturation():
     spec = markov_spec(0.5)
     lam = 50.0
-    res = gain(spec, lam)
+    res = optimal_stopping(spec, lam)
     assert res.t0_star == T_CAP
     assert res.g <= lam
     assert lam - res.g <= lam / T_CAP + spec.cost
@@ -111,7 +113,7 @@ def test_gain_convex_and_nondecreasing():
     for spec in random_strict_specs(4, seed=17):
         top = whittle_index(spec, ArmState(0, 10))
         grid = np.linspace(0.0, float(top), 41)
-        vals = [gain(spec, float(lam)).g for lam in grid]
+        vals = [optimal_stopping(spec, float(lam)).g for lam in grid]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         for k in range(1, len(vals) - 1):
             assert vals[k] <= 0.5 * (vals[k - 1] + vals[k + 1]) + 1e-9
@@ -119,14 +121,15 @@ def test_gain_convex_and_nondecreasing():
 
 def test_activation_rate_values():
     spec = markov_spec(0.5)
-    assert activation_rate(spec, 0.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert optimal_stopping(spec, 0.0).activation_rate == pytest.approx(2.0 / 3.0, abs=1e-12)
     p1 = marginal_p(spec.process, 1)
-    assert activation_rate(spec, -0.5) == pytest.approx(1.0 / (1.0 + p1), abs=1e-12)
+    assert optimal_stopping(spec, -0.5).activation_rate == pytest.approx(1.0 / (1.0 + p1),
+                                                                         abs=1e-12)
 
 
 def test_activation_rate_cap_saturation():
     spec = markov_spec(0.5)
-    rate = activation_rate(spec, 1e6)
+    rate = optimal_stopping(spec, 1e6).activation_rate
     assert rate == pytest.approx(1.0 / (T_CAP + marginal_p(spec.process, T_CAP)), abs=1e-12)
 
 
@@ -134,8 +137,82 @@ def test_activation_rate_nonincreasing():
     for spec in random_strict_specs(4, seed=29):
         top = whittle_index(spec, ArmState(0, 12))
         grid = np.linspace(0.0, float(top), 80)
-        rates = [activation_rate(spec, float(lam)) for lam in grid]
+        rates = [optimal_stopping(spec, float(lam)).activation_rate for lam in grid]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+# Specs of the stopping-rule pin: fast, slow and float-zero memoryless arms;
+# a concave table; a table clamped flat before its end; one reaching 1.0.
+_PIN_SPECS = [
+    markov_spec(0.5, cost=1.0),
+    markov_spec(0.3, cost=2.0),
+    markov_spec(0.01, cost=0.7),
+    markov_spec(1e-175, cost=2.0),
+    concave_spec(cost=1.0),
+    ComponentSpec(Table((0.2, 0.45, 0.6, 0.6, 0.6)), 1.5),
+    ComponentSpec(Table((0.5, 1.0)), 0.8),
+]
+# (spec, lam, t0_star, t1_star, g, activation rate), recorded from separate
+# gain and activation-rate functions that each scanned the arm; a t0_star of
+# 10000 is T_CAP.
+_STOPPING_PIN = [
+    (0, -0.5, 1, 1, "-0x1.0000000000000p-1", "0x1.5555555555555p-1"),
+    (0, 0.0, 1, 2, "-0x1.5555555555555p-2", "0x1.5555555555555p-1"),
+    (0, 0.4, 1, 2, "-0x1.9999999999999p-3", "0x1.5555555555555p-1"),
+    (0, 0.95, 3, 4, "0x1.4069b4069b404p-3", "0x1.0842108421084p-2"),
+    (0, 3.0, 10000, 10001, "0x1.fff97272383c3p+0", "0x1.a3637230afb37p-14"),
+    (0, 50.0, 10000, 10001, "0x1.87f62bab52e3ep+5", "0x1.a3637230afb37p-14"),
+    (0, 1e6, 10000, 10001, "0x1.e83b60538ccfcp+19", "0x1.a3637230afb37p-14"),
+    (1, -0.5, 1, 1, "-0x1.2762762762763p-1", "0x1.89d89d89d89d8p-1"),
+    (1, 0.0, 1, 2, "-0x1.d89d89d89d89ep-2", "0x1.89d89d89d89d8p-1"),
+    (1, 0.4, 1, 2, "-0x1.7a17a17a17a19p-2", "0x1.89d89d89d89d8p-1"),
+    (1, 0.95, 2, 3, "-0x1.2eb65c9bd8055p-4", "0x1.97f7d73404147p-2"),
+    (1, 3.0, 5, 6, "0x1.6fc4c9226da43p+0", "0x1.5f2b91f3b8e2ep-3"),
+    (1, 50.0, 10000, 10001, "0x1.7ff7205000316p+5", "0x1.a3637230afb37p-14"),
+    (1, 1e6, 10000, 10001, "0x1.e83b40575f627p+19", "0x1.a3637230afb37p-14"),
+    (2, -0.5, 1, 1, "-0x1.8552a13436c00p-7", "0x1.faee41e6a7498p-1"),
+    (2, 0.0, 1, 2, "-0x1.c635bc123fdffp-8", "0x1.faee41e6a7498p-1"),
+    (2, 0.4, 11, 12, "0x1.4b80263ab9cdbp-2", "0x1.70daa636fd2cap-4"),
+    (2, 0.95, 17, 18, "0x1.abbb58e2ecc38p-1", "0x1.dd789ea55e3f5p-5"),
+    (2, 3.0, 33, 34, "0x1.66da4f12ca5d7p+1", "0x1.ec462ce5f8087p-6"),
+    (2, 50.0, 250, 251, "0x1.8adb53f81a9d7p+5", "0x1.052f17470f463p-8"),
+    (2, 1e6, 10000, 10001, "0x1.e83b6a24d99e8p+19", "0x1.a3637230afb37p-14"),
+    (3, -0.5, 1, 1, "-0x0.0p+0", "0x1.0000000000000p+0"),
+    (3, 0.0, 1, 2, "0x0.0p+0", "0x1.0000000000000p+0"),
+    (3, 0.4, 10000, 10001, "0x1.998f1d3ed527fp-2", "0x1.a36e2eb1c432dp-14"),
+    (3, 0.95, 10000, 10001, "0x1.e659f2ba9d1f5p-1", "0x1.a36e2eb1c432dp-14"),
+    (3, 3.0, 10000, 10001, "0x1.7ff62b6ae7d56p+1", "0x1.a36e2eb1c432dp-14"),
+    (3, 50.0, 10000, 10001, "0x1.8ff5c28f5c28fp+5", "0x1.a36e2eb1c432dp-14"),
+    (3, 1e6, 10000, 10001, "0x1.e83b800000000p+19", "0x1.a36e2eb1c432dp-14"),
+    (4, -0.5, 1, 1, "-0x1.0000000000000p-1", "0x1.5555555555555p-1"),
+    (4, 0.0, 1, 2, "-0x1.5555555555555p-2", "0x1.5555555555555p-1"),
+    (4, 0.4, 2, 3, "-0x1.8a6dfc3518a6cp-3", "0x1.7b425ed097b42p-2"),
+    (4, 0.95, 3, 4, "0x1.5dc17f00aa395p-3", "0x1.09f959c427e56p-2"),
+    (4, 3.0, 10000, 10001, "0x1.028bbf529d83ap+1", "0x1.a363a927a6237p-14"),
+    (4, 50.0, 10000, 10001, "0x1.881f1c0ba80f5p+5", "0x1.a363a927a6237p-14"),
+    (4, 1e6, 10000, 10001, "0x1.e83b60f5aafd9p+19", "0x1.a363a927a6237p-14"),
+    (5, -0.5, 1, 1, "-0x1.5555555555556p-2", "0x1.aaaaaaaaaaaabp-1"),
+    (5, 0.0, 1, 2, "-0x1.0000000000001p-2", "0x1.aaaaaaaaaaaabp-1"),
+    (5, 0.4, 2, 3, "-0x1.4a3010b7e6ec4p-3", "0x1.a1f58d0fac687p-2"),
+    (5, 0.95, 3, 4, "0x1.527d27d27d27bp-3", "0x1.1c71c71c71c72p-2"),
+    (5, 3.0, 10000, 10001, "0x1.0cc771584a02bp+1", "0x1.a367bd86a1ef9p-14"),
+    (5, 50.0, 10000, 10001, "0x1.88c2d7140b293p+5", "0x1.a367bd86a1ef9p-14"),
+    (5, 1e6, 10000, 10001, "0x1.e83b63657799fp+19", "0x1.a367bd86a1ef9p-14"),
+    (6, -0.5, 1, 1, "-0x1.bbbbbbbbbbbbcp-2", "0x1.5555555555555p-1"),
+    (6, 0.0, 1, 2, "-0x1.1111111111111p-2", "0x1.5555555555555p-1"),
+    (6, 0.4, 1, 2, "-0x1.1111111111111p-3", "0x1.5555555555555p-1"),
+    (6, 0.95, 2, 3, "0x1.ddddddddddddbp-3", "0x1.5555555555555p-2"),
+    (6, 3.0, 10000, 10001, "0x1.1993b3cd31b72p+1", "0x1.a3637230afb37p-14"),
+    (6, 50.0, 10000, 10001, "0x1.898f9b54943d7p+5", "0x1.a3637230afb37p-14"),
+    (6, 1e6, 10000, 10001, "0x1.e83b66b94b74cp+19", "0x1.a3637230afb37p-14"),
+]
+
+
+def test_stopping_rule_keeps_its_bits():
+    for spec, lam, t0, t1, g, rate in _STOPPING_PIN:
+        pol = optimal_stopping(_PIN_SPECS[spec], lam)
+        assert (pol.t0_star, pol.t1_star, pol.g.hex(), pol.activation_rate.hex()) == (
+            t0, t1, g, rate), (spec, lam)
 
 
 def test_lambda_star_homogeneous_pair():
@@ -215,12 +292,7 @@ def test_relaxed_select_threshold_behaviour():
 def test_relaxed_select_pure_threshold_when_mixing_zero():
     spec = markov_spec(0.5)
     plan = solve_lambda_star([spec, spec], 1)
-    frozen = type(plan)(
-        lambda_star=plan.lambda_star,
-        mixing=(0.0, 0.0),
-        t0_star=plan.t0_star,
-        rates=plan.rates,
-    )
+    frozen = dataclasses.replace(plan, mixing=(0.0, 0.0))
     rng = np.random.default_rng(1)
     boundary = [ArmState(0, 1), ArmState(0, 1)]  # index == lambda*
     for _ in range(50):
@@ -265,7 +337,7 @@ def test_average_cost_rate_matches_renewal_formula():
         t0 = optimal_stopping(spec, lam).t0_star
         p = lambda t: marginal_p(spec.process, t)
         expected = 2.0 * sum(p(k) for k in range(1, t0 + 1)) / (t0 + p(t0))
-        assert average_cost_rate(spec, lam) == pytest.approx(expected, abs=1e-9)
+        assert _rates(spec, lam, 0.0)[1] == pytest.approx(expected, abs=1e-9)
 
 
 def test_walk_matches_renewal_formula_at_index_multipliers():
@@ -291,9 +363,10 @@ def test_walk_matches_renewal_formula_at_index_multipliers():
                                                       rel=1e-12, abs=0.0)
                 if w(t + 1) - w(t) > 1e-6:
                     mid = 0.5 * (w(t) + w(t + 1))
-                    assert optimal_stopping(spec, mid).t0_star == t + 1
+                    pol = optimal_stopping(spec, mid)
+                    assert pol.t0_star == t + 1
                     assert _policy_rates(spec, mid, 0.0, table)[0] == pytest.approx(
-                        activation_rate(spec, mid), rel=1e-12, abs=0.0)
+                        pol.activation_rate, rel=1e-12, abs=0.0)
                 checked += 1
                 t += 1
     assert checked > 1000
@@ -473,3 +546,39 @@ def test_solve_matches_the_reference_solve_bit_for_bit():
         zero += plan.lambda_star == 0.0
         mixed += any(plan.mixing)
     assert zero >= 50 and mixed >= 300, (zero, mixed)
+
+
+_TRIAL_3 = list(_criterion_8_instances())[3]
+# (name, subcommand, config, sha256 of the CSV bytes), recorded before the
+# relaxed plan kept its cost rates: criterion 8's trial 3, where one arm
+# mixes; four arms whose q = 1e-175 arm is parked; and a queueing network
+# in its default mode, `simulate`.
+_GOLDEN_CSV = [
+    ("criterion-8-trial-3", "subsidy",
+     {"components": [component_to_json(s) for s in _TRIAL_3[0]], "K": _TRIAL_3[1]},
+     "c4d18c4daf55f7586882c69b7874a53b297bef04b429ac1edfc8e01933d7e4db"),
+    ("parked-float-zero-arm", "subsidy",
+     {"components": [{"kind": "markov", "q": 0.3, "cost": 1.0},
+                     {"kind": "markov", "q": 1e-175, "cost": 2.0},
+                     {"kind": "markov", "q": 0.6, "cost": 0.7},
+                     {"kind": "table", "p": [0.5, 0.7, 0.85, 0.95, 0.97, 0.975, 0.978, 0.98],
+                      "cost": 1.2}],
+      "K": 2},
+     "b37cde58d5783907119fcb0d8ca73ac715c0bbe0a397ee46a0efea9cad1da1d0"),
+    ("queueing-default-mode", "queueing",
+     {"queueing": {"servers": 1, "classes": [
+         {"arrival": {"kind": "bernoulli", "q": 0.2}, "holding_cost": 1.0},
+         {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0},
+         {"arrival": {"kind": "table", "p": [0.3, 0.5, 0.6]}, "holding_cost": 2.0}]},
+      "horizon": 30, "replications": 40, "seed": 7, "policies": ["whittle", "queue"]},
+     "c5ae7c8f13c800af7b024aa058369a89d1b97bf6cb240ee688d326b3749be981"),
+]
+
+
+@pytest.mark.parametrize("name, command, cfg, digest", _GOLDEN_CSV,
+                         ids=[g[0] for g in _GOLDEN_CSV])
+def test_csv_bytes_are_golden(tmp_path, name, command, cfg, digest):
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
