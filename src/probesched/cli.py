@@ -34,8 +34,9 @@ from .whittle import index_rows
 # the one they call.
 _ARRAY_NAMES = {
     "EXACT_POLICIES": "oracle",
+    "check_sweeps": "oracle",
     "dp_optimal": "oracle",
-    "one_graph": "oracle",
+    "exact_graph": "oracle",
     "policy_evaluate_exact": "oracle",
     "POLICY_NAMES": "policies",
     "RunConfig": "sim",
@@ -198,11 +199,10 @@ def _exact_instance(cfg):
 
 def cmd_evaluate(cfg):
     specs, k, horizon, bound, initial, policies = _exact_instance(cfg)
-    header = ["policy", "horizon", "expected_cost"]
-    with one_graph():
-        rows = [[name, horizon, policy_evaluate_exact(specs, initial, k, horizon, name, bound)]
-                for name in policies]
-    return header, rows
+    graph = exact_graph(specs, initial, k, horizon, bound)
+    rows = [[name, horizon, policy_evaluate_exact(specs, initial, k, horizon, name, bound, graph)]
+            for name in policies]
+    return ["policy", "horizon", "expected_cost"], rows
 
 
 def cmd_oracle(cfg):
@@ -210,18 +210,16 @@ def cmd_oracle(cfg):
     header = ["horizon", "optimal_cost"]
     for name in policies:
         header += [f"{name}_cost", f"{name}_rel_gap"]
+    graph = exact_graph(specs, initial, k, horizon, bound)
+    check_sweeps(graph)
     rows = []
-    # Longest horizon first: the op's one graph is built for it, so its guards
-    # refuse an oversized batch before anything is solved, and every shorter
-    # horizon reads a prefix of that graph.
-    with one_graph():
-        for t in range(horizon, 0, -1):
-            opt, _table = dp_optimal(specs, initial, k, t, bound)
-            row = [t, opt]
-            for name in policies:
-                val = policy_evaluate_exact(specs, initial, k, t, name, bound)
-                row += [val, (val - opt) / opt if opt > 0 else 0.0]
-            rows.append(row)
+    for t in range(horizon, 0, -1):  # longest first, the order traced runs record
+        opt, _table = dp_optimal(specs, initial, k, t, bound, graph)
+        row = [t, opt]
+        for name in policies:
+            val = policy_evaluate_exact(specs, initial, k, t, name, bound, graph)
+            row += [val, (val - opt) / opt if opt > 0 else 0.0]
+        rows.append(row)
     return header, rows[::-1]
 
 

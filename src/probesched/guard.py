@@ -8,10 +8,10 @@ DEFAULT_BOUND = 10_000_000
 
 
 class SearchSpaceError(RuntimeError):
-    """Raised when a problem's size exceeds the bound set on it: the
-    oracle's belief table, or the branch entries (states x K-subsets x 2^K
-    outcomes x N arms) of its layers so far, checked before each layer is
-    expanded; the simulator's run size; or the rows of an index table."""
+    """Raised when a problem's size exceeds the bound set on it, before the
+    work is done: the oracle's belief table, the branch entries of its
+    graph or the entries the `oracle` op's sweeps read; the simulator's run
+    size; or the rows of an index table."""
 
     def __init__(self, count: int, bound: int, what: str):
         self.count = count

@@ -4,10 +4,10 @@ A joint state is an int32 row of per-arm codes i * width + t, the
 simulator's encoding: a probe observing o moves an arm to o * width + 1,
 waiting adds 1.  `_graph` builds the layers of joint states reachable when
 any K-subset may be probed, each layer's subsets expanded in one pass, once
-per call, or once per `one_graph` scope, where shorter horizons read a
-prefix of the longest one's graph and of each rank policy's picks on it;
-one backward induction over them (`_sweep`) gives the optimal expected cost
-(least value-to-go over every K-subset) or a policy's exact value (its own
+per call, or once per `exact_graph` value, of which calls at shorter
+horizons read a prefix, each rank policy's picks included; one backward
+induction over them (`_sweep`) gives the optimal expected cost (least
+value-to-go over every K-subset) or a policy's exact value (its own
 selection's).  A policy is a rank policy's name, which picks each state's K
 arms first in `policies.rank_table` for whole layers at once, as the
 simulator does, or any callable, asked once per state it reaches; a name
@@ -18,8 +18,6 @@ take effect, from exact marginals; `_graph` computes it once per state.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import itertools
 import math
@@ -29,10 +27,12 @@ import numpy as np
 
 from .arm import ArmState
 from .guard import DEFAULT_BOUND, SearchSpaceError
-from .policies import belief_codes, rank_table, smallest_k
+from .policies import _check_k, belief_codes, rank_table, smallest_k
 
 # the rank policies `policy_evaluate_exact` takes by name
 EXACT_POLICIES = ("whittle", "myopic")
+# branch entries charged per slot, for the fixed work of a slot's numpy passes
+_SLOT_ENTRIES = 1024
 
 
 def _unique_rows(rows, base: int):
@@ -90,8 +90,7 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     varying slowest, 0 before 1), without outcomes of belief 0 or 1.  Each
     layer expands every subset at once (`_branches`)."""
     n = len(specs)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
+    _check_k(n, k)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if min(st.t for st in initial) < 1:
@@ -99,20 +98,20 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     width = max(st.t for st in initial) + horizon
     if 2 * n * width > bound:
         raise SearchSpaceError(2 * n * width, bound, "belief entries (2N x (largest t + horizon))")
-    beliefs, lift = belief_codes(specs, width), np.arange(n)[:, None] * 2 * width
     entries = math.comb(n, k) * 2**k * n
-    outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
-    probed = (outcomes.T * width + 1).astype(np.int32)  # (K, 2^K): an arm's code after a probe
     layers = [np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)]
-    costs, edges, arms, total = [], [], None, 0
+    costs, edges, arms, total = [], [], None, _SLOT_ENTRIES * horizon  # every slot's, up front
     for slot in range(horizon):
         layer = layers[-1]
         total += len(layer) * entries
         if total > bound:
-            raise SearchSpaceError(total, bound, "branch entries (states x K-subsets x "
-                                   f"2^K outcomes x N arms) in slots 0..{slot}")
-        if arms is None:  # once slot 0 passed
+            what = f"{_SLOT_ENTRIES} x horizon + states x K-subsets x 2^K outcomes x N arms"
+            raise SearchSpaceError(total, bound, f"branch entries ({what}) in slots 0..{slot}")
+        if arms is None:  # once slot 0 passed, so a refused graph builds no table
             arms = np.array(list(itertools.combinations(range(n), k)))
+            beliefs, lift = belief_codes(specs, width), np.arange(n)[:, None] * 2 * width
+            outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+            probed = (outcomes.T * width + 1).astype(np.int32)  # (K, 2^K): codes after a probe
         # arm-major (N, states), so each pass runs along the states
         belief = beliefs.take(np.ascontiguousarray(layer.T) + lift)
         costs.append(sum(s.cost * belief[a] for a, s in enumerate(specs)))
@@ -131,46 +130,44 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
         edges.append((group, child, pr))
 
 
-# Inside `one_graph`: a one-item list holding (instance key, horizon, graph,
-# {rank policy name: its picks}) or None; outside it, None.
-_held = contextvars.ContextVar("held", default=None)
+def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND):
+    """One instance's graph for `horizon` slots, to pass to `dp_optimal` and
+    `policy_evaluate_exact` on that instance (specs, initial, K, bound): a
+    call at any horizon h up to `horizon` reads its first h layers.  The code
+    width is `horizon`'s, which keeps every code's order, so each result is
+    bit for bit that of a graph of its own.  The value also holds each rank
+    policy's picks on every layer, made by the first call that names it; a
+    state's pick depends only on its codes and the width."""
+    specs = tuple(specs)
+    return (specs, tuple(initial), k, bound), horizon, _graph(specs, initial, k, horizon, bound), {}
 
 
-@contextlib.contextmanager
-def one_graph():
-    """A scope in which `dp_optimal` and `policy_evaluate_exact` calls on one
-    instance (specs, initial, K, bound) share one graph: the first call's,
-    rebuilt only for a longer horizon.  A horizon-h call reads its first h
-    layers.  The code width is the longest horizon's, which keeps every
-    code's order, so each call's result is bit for bit its own graph's; and
-    a graph that passed the guards at a horizon passes them at every shorter
-    one.  With the graph the scope holds each rank policy's picks on all
-    its layers, made by the first `policy_evaluate_exact` call that names
-    the policy; a state's pick depends only on its codes and the width, so
-    a horizon-h call reads the first h layers of those too.  Nothing is
-    kept after the scope ends."""
-    token = _held.set([None])
-    try:
-        yield
-    finally:
-        _held.reset(token)
-
-
-def _shared_graph(specs, initial, k: int, horizon: int, bound: int, policy=None):
-    """`_graph`, and a rank policy's `_rank_picks` on it if `policy` names
-    one; inside `one_graph`, prefixes of the graph and of the picks held."""
-    held = _held.get()
-    key = (tuple(specs), tuple(initial), k, bound)
-    entry = None if held is None else held[0]
-    if entry is None or entry[0] != key or not 1 <= horizon <= entry[1]:
-        entry = key, horizon, _graph(specs, initial, k, horizon, bound), {}
-        if held is not None:
-            held[0] = entry
-    _key, _longest, (width, costs, subsets, layers, edges), picks = entry
+def _prefix(specs, initial, k: int, horizon: int, bound: int, graph, policy=None):
+    """The first `horizon` layers of `graph`, or of a graph of their own if
+    it is None, and a rank policy's picks on them if `policy` names one."""
+    if graph is None:
+        graph = exact_graph(specs, initial, k, horizon, bound)
+    key, longest, (width, costs, subsets, layers, edges), picks = graph
+    if key != (tuple(specs), tuple(initial), k, bound):
+        raise ValueError("the graph passed is another instance's (specs, initial, K, bound)")
+    if not 1 <= horizon <= longest:
+        raise ValueError(f"horizon must be in 1..{longest} on the graph passed, got {horizon}")
     if policy is not None and policy not in picks:
         picks[policy] = _rank_picks(policy, specs, k, width, layers)
-    graph = width, costs[:horizon], subsets, layers[:horizon], edges[:horizon - 1]
-    return graph, None if policy is None else picks[policy][:horizon]
+    prefix = width, costs[:horizon], subsets, layers[:horizon], edges[:horizon - 1]
+    return prefix, None if policy is None else picks[policy][:horizon]
+
+
+def check_sweeps(graph) -> None:
+    """Refuse to sweep every horizon 1..T of `graph` if the T - s sweeps
+    that read each slot s, each reading its states x K-subsets x 2^K
+    outcomes plus `_SLOT_ENTRIES`, read more than the graph's bound."""
+    (_specs, _initial, k, bound), longest, (_width, _costs, subsets, layers, _edges), _ = graph
+    work = sum((len(layer) * len(subsets) * 2**k + _SLOT_ENTRIES) * (longest - slot)
+               for slot, layer in enumerate(layers))
+    if work > bound:
+        raise SearchSpaceError(work, bound, "sweep entries ((states x K-subsets x 2^K outcomes "
+                               f"+ {_SLOT_ENTRIES}) per slot x the horizons that read it)")
 
 
 def _first_min(future):
@@ -232,11 +229,12 @@ class _PolicyTable(Mapping):
         return repr(self._entries)
 
 
-def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND):
+def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND, graph=None):
     """Exact minimal expected total cost over `horizon` slots, plus the
     optimal policy table, a read-only mapping {(slot, joint state):
-    selection} that is built the first time it is read."""
-    graph, _picks = _shared_graph(list(specs), initial, k, horizon, bound)
+    selection} that is built the first time it is read.  An `exact_graph`
+    of this instance passed as `graph` is read in place of a new one."""
+    graph, _picks = _prefix(list(specs), initial, k, horizon, bound, graph)
     value, picks = _sweep(graph)
     width, _costs, subsets, layers, _edges = graph
     return value, _PolicyTable(width, subsets, layers, picks)
@@ -262,20 +260,20 @@ def _rank_picks(policy: str, specs, k: int, width: int, layers):
 
 
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
-                          bound: int = DEFAULT_BOUND) -> float:
+                          bound: int = DEFAULT_BOUND, graph=None) -> float:
     """Exact expected total cost of a stationary deterministic policy: a
     rank policy's name, "whittle" or "myopic", or a selector asked once per
     distinct joint state it reaches (a list of ArmStates) for K distinct arm
     ids.  A name picks each layer's K arms first in `policies.rank_table`
     without a call per state; its value is bitwise that of
     `whittle_policy`/`myopic_policy`, which apply the same chain one state
-    at a time.  Its graph is `dp_optimal`'s: both refuse alike."""
+    at a time.  Its graph is `dp_optimal`'s, `graph` included: both refuse alike."""
     if isinstance(policy, str) and policy not in EXACT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
                          f"or one of {', '.join(EXACT_POLICIES)}")
     specs = list(specs)
     name = policy if isinstance(policy, str) else None
-    graph, picks = _shared_graph(specs, initial, k, horizon, bound, name)
+    graph, picks = _prefix(specs, initial, k, horizon, bound, graph, name)
     if name is not None:
         return _sweep(graph, picks)[0]
     width, _costs, subsets, layers, edges = graph

@@ -53,7 +53,7 @@ import numpy as np
 
 from .attack import ComponentSpec, hazards
 from .guard import SearchSpaceError
-from .policies import POLICY_NAMES, by_code, random_k, rank_table, smallest_k
+from .policies import POLICY_NAMES, _check_k, by_code, random_k, rank_table, smallest_k
 
 # a bound on a run's size in uniform draws, 8 B or about 50 ns each: the
 # R x N x T uniforms it draws from its arm streams (about 16 times fig4's),
@@ -91,8 +91,7 @@ class RunConfig:
 
     def __post_init__(self):
         n = len(self.specs)
-        if not 1 <= self.k <= n:
-            raise ValueError(f"need 1 <= K <= N, got K={self.k}, N={n}")
+        _check_k(n, self.k)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.replications < 1:

@@ -1,6 +1,4 @@
-import contextlib
 import csv
-import io
 import json
 import math
 import subprocess
@@ -451,7 +449,7 @@ def _config(draw, command):
 
 @pytest.mark.parametrize("command", ["index", "simulate", "evaluate", "oracle",
                                      "subsidy", "queueing"])
-def test_cli_fuzz_exits_with_a_documented_code(tmp_path, command):
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys, command):
     path = tmp_path / "cfg.json"
     codes = []
 
@@ -460,11 +458,10 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path, command):
     @given(_config(command))
     def check(cfg):
         path.write_text(json.dumps(cfg))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(path)])
-        assert code in (0, 2, 3), (cfg, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (cfg, err)
+        assert "Traceback" not in err
         codes.append(code)
 
     check()

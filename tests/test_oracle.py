@@ -20,7 +20,7 @@ from probesched import (
 import probesched.oracle
 import probesched.policies
 from probesched.cli import main
-from probesched.oracle import EXACT_POLICIES, _graph, _rank_picks, _unique_rows, one_graph
+from probesched.oracle import DEFAULT_BOUND, EXACT_POLICIES, _graph, _rank_picks, _unique_rows, exact_graph
 from probesched.policies import belief_codes, myopic_policy, whittle_policy
 from probesched.subsidy import solve_lambda_star
 from helpers import markov_spec
@@ -169,6 +169,53 @@ def test_guard_bounds_the_branch_entries_of_all_layers(tmp_path):
     start = time.perf_counter()
     assert main(["oracle", "--config", str(cfg)]) == 3
     assert time.perf_counter() - start < 2.0
+
+
+def _markov_cfg(tmp_path, qs, horizon):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"components": [{"kind": "markov", "q": q, "cost": 1.0} for q in qs],
+                               "K": 1, "horizon": horizon}))
+    return str(cfg)
+
+
+def test_guard_charges_each_slot(tmp_path):
+    # one Markov arm holds 2 states a slot, so it passed both counts up to
+    # T = 10^6 (2M belief entries, about 4M branch entries), at about 107 us
+    # and 1.1 KB a slot: 4.3 s and a 73 MiB peak at T = 40,000
+    start = time.perf_counter()
+    assert main(["evaluate", "--config", _markov_cfg(tmp_path, [0.3], 50_000)]) == 3
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SearchSpaceError, match="branch entries"):
+        dp_optimal([markov_spec(0.3)], _fresh(1), 1, 10**6)
+
+
+def test_guard_refuses_before_building_any_table():
+    # K = N = 16 fails slot 0's count, yet its 2^K outcome table (8 MB) was
+    # once built before the count was checked
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceError, match="branch entries"):
+            dp_optimal([markov_spec(0.3)] * 16, _fresh(16), 16, 1, bound=10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_oracle_op_bounds_its_sweeps(tmp_path):
+    # the op sweeps every prefix of its one graph, so its time grows with
+    # T^2: one arm at T = 1000 took 10.9 s, against 0.07 s for its graph,
+    # and two arms at T = 500 17.3 s, against 0.25 s
+    out = str(tmp_path / "oracle.csv")
+    for qs, horizon, code in [([0.3], 1000, 3), ([0.3, 0.4], 500, 3), ([0.3], 100, 0)]:
+        start = time.perf_counter()
+        assert main(["oracle", "--config", _markov_cfg(tmp_path, qs, horizon), "--out", out]) == code
+        assert time.perf_counter() - start < 2.0
+    graph = exact_graph([markov_spec(0.3)], _fresh(1), 1, 250)
+    with pytest.raises(SearchSpaceError, match="sweep entries") as err:
+        probesched.oracle.check_sweeps(graph)
+    assert err.value.count == 32_253_000
+    probesched.oracle.check_sweeps(exact_graph([markov_spec(0.3)], _fresh(1), 1, 100))
 
 
 def test_guard_bound_is_configurable():
@@ -511,6 +558,16 @@ def _count_ranks(monkeypatch):
     return ranked
 
 
+def test_evaluate_op_builds_a_single_graph(tmp_path, monkeypatch):
+    # one graph and one rank table per policy, both policies reading them
+    builds, ranked = _count_builds(monkeypatch), _count_ranks(monkeypatch)
+    out = tmp_path / "evaluate.csv"
+    assert main(["evaluate", "--preset", "fig3", "--horizon", "8", "--out", str(out)]) == 0
+    assert builds == [8]
+    assert ranked == ["whittle", "myopic"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_FIG3[4][2]
+
+
 def test_oracle_op_builds_one_graph(tmp_path, monkeypatch):
     # once per op, for its longest horizon, where each of the 8 horizons
     # once built its own graph for `dp_optimal` and each policy; and one
@@ -547,10 +604,10 @@ def test_graph_prefixes_give_each_horizon_its_own_bits(monkeypatch):
                   [policy_evaluate_exact(specs, initial, k, h, pol) for pol in pols])
                  for h in range(1, big + 1)]
         builds, ranked = _count_builds(monkeypatch), _count_ranks(monkeypatch)
-        with one_graph():
-            shared = [(dp_optimal(specs, initial, k, h),
-                       [policy_evaluate_exact(specs, initial, k, h, pol) for pol in pols])
-                      for h in range(big, 0, -1)][::-1]
+        graph = exact_graph(specs, initial, k, big)
+        shared = [(dp_optimal(specs, initial, k, h, graph=graph),
+                   [policy_evaluate_exact(specs, initial, k, h, pol, graph=graph) for pol in pols])
+                  for h in range(big, 0, -1)][::-1]
         assert builds == [big]
         assert ranked == list(EXACT_POLICIES)
         monkeypatch.undo()
@@ -561,19 +618,21 @@ def test_graph_prefixes_give_each_horizon_its_own_bits(monkeypatch):
             assert len(t1) == len(list(t1.items())) == len(t0)
 
 
-def test_scope_rebuilds_for_another_instance_or_a_longer_horizon(monkeypatch):
+def test_graph_refuses_another_instance_or_a_longer_horizon(monkeypatch):
     builds = _count_builds(monkeypatch)
     specs = [markov_spec(0.3), markov_spec(0.6)]
-    with one_graph():
-        dp_optimal(specs, _fresh(2), 1, 3)
-        dp_optimal(specs, _fresh(2), 1, 2)  # a prefix
-        dp_optimal(specs, _fresh(2), 1, 5)  # longer
-        dp_optimal(specs, _fresh(2), 1, 4, bound=10**6)  # another bound
-        dp_optimal(specs[::-1], _fresh(2), 1, 2)  # other specs
+    graph = exact_graph(specs, _fresh(2), 1, 3)
+    for other in [(specs[::-1], _fresh(2), 1, 2, DEFAULT_BOUND),  # other specs
+                  (specs, [ArmState(0, 2)] * 2, 1, 2, DEFAULT_BOUND),  # other initial states
+                  (specs, _fresh(2), 2, 2, DEFAULT_BOUND),  # another K
+                  (specs, _fresh(2), 1, 2, 10**6)]:  # another bound
+        with pytest.raises(ValueError, match="another instance"):
+            dp_optimal(*other, graph)
+    for horizon in (0, 4):
         with pytest.raises(ValueError, match="horizon"):
-            dp_optimal(specs[::-1], _fresh(2), 1, 0)
-        dp_optimal(specs[::-1], _fresh(2), 1, 1)  # the held graph survived the error
-    assert builds == [3, 5, 4, 2, 0]
+            policy_evaluate_exact(specs, _fresh(2), 1, horizon, "whittle", graph=graph)
+    assert dp_optimal(specs, _fresh(2), 1, 2, graph=graph)[0] == dp_optimal(specs, _fresh(2), 1, 2)[0]
+    assert builds == [3, 2]
 
 
 def test_policy_table_is_built_on_first_read():
