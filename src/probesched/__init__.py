@@ -10,7 +10,7 @@ and solves the time-averaged probe budget via a passivity subsidy.
 
 import importlib
 
-from .arm import ACTIVE, PASSIVE, ArmState, belief_abnormal, transition
+from .arm import ArmState, belief_abnormal
 from .attack import (
     ComponentSpec,
     MarkovIID,
@@ -18,13 +18,12 @@ from .attack import (
     check_c1,
     component_from_json,
     component_to_json,
-    hazard,
     marginal_p,
 )
 from .guard import SearchSpaceError
 from .queueing import CustomerClass, QueueNetworkSpec, to_rmab
 from .subsidy import indifference_gap, optimal_stopping, relaxed_select, solve_lambda_star
-from .whittle import index_table, verify_strict_indexability, whittle_index
+from .whittle import whittle_index
 
 # The names of the array modules, which import numpy, are bound on first
 # access (`__getattr__`, PEP 562), so importing the package loads none of
@@ -35,7 +34,6 @@ _ARRAY_NAMES = {
     "queue_init": "policies",
     "queue_step": "policies",
     "select_myopic": "policies",
-    "select_random": "policies",
     "select_whittle": "policies",
     "RunConfig": "sim",
     "run": "sim",
@@ -55,8 +53,6 @@ def __dir__():
 
 
 __all__ = [
-    "ACTIVE",
-    "PASSIVE",
     "ArmState",
     "ComponentSpec",
     "CustomerClass",
@@ -70,8 +66,6 @@ __all__ = [
     "component_from_json",
     "component_to_json",
     "dp_optimal",
-    "hazard",
-    "index_table",
     "indifference_gap",
     "marginal_p",
     "optimal_stopping",
@@ -81,11 +75,8 @@ __all__ = [
     "relaxed_select",
     "run",
     "select_myopic",
-    "select_random",
     "select_whittle",
     "solve_lambda_star",
     "to_rmab",
-    "transition",
-    "verify_strict_indexability",
     "whittle_index",
 ]

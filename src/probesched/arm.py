@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 from .attack import ComponentSpec, marginal_p
 
-PASSIVE = 0
-ACTIVE = 1
-
 
 @dataclass(frozen=True)
 class ArmState:
@@ -40,23 +37,3 @@ def belief_abnormal(spec: ComponentSpec, state: ArmState) -> float:
     if state.t < 1:
         raise ValueError("belief is undefined at the (0,0) sentinel")
     return marginal_p(spec.process, state.t - state.i)
-
-
-def transition(state: ArmState, action: int, observation: int | None = None) -> ArmState:
-    """One-step arm-state update.
-
-    Probing yields an observation and restarts the clock at (obs, 1);
-    waiting advances the clock to (i, t+1).  An observation must be
-    supplied exactly when the arm is probed.
-    """
-    if state.t < 1:
-        raise ValueError("cannot transition from the (0,0) sentinel")
-    if action == ACTIVE:
-        if observation not in (0, 1):
-            raise ValueError("an active transition requires an observation of 0 or 1")
-        return ArmState(observation, 1)
-    if action == PASSIVE:
-        if observation is not None:
-            raise ValueError("a passive transition takes no observation")
-        return ArmState(state.i, state.t + 1)
-    raise ValueError(f"action must be PASSIVE (0) or ACTIVE (1), got {action}")

@@ -109,13 +109,6 @@ def hazards(process: AttackProcess):
             for prev, p in pairwise(marginals(process)))
 
 
-def hazard(process: AttackProcess, t: int) -> float:
-    """h(t), the t-th element of `hazards(process)`."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return next(islice(hazards(process), t - 1, None))
-
-
 def check_c1(process: AttackProcess, horizon: int) -> bool:
     """True iff the increments p(t+1) - p(t) are strictly decreasing over
     1 <= t <= horizon - 1.

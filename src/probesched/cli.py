@@ -78,9 +78,12 @@ def _write_csv(path, header, rows):
 
     if path is None:
         write(sys.stdout)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _require(cfg, field, kind, where="config"):
@@ -251,7 +254,7 @@ def cmd_queueing(cfg):
     sub["K"] = k
     submode = cfg.get("queueing_mode", "simulate")
     dispatch = {"simulate": cmd_simulate, "oracle": cmd_oracle, "evaluate": cmd_evaluate}
-    if submode not in dispatch:
+    if not isinstance(submode, str) or submode not in dispatch:
         raise ConfigError(
             f"config.queueing_mode: expected simulate|oracle|evaluate, got {submode!r}"
         )
@@ -323,13 +326,13 @@ def main(argv=None) -> int:
         if args.command not in _CORE_COMMANDS:
             _arrays()
         header, rows = COMMANDS[args.command](cfg)
+        _write_csv(args.out, header, rows)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchSpaceError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    _write_csv(args.out, header, rows)
     return 0
 
 

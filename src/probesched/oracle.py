@@ -11,8 +11,8 @@ value-to-go over every K-subset) or a policy's exact value (its own
 selection's).  A policy is a rank policy's name, which picks each state's K
 arms first in `policies.rank_table` for whole layers at once, as the
 simulator does, or any callable, asked once per state it reaches; a name
-and its scalar selector (`whittle_policy`, `myopic_policy`) give bitwise
-equal values.  Each slot costs sum(c_n * P(abnormal)) before its probes
+and its scalar selector (`select_whittle` or `select_myopic` on one
+state) give bitwise equal values.  Each slot costs sum(c_n * P(abnormal)) before its probes
 take effect, from exact marginals; `_graph` computes it once per state.
 """
 
@@ -265,9 +265,9 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
     rank policy's name, "whittle" or "myopic", or a selector asked once per
     distinct joint state it reaches (a list of ArmStates) for K distinct arm
     ids.  A name picks each layer's K arms first in `policies.rank_table`
-    without a call per state; its value is bitwise that of
-    `whittle_policy`/`myopic_policy`, which apply the same chain one state
-    at a time.  Its graph is `dp_optimal`'s, `graph` included: both refuse alike."""
+    without a call per state; its value is bitwise that of a selector
+    calling `select_whittle`/`select_myopic`, which apply the same chain one
+    state at a time.  Its graph is `dp_optimal`'s, `graph` included: both refuse alike."""
     if isinstance(policy, str) and policy not in EXACT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
                          f"or one of {', '.join(EXACT_POLICIES)}")

@@ -148,13 +148,6 @@ def select_myopic(specs, states, k: int) -> tuple:
     return _chain(specs, states, k, lambda s, st, b: b)
 
 
-def select_random(n: int, k: int, rng) -> tuple:
-    """A uniform K-subset: one uniform per arm from the caller's generator,
-    the K smallest win."""
-    _check_k(n, k)
-    return tuple(np.flatnonzero(random_k(rng.random((n, 1)), k)[:, 0]).tolist())
-
-
 @dataclass(frozen=True)
 class QueueState:
     """Probe order for the parameter-free homogeneous policy; the head
@@ -199,7 +192,3 @@ def queue_step(queue: QueueState, k: int, observations: dict):
 def whittle_policy(specs, k: int):
     """A stationary selector closure for the exact-evaluation machinery."""
     return lambda states: select_whittle(specs, states, k)
-
-
-def myopic_policy(specs, k: int):
-    return lambda states: select_myopic(specs, states, k)

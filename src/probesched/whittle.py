@@ -60,16 +60,6 @@ def whittle_index(spec: ComponentSpec, state: ArmState) -> float:
     return _cached_values(spec, horizon)[t]
 
 
-def verify_strict_indexability(spec: ComponentSpec, horizon: int) -> bool:
-    """True iff W(0, t) is strictly increasing for 0 <= t <= horizon,
-    the exact characterisation of states leaving the active set one at a
-    time as the subsidy grows."""
-    if horizon < 2:
-        raise ValueError(f"horizon must be >= 2, got {horizon}")
-    w = index_values(spec, horizon)
-    return all(a < b for a, b in zip(w, w[1:]))
-
-
 def index_rows(spec: ComponentSpec, horizon: int):
     """(i, t, index) for (0, 1..horizon) then (1, 1..horizon), lazily."""
     if horizon < 1:
@@ -81,8 +71,3 @@ def index_rows(spec: ComponentSpec, horizon: int):
         values = islice(index_from_marginals(spec.cost, p), 1 - i, None)
         for t, w in enumerate(values, 1):
             yield i, t, w
-
-
-def index_table(spec: ComponentSpec, horizon: int) -> list:
-    """[(state, index)] for (0, 1..horizon) then (1, 1..horizon)."""
-    return [(ArmState(i, t), w) for i, t, w in index_rows(spec, horizon)]

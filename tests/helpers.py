@@ -1,13 +1,18 @@
 """Shared fixtures: reference processes, random spec generators, the
-reference relaxed-budget solve and the environment of a child interpreter."""
+scalar references the array code is pinned against (the arm update rule,
+h(t), the random pick, the myopic selector), the reference relaxed-budget
+solve and the environment of a child interpreter."""
 
 import bisect
 import os
+from itertools import islice
 
 import numpy as np
 
 import probesched
-from probesched import ComponentSpec, MarkovIID, Table
+from probesched import ArmState, ComponentSpec, MarkovIID, Table
+from probesched.attack import hazards
+from probesched.policies import _check_k, random_k, select_myopic
 from probesched.subsidy import RelaxedPlan, _marginals, _policy_rates
 from probesched.whittle import index_values
 
@@ -29,6 +34,46 @@ def concave_spec(cost=1.0):
 
 def markov_spec(q=0.5, cost=1.0):
     return ComponentSpec(MarkovIID(q), cost)
+
+
+PASSIVE = 0
+ACTIVE = 1
+
+
+def transition(state: ArmState, action: int, observation: int | None = None) -> ArmState:
+    """One-step arm-state update.
+
+    Probing yields an observation and restarts the clock at (obs, 1);
+    waiting advances the clock to (i, t+1).  An observation must be
+    supplied exactly when the arm is probed.
+    """
+    if state.t < 1:
+        raise ValueError("cannot transition from the (0,0) sentinel")
+    if action == ACTIVE:
+        if observation not in (0, 1):
+            raise ValueError("an active transition requires an observation of 0 or 1")
+        return ArmState(observation, 1)
+    if action == PASSIVE:
+        if observation is not None:
+            raise ValueError("a passive transition takes no observation")
+        return ArmState(state.i, state.t + 1)
+    raise ValueError(f"action must be PASSIVE (0) or ACTIVE (1), got {action}")
+
+
+def hazard(process, t):
+    """h(t), the t-th element of `attack.hazards(process)`."""
+    return next(islice(hazards(process), t - 1, None))
+
+
+def select_random(n: int, k: int, rng) -> tuple:
+    """A uniform K-subset: one uniform per arm from the caller's generator,
+    the K smallest win."""
+    _check_k(n, k)
+    return tuple(np.flatnonzero(random_k(rng.random((n, 1)), k)[:, 0]).tolist())
+
+
+def myopic_policy(specs, k: int):
+    return lambda states: select_myopic(specs, states, k)
 
 
 def random_concave_table(rng, length=14, ceiling=0.98):

@@ -1,14 +1,7 @@
 import pytest
 
-from probesched import (
-    ACTIVE,
-    PASSIVE,
-    ArmState,
-    belief_abnormal,
-    marginal_p,
-    transition,
-)
-from helpers import concave_spec, markov_spec
+from probesched import ArmState, belief_abnormal, marginal_p
+from helpers import ACTIVE, PASSIVE, concave_spec, markov_spec, transition
 
 
 def test_belief_fresh_repair_is_zero():

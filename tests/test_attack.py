@@ -11,11 +11,10 @@ from probesched import (
     check_c1,
     component_from_json,
     component_to_json,
-    hazard,
     marginal_p,
 )
 from probesched.attack import hazards, marginals
-from helpers import CONCAVE8
+from helpers import CONCAVE8, hazard
 
 # edge cases of the walk: 1 - q rounds to 1, q near 1, a zero prefix, a
 # table reaching 1.0; every table here ends before t = 40
@@ -75,11 +74,6 @@ def test_hazard_saturated_marginal_convention():
     proc = Table((1.0, 1.0))
     assert hazard(proc, 2) == 1.0
     assert hazard(proc, 5) == 1.0
-
-
-def test_hazard_rejects_t_below_one():
-    with pytest.raises(ValueError):
-        hazard(MarkovIID(0.5), 0)
 
 
 @pytest.mark.parametrize(

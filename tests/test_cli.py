@@ -231,20 +231,20 @@ def test_queueing_matches_direct_config(tmp_path):
     assert out_q.read_bytes() == out_d.read_bytes()
 
 
-def test_queueing_rejects_too_many_servers(tmp_path):
-    cfg = _write_cfg(tmp_path, {
-        "mode": "queueing",
-        "queueing": {
-            "servers": 2,
-            "classes": [
-                {"arrival": {"kind": "bernoulli", "q": 0.2}, "holding_cost": 1.0},
-                {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0},
-            ],
-        },
-        "horizon": 5,
-        "policies": ["whittle"],
-    })
-    assert main(["queueing", "--config", cfg]) == 2
+def test_queueing_rejects_too_many_servers(tmp_path, capsys):
+    classes = [
+        {"arrival": {"kind": "bernoulli", "q": 0.2}, "holding_cost": 1.0},
+        {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0},
+    ]
+    # the second config has a valid network but a mode that is no string
+    for bad, field in (({"queueing": {"servers": 2, "classes": classes}}, "config.queueing"),
+                       ({"queueing": {"servers": 1, "classes": classes},
+                         "queueing_mode": ["oracle"]}, "config.queueing_mode")):
+        cfg = _write_cfg(tmp_path, {"mode": "queueing", **bad, "horizon": 5,
+                                    "policies": ["whittle"]})
+        assert main(["queueing", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
 
 def test_flag_overrides(tmp_path):
@@ -543,6 +543,15 @@ def test_index_errors_come_before_the_first_byte(tmp_path):
     assert main(["index", "--config", bad, "--out", str(out)]) == 2
     assert main(["index", "--preset", "fig2", "--horizon", "100000000", "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def test_an_unwritable_out_path_is_a_validation_error(tmp_path, capsys):
+    # a missing directory and a directory: one error line, exit 2, no traceback
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+        assert main(["index", "--preset", "fig2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_simulate_errors_come_before_the_first_byte(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used in its module or
 re-exported through its `__all__`, every module-level private name is
-used somewhere in the package, p(t) and h(t) are walked only by
+used somewhere in the package, every public one has a caller outside the
+tests but for the acceptance suite, p(t) and h(t) are walked only by
 `attack.marginals` and `attack.hazards`, and only the array modules import
 numpy when they are imported: lint checks that need no linter.  And the
 package namespace, whose array-backed names are bound on first access,
@@ -50,8 +51,8 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(tree) == [(1, "os"), (2, "pi")]
 
 
-def _private_names(tree) -> dict:
-    """{module-level private name: the statement that defines it}."""
+def _module_names(tree) -> dict:
+    """{module-level name but a dunder: the statement that defines it}."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -59,8 +60,11 @@ def _private_names(tree) -> dict:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update((t.id, node) for t in targets if isinstance(t, ast.Name))
-    return {name: node for name, node in names.items()
-            if name.startswith("_") and not name.startswith("__")}
+    return {name: node for name, node in names.items() if not name.startswith("__")}
+
+
+def _private_names(tree) -> dict:
+    return {name: node for name, node in _module_names(tree).items() if name.startswith("_")}
 
 
 def _references(tree) -> Counter:
@@ -93,6 +97,33 @@ def test_the_check_sees_a_dead_private_name():
                        "_X: int = 1\n_y = _used\n__all__ = []\n"),
              ast.parse("from m import _y\n")]
     assert _dead_private_names(trees) == ["_X", "_dead"]
+
+
+def _dead_public_names(trees, acceptance) -> list:
+    """Public names read nowhere in `trees` but in their own definitions
+    and not imported by `acceptance`."""
+    used = sum(map(_references, trees), Counter())
+    imported = {a.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    return sorted(name for tree in trees for name, node in _module_names(tree).items()
+                  if not name.startswith("_") and name not in imported
+                  and used[name] == _references(node)[name])
+
+
+def test_every_public_name_has_a_caller():
+    # a name only the tests read belongs in tests/helpers.py; the package's
+    # re-export in `__init__` is no caller
+    trees = [ast.parse(path.read_text()) for path in MODULES if path.name != "__init__.py"]
+    acceptance = ast.parse(pathlib.Path(__file__).with_name("test_acceptance.py").read_text())
+    assert _dead_public_names(trees, acceptance) == []
+
+
+def test_the_check_sees_a_dead_public_name():
+    trees = [ast.parse("def used(): pass\ndef dead(n): return dead(n - 1)\n"
+                       "X: int = 1\nY = used\nclass Z: pass\n_w = 2\n"),
+             ast.parse("from m import Y\n")]
+    acceptance = ast.parse("from m import Z\n")
+    assert _dead_public_names(trees, acceptance) == ["X", "dead"]
 
 
 # the scalar views of the one walk; stepping them over t repeats the walk

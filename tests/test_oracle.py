@@ -21,9 +21,9 @@ import probesched.oracle
 import probesched.policies
 from probesched.cli import main
 from probesched.oracle import DEFAULT_BOUND, EXACT_POLICIES, _graph, _rank_picks, _unique_rows, exact_graph
-from probesched.policies import belief_codes, myopic_policy, whittle_policy
+from probesched.policies import belief_codes, whittle_policy
 from probesched.subsidy import solve_lambda_star
-from helpers import markov_spec
+from helpers import markov_spec, myopic_policy
 
 
 def _fresh(n):

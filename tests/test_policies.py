@@ -9,11 +9,10 @@ from probesched import (
     queue_init,
     queue_step,
     select_myopic,
-    select_random,
     select_whittle,
 )
 from probesched.policies import random_k
-from helpers import markov_spec, random_strict_specs
+from helpers import markov_spec, random_strict_specs, select_random
 
 
 def _homog(n, q=0.5, cost=1.0):

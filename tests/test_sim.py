@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from probesched import (
-    ACTIVE,
-    PASSIVE,
     ArmState,
     ComponentSpec,
     RunConfig,
@@ -19,9 +17,7 @@ from probesched import (
     queue_step,
     run,
     select_myopic,
-    select_random,
     select_whittle,
-    transition,
 )
 from probesched.cli import main as cli_main
 from probesched.oracle import SearchSpaceError
@@ -35,7 +31,7 @@ from probesched.sim import (
     aggregate,
     sample_abnormal_marginals,
 )
-from helpers import markov_spec
+from helpers import ACTIVE, PASSIVE, markov_spec, select_random, transition
 
 
 class _Replay:

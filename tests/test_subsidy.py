@@ -231,6 +231,23 @@ def test_lambda_star_homogeneous_rate_split():
         assert r == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("budgets", [(1,), (2, 3)], ids=["K=1", "K|N"])
+def test_homogeneous_bound_is_the_queue_rotation_cost(budgets):
+    # N identical memoryless arms, K | N: the relaxed bound equals the
+    # long-run cost of probing each arm every M = N / K slots, where an
+    # arm seen abnormal (stationary share pi1) is one repair slot behind
+    rng = np.random.default_rng(len(budgets))
+    for _ in range(100):
+        q, c = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.3, 3.0))
+        k = int(rng.choice(budgets))
+        m = int(rng.integers(2, 9 if k == 1 else 7))
+        p = [marginal_p(MarkovIID(q), t) for t in range(m + 1)]
+        pi1 = p[m] / (1.0 - p[m - 1] + p[m])
+        per_arm = c * ((1.0 - pi1) * sum(p) + pi1 * sum(p[:m])) / m
+        plan = solve_lambda_star([ComponentSpec(MarkovIID(q), c)] * (k * m), k)
+        assert sum(plan.cost_rates) == pytest.approx(k * m * per_arm, rel=1e-12, abs=0.0)
+
+
 def test_lambda_star_zero_boundary_with_negligible_arm():
     lazy = ComponentSpec(Table((0.0,)), 1.0)  # never becomes abnormal
     busy = markov_spec(0.6)

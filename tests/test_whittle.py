@@ -10,9 +10,7 @@ from probesched import (
     Table,
     belief_abnormal,
     check_c1,
-    index_table,
     indifference_gap,
-    verify_strict_indexability,
     whittle_index,
 )
 import probesched.whittle
@@ -51,11 +49,16 @@ def test_cost_linearity_is_exact():
         )
 
 
+def _strictly_increasing(spec, horizon):
+    w = index_values(spec, horizon)
+    return all(a < b for a, b in zip(w, w[1:]))
+
+
 def test_strict_indexability_examples():
-    assert verify_strict_indexability(markov_spec(0.5), 30)
-    assert verify_strict_indexability(concave_spec(), 7)
+    assert _strictly_increasing(markov_spec(0.5), 30)
+    assert _strictly_increasing(concave_spec(), 7)
     flat = ComponentSpec(Table((0.5, 0.5, 0.5, 0.5)), 1.0)
-    assert not verify_strict_indexability(flat, 3)
+    assert not _strictly_increasing(flat, 3)
 
 
 def test_strict_increase_under_c1():
@@ -68,9 +71,9 @@ def test_strict_increase_under_c1():
 
 def test_index_table_layout():
     spec = markov_spec(0.5)
-    rows = index_table(spec, 2)
-    assert [(s.i, s.t) for s, _ in rows] == [(0, 1), (0, 2), (1, 1), (1, 2)]
-    vals = dict(((s.i, s.t), w) for s, w in rows)
+    rows = list(index_rows(spec, 2))
+    assert [(i, t) for i, t, _ in rows] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+    vals = {(i, t): w for i, t, w in rows}
     assert vals[(0, 1)] == pytest.approx(0.4, abs=1e-12)
     assert vals[(0, 2)] == pytest.approx(0.888889, abs=1e-6)
     assert vals[(1, 1)] == 0.0
@@ -78,16 +81,16 @@ def test_index_table_layout():
 
 
 def test_index_table_repair_rows_match():
-    rows = dict(((s.i, s.t), w) for s, w in index_table(concave_spec(), 7))
+    rows = {(i, t): w for i, t, w in index_rows(concave_spec(), 7)}
     for t in range(2, 8):
         assert rows[(1, t)] == rows[(0, t - 1)]
     assert rows[(1, 1)] == 0.0
 
 
 def test_index_table_single_row_horizon():
-    rows = index_table(markov_spec(0.3), 1)
+    rows = list(index_rows(markov_spec(0.3), 1))
     assert len(rows) == 2
-    assert rows[1][1] == 0.0  # (1,1)
+    assert rows[1] == (1, 1, 0.0)
 
 
 def test_index_nonnegative_on_reachable_states():
