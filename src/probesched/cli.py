@@ -214,7 +214,7 @@ def cmd_oracle(cfg):
     for name in policies:
         header += [f"{name}_cost", f"{name}_rel_gap"]
     graph = exact_graph(specs, initial, k, horizon, bound)
-    check_sweeps(graph)
+    check_sweeps(graph, 1 + len(policies))
     rows = []
     for t in range(horizon, 0, -1):  # longest first, the order traced runs record
         opt, _table = dp_optimal(specs, initial, k, t, bound, graph)

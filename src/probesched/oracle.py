@@ -2,18 +2,23 @@
 
 A joint state is an int32 row of per-arm codes i * width + t, the
 simulator's encoding: a probe observing o moves an arm to o * width + 1,
-waiting adds 1.  `_graph` builds the layers of joint states reachable when
-any K-subset may be probed, each layer's subsets expanded in one pass, once
-per call, or once per `exact_graph` value, of which calls at shorter
-horizons read a prefix, each rank policy's picks included; one backward
-induction over them (`_sweep`) gives the optimal expected cost (least
-value-to-go over every K-subset) or a policy's exact value (its own
-selection's).  A policy is a rank policy's name, which picks each state's K
-arms first in `policies.rank_table` for whole layers at once, as the
-simulator does, or any callable, asked once per state it reaches; a name
-and its scalar selector (`select_whittle` or `select_myopic` on one
-state) give bitwise equal values.  Each slot costs sum(c_n * P(abnormal)) before its probes
-take effect, from exact marginals; `_graph` computes it once per state.
+waiting adds 1.  `_graph` builds the union of the joint states reachable
+within the horizon when any K-subset may be probed, in the order of the
+slot that first reaches them, and expands each once, every subset in one
+pass, so the states and branches of depth <= d are prefixes of its
+arrays.  The graph is time-homogeneous, so one value iteration over it
+(`_iterate`; Puterman 1994, ch. 8) gives the value of every horizon 1..T
+at once: step h reads only the states of depth <= T - h and their
+branches.  It gives the optimal expected cost (least value-to-go over
+every K-subset) or a policy's exact value (its own selection's), and an
+`exact_graph` value keeps each method's values, made by its first call,
+for calls at every horizon.  A policy is a rank policy's name, which
+picks each state's K arms first in `policies.rank_table` for all states
+at once, as the simulator does, or any callable, asked once per state it
+reaches; a name and its scalar selector (`select_whittle` or
+`select_myopic` on one state) give bitwise equal values.  Each slot costs
+sum(c_n * P(abnormal)) before its probes take effect, from exact
+marginals; `_graph` computes it once per state.
 """
 
 from __future__ import annotations
@@ -31,31 +36,10 @@ from .policies import _check_k, belief_codes, rank_table, smallest_k
 
 # the rank policies `policy_evaluate_exact` takes by name
 EXACT_POLICIES = ("whittle", "myopic")
-# branch entries charged per slot, for the fixed work of a slot's numpy passes
+# branch entries charged per value-iteration step, for its fixed numpy passes
 _SLOT_ENTRIES = 1024
-
-
-def _unique_rows(rows, base: int):
-    """The distinct rows of entries in [0, base), in `np.lexsort(rows.T)`
-    order, and each row's position among them.  Each row sorts by one int64
-    key, its entries as base-`base` digits, the last column most significant;
-    before a digit would overflow the key, the key is replaced by its dense
-    rank, which keeps its order."""
-    key, span = np.zeros(len(rows), dtype=np.int64), 1
-    for col in rows.T[::-1]:
-        if span * base > 2**63:
-            distinct, key = np.unique(key, return_inverse=True)
-            span = len(distinct)
-        key *= base
-        key += col
-        span *= base
-    order = np.argsort(key)
-    key = key.take(order)
-    first = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    position = np.empty(len(rows), dtype=np.int32)
-    position[order] = np.cumsum(first, dtype=np.int32) - 1
-    return rows.take(order[first], axis=0), position
+# the most state keys `_graph` looks up in a table of one entry per key
+_KEY_TABLE = 2**21
 
 
 def _branches(belief, arms, outcomes):
@@ -81,14 +65,50 @@ def _branches(belief, arms, outcomes):
     return subset, ids >> k, ids & (2**k - 1), pr
 
 
+class _StateIds:
+    """The id of each state found so far, by key: in a table of one entry
+    per key while there are at most `_KEY_TABLE` keys, else by searching
+    the sorted keys."""
+
+    def __init__(self, keys, space: int):
+        self.table = np.full(space, -1, dtype=np.int32) if space <= _KEY_TABLE else None
+        self.size, self.known, self.ids = 0, keys[:0], np.zeros(0, dtype=np.intp)
+        self.add(keys)
+
+    def find(self, keys):
+        """Each key's state id, or -1."""
+        if self.table is not None:
+            return self.table.take(keys)
+        at = np.minimum(np.searchsorted(self.known, keys), len(self.known) - 1)
+        return np.where(self.known.take(at) == keys, self.ids.take(at), -1)
+
+    def add(self, keys):
+        """Give the sorted new `keys` the next ids, in that order."""
+        ids = np.arange(self.size, self.size + len(keys))
+        self.size += len(keys)
+        if self.table is not None:
+            self.table[keys] = ids
+        else:
+            at = np.searchsorted(self.known, keys)
+            self.known, self.ids = np.insert(self.known, at, keys), np.insert(self.ids, at, ids)
+
+
 def _graph(specs, initial, k: int, horizon: int, bound: int):
-    """(code width, slot costs, K-subsets, layers, edges).  layers[s] holds
-    the distinct joint states reachable at slot s and costs[s] their slot
-    costs, sum(c_n * P(arm n abnormal)); edges[s] = (group, child,
-    probability) arrays into layer s + 1, group = parent * len(subsets) +
-    subset, ordered by subset, parent, then outcome (the subset's first arm
-    varying slowest, 0 before 1), without outcomes of belief 0 or 1.  Each
-    layer expands every subset at once (`_branches`)."""
+    """(code width, K-subsets, states, slot costs, depth ends, edges).
+    states[:ends[d]] are the distinct joint states reachable in d slots or
+    fewer, those first reached in d slots after the rest and in
+    `np.lexsort(states.T)` order among themselves; costs[s] is state s's
+    slot cost, sum(c_n * P(arm n abnormal)).  edges = (group, child,
+    probability, edge ends): each state of depth d < horizon - 1 branches
+    once, after every shallower state, edge_ends[d] edges in all from
+    depths <= d; group = state * len(subsets) + subset and child is a state
+    id, ordered by subset, parent, then outcome within a depth (the
+    subset's first arm varying slowest, 0 before 1), without outcomes of
+    belief 0 or 1.  Each depth expands every subset at once (`_branches`).
+
+    A state of depth d is charged its K-subsets x 2^K branches, each built
+    from N codes and read by the horizon - 1 - d value-iteration steps
+    that follow the one it first joins, before it is expanded."""
     n = len(specs)
     _check_k(n, k)
     if horizon < 1:
@@ -98,76 +118,101 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     width = max(st.t for st in initial) + horizon
     if 2 * n * width > bound:
         raise SearchSpaceError(2 * n * width, bound, "belief entries (2N x (largest t + horizon))")
-    entries = math.comb(n, k) * 2**k * n
-    layers = [np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)]
-    costs, edges, arms, total = [], [], None, _SLOT_ENTRIES * horizon  # every slot's, up front
-    for slot in range(horizon):
-        layer = layers[-1]
-        total += len(layer) * entries
+    per_state = math.comb(n, k) * 2**k
+    base = 2 * width
+    # a state's key: its codes as base-`base` digits, the last arm's the most
+    # significant, so keys sort as `np.lexsort` sorts rows; Python ints
+    # wherever an int64 could overflow
+    dtype = np.int64 if base**n <= 2**63 else object
+    digit = np.array([base**a for a in range(n)], dtype=dtype)
+    chunk = np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)
+    keys = (chunk * digit).sum(axis=1)
+    chunks, costs, total = [], [], _SLOT_ENTRIES * horizon
+    empty = np.zeros(0, dtype=np.intp)
+    groups, children, probs = [empty], [empty], [np.zeros(0)]  # no edges before depth 0
+    for depth in range(horizon):
+        total += len(chunk) * per_state * (n + horizon - 1 - depth)
         if total > bound:
-            what = f"{_SLOT_ENTRIES} x horizon + states x K-subsets x 2^K outcomes x N arms"
-            raise SearchSpaceError(total, bound, f"branch entries ({what}) in slots 0..{slot}")
-        if arms is None:  # once slot 0 passed, so a refused graph builds no table
+            what = (f"{_SLOT_ENTRIES} x horizon + states x K-subsets x 2^K outcomes x "
+                    "(N arms + the horizon - 1 - depth steps that read them)")
+            raise SearchSpaceError(total, bound, f"branch entries ({what}) at depths 0..{depth}")
+        if not chunks:  # once depth 0 passed, so a refused graph builds no table
             arms = np.array(list(itertools.combinations(range(n), k)))
             beliefs, lift = belief_codes(specs, width), np.arange(n)[:, None] * 2 * width
             outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
-            probed = (outcomes.T * width + 1).astype(np.int32)  # (K, 2^K): codes after a probe
+            ids = _StateIds(keys, base**n)
+        start = sum(map(len, chunks))
+        chunks.append(chunk)
         # arm-major (N, states), so each pass runs along the states
-        belief = beliefs.take(np.ascontiguousarray(layer.T) + lift)
+        belief = beliefs.take(np.ascontiguousarray(chunk.T) + lift)
         costs.append(sum(s.cost * belief[a] for a, s in enumerate(specs)))
-        if slot + 1 == horizon:
-            return width, costs, list(map(tuple, arms.tolist())), layers, edges
+        if depth + 1 == horizon or not len(chunk):
+            break
         subset, parent, branch, pr = _branches(belief, arms, outcomes)
-        group = parent * len(arms) + subset
-        child = layer.take(parent, axis=0)
-        child += 1
-        place = arms.T.take(subset, axis=1)  # (K, edges): flat places of the probed arms
-        place += np.arange(0, child.size, n)
-        child.reshape(-1)[place] = probed.take(branch, axis=1)
-        del subset, parent, branch, place  # before `_unique_rows`'s sort
-        nxt, child = _unique_rows(child, 2 * width)
-        layers.append(nxt)
-        edges.append((group, child, pr))
+        # a child's key is its parent's with every code one slot older and
+        # each probed arm's code o * width + 1 in place of code + 1
+        child = keys.take(parent) + digit.sum()
+        for r in range(k):
+            arm = arms[:, r].take(subset)
+            child += (outcomes[:, r].take(branch) * width - chunk.take(parent * n + arm)) \
+                * digit.take(arm)
+        keys = np.sort(child[ids.find(child) < 0])
+        keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
+        ids.add(keys)
+        chunk = (keys[:, None] // digit % base).astype(np.int32)
+        child = ids.find(child).astype(np.intp)
+        groups.append((parent + start) * len(arms) + subset)
+        children.append(child)
+        probs.append(pr)
+    # depths past the last new state add no states and no edges
+    ends = np.cumsum([len(c) for c in chunks] + [0] * (horizon - len(chunks)))
+    edge_ends = np.cumsum([len(p) for p in probs] + [0] * (horizon - len(probs)), dtype=np.intp)
+    del ids  # the key table, and below each column's parts once joined, to lower the peak
+    edges = []
+    for parts in (groups, children, probs):
+        edges.append(np.concatenate(parts))
+        parts.clear()
+    return (width, list(map(tuple, arms.tolist())), np.concatenate(chunks), np.concatenate(costs),
+            ends, (*edges, edge_ends[1:]))
 
 
 def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND):
     """One instance's graph for `horizon` slots, to pass to `dp_optimal` and
     `policy_evaluate_exact` on that instance (specs, initial, K, bound): a
-    call at any horizon h up to `horizon` reads its first h layers.  The code
+    call at any horizon h up to `horizon` reads its value at h.  The code
     width is `horizon`'s, which keeps every code's order, so each result is
-    bit for bit that of a graph of its own.  The value also holds each rank
-    policy's picks on every layer, made by the first call that names it; a
-    state's pick depends only on its codes and the width."""
+    bit for bit that of a graph of its own.  The value also keeps what the
+    first call of each method computes: the optimum's values and picks at
+    every horizon, each rank policy's values, and the states reachable at
+    each slot, found when a policy table is first read."""
     specs = tuple(specs)
     return (specs, tuple(initial), k, bound), horizon, _graph(specs, initial, k, horizon, bound), {}
 
 
-def _prefix(specs, initial, k: int, horizon: int, bound: int, graph, policy=None):
-    """The first `horizon` layers of `graph`, or of a graph of their own if
-    it is None, and a rank policy's picks on them if `policy` names one."""
+def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
+    """The parts, longest horizon and memo of `graph`, or of a graph of
+    their own for `horizon` slots if it is None."""
     if graph is None:
         graph = exact_graph(specs, initial, k, horizon, bound)
-    key, longest, (width, costs, subsets, layers, edges), picks = graph
+    key, longest, parts, memo = graph
     if key != (tuple(specs), tuple(initial), k, bound):
         raise ValueError("the graph passed is another instance's (specs, initial, K, bound)")
     if not 1 <= horizon <= longest:
         raise ValueError(f"horizon must be in 1..{longest} on the graph passed, got {horizon}")
-    if policy is not None and policy not in picks:
-        picks[policy] = _rank_picks(policy, specs, k, width, layers)
-    prefix = width, costs[:horizon], subsets, layers[:horizon], edges[:horizon - 1]
-    return prefix, None if policy is None else picks[policy][:horizon]
+    return parts, longest, memo
 
 
-def check_sweeps(graph) -> None:
-    """Refuse to sweep every horizon 1..T of `graph` if the T - s sweeps
-    that read each slot s, each reading its states x K-subsets x 2^K
-    outcomes plus `_SLOT_ENTRIES`, read more than the graph's bound."""
-    (_specs, _initial, k, bound), longest, (_width, _costs, subsets, layers, _edges), _ = graph
-    work = sum((len(layer) * len(subsets) * 2**k + _SLOT_ENTRIES) * (longest - slot)
-               for slot, layer in enumerate(layers))
+def check_sweeps(graph, solves: int) -> None:
+    """Refuse `solves` value iterations over every horizon of `graph` (the
+    `oracle` op runs one for the optimum and one per policy) if together
+    they read more than the graph's bound: step h of each reads the
+    branches of the states of depth <= T - h, plus `_SLOT_ENTRIES`."""
+    (_specs, _initial, _k, bound), longest, parts, _memo = graph
+    edge_ends = parts[-1][-1]
+    work = solves * (_SLOT_ENTRIES * longest + int(edge_ends.sum()))
     if work > bound:
-        raise SearchSpaceError(work, bound, "sweep entries ((states x K-subsets x 2^K outcomes "
-                               f"+ {_SLOT_ENTRIES}) per slot x the horizons that read it)")
+        raise SearchSpaceError(work, bound, f"sweep entries ({solves} value iterations x (the "
+                               f"branches each step reads + {_SLOT_ENTRIES}))")
 
 
 def _first_min(future):
@@ -179,42 +224,83 @@ def _first_min(future):
     return pick
 
 
-def _sweep(graph, picks=None):
-    """Backward induction: a state's value is its slot cost plus the
-    value-to-go future[state, subset], summed in branch order, of the subset
-    picks[slot][state] names (by default `_first_min`'s).  Returns the
-    initial state's value and the picks."""
-    _width, costs, subsets, layers, edges = graph
-    chosen = [None] * len(layers)
-    for slot in range(len(layers) - 1, -1, -1):
-        layer = layers[slot]
-        future = np.zeros((len(layer), len(subsets)))  # nothing follows the last slot
-        if slot < len(edges):
-            group, child, pr = edges[slot]
-            future = np.bincount(group, weights=pr * values.take(child),
-                                 minlength=future.size).reshape(future.shape)
-        chosen[slot] = _first_min(future) if picks is None else picks[slot]
-        values = costs[slot] + future.take(chosen[slot] + np.arange(0, future.size,
-                                                                    len(subsets)))
-    return float(values[0]), chosen
+def _iterate(parts, edges, horizon: int, optimal: bool):
+    """Value iteration over the first `horizon` depths: step h gives V_h on
+    the states of depth <= horizon - h, each state's slot cost plus
+    future[state, subset], the sum in edge order of probability x V_{h-1}
+    of the child over the edges of group state * subsets + subset.  The
+    optimum's `edges` (group, child, probability, edge ends) are the
+    graph's and each step takes `_first_min`'s subset; a policy's are its
+    own (`_chosen`), one group per state.  Returns V_1..V_horizon at the
+    initial state and the optimum's picks at each step."""
+    costs, ends = parts[3], parts[4]
+    group, child, pr, edge_ends = edges
+    choices, firsts, picks = len(parts[1]) if optimal else 1, [], []
+    for h in range(1, horizon + 1):
+        size = ends[horizon - h] * choices
+        if h == 1:
+            future = np.zeros(size)  # nothing follows the last slot
+        else:
+            e = edge_ends[horizon - h]
+            future = np.bincount(group[:e], weights=pr[:e] * values.take(child[:e]),
+                                 minlength=size)
+        if optimal:
+            picks.append(_first_min(future.reshape(-1, choices)))
+            future = future.take(picks[-1] + np.arange(0, size, choices))
+        values = costs[:ends[horizon - h]] + future
+        firsts.append(float(values[0]))
+    return firsts, picks
+
+
+def _chosen(edges, subsets: int, picks):
+    """The edges of each state's picked subset, in their order, grouped by
+    their parent alone."""
+    group, child, pr, edge_ends = edges
+    chosen = np.zeros(len(picks) * subsets, dtype=bool)
+    chosen[picks + np.arange(0, chosen.size, subsets)] = True
+    keep = chosen.take(group)
+    count = np.concatenate([[0], np.cumsum(keep)])
+    return group[keep] // subsets, child[keep], pr[keep], count.take(edge_ends)
+
+
+def _successors(level, size: int, parent, child, taken=True):
+    """The states any of the `taken` edges leads to from the states `level`."""
+    on = np.zeros(size, dtype=bool)
+    on[level] = True
+    reached = np.zeros(size, dtype=bool)
+    reached[child[on.take(parent) & taken]] = True
+    return reached
 
 
 class _PolicyTable(Mapping):
-    """Read-only {(slot, joint state as ((i, t), ...)): selection}, built on
-    first read; its length, one entry per reachable (slot, state), is known
-    without building it."""
+    """Read-only {(slot, joint state as ((i, t), ...)): selection} over
+    `horizon` slots; its states and entries are found on first read."""
 
-    def __init__(self, width, subsets, layers, picks):
-        self._parts = width, subsets, layers, picks
-        self._len = sum(map(len, layers))
+    def __init__(self, parts, memo, picks, horizon):
+        self._parts = parts, memo, picks, horizon
+
+    @functools.cached_property
+    def _layers(self):
+        """The states reachable at each slot, by one forward pass over the
+        edges, kept with the graph."""
+        parts, memo, _picks, horizon = self._parts
+        if "layers" not in memo:
+            _width, subsets, states, _costs, _ends, (group, child, _pr, edge_ends) = parts
+            parent, layers = group // len(subsets), [np.zeros(1, dtype=np.intp)]
+            for e in edge_ends:
+                layers.append(np.flatnonzero(_successors(layers[-1], len(states), parent[:e],
+                                                         child[:e])))
+            memo["layers"] = layers
+        return memo["layers"][:horizon]
 
     @functools.cached_property
     def _entries(self):
-        width, subsets, layers, picks = self._parts
+        (width, subsets, states, *_), _memo, picks, horizon = self._parts
         pairs = [divmod(code, width) for code in range(2 * width)]  # one (i, t) object per code
         return {(slot, tuple(map(pairs.__getitem__, row))): subsets[j]
-                for slot, (layer, pick) in enumerate(zip(layers, picks))
-                for row, j in zip(layer.tolist(), pick.tolist())}
+                for slot, layer in enumerate(self._layers)
+                for row, j in zip(states.take(layer, axis=0).tolist(),
+                                  picks[horizon - slot - 1].take(layer).tolist())}
 
     def __getitem__(self, key):
         return self._entries[key]
@@ -223,7 +309,7 @@ class _PolicyTable(Mapping):
         return iter(self._entries)
 
     def __len__(self):
-        return self._len
+        return sum(map(len, self._layers))
 
     def __repr__(self):
         return repr(self._entries)
@@ -234,29 +320,27 @@ def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND,
     optimal policy table, a read-only mapping {(slot, joint state):
     selection} that is built the first time it is read.  An `exact_graph`
     of this instance passed as `graph` is read in place of a new one."""
-    graph, _picks = _prefix(list(specs), initial, k, horizon, bound, graph)
-    value, picks = _sweep(graph)
-    width, _costs, subsets, layers, _edges = graph
-    return value, _PolicyTable(width, subsets, layers, picks)
+    parts, longest, memo = _exact(list(specs), initial, k, horizon, bound, graph)
+    if None not in memo:
+        memo[None] = _iterate(parts, parts[-1], longest, True)
+    values, picks = memo[None]
+    return values[horizon - 1], _PolicyTable(parts, memo, picks, horizon)
 
 
-def _rank_picks(policy: str, specs, k: int, width: int, layers):
-    """Each layer's subset ids under a rank policy: per state, the K arms
-    whose codes come first in `rank_table`, the simulator's rule."""
+def _rank_picks(policy: str, specs, k: int, width: int, states):
+    """Each state's subset id under a rank policy: the K arms whose codes
+    come first in `rank_table`, the simulator's rule."""
     n = len(specs)
     rank, lift = rank_table(policy, specs, width), np.arange(n)[:, None] * 2 * width
     # A subset's id is its place in lexicographic order: C(N, K) - 1 minus,
     # for each arm a in it, C(N - 1 - a, r), where r (`left`) of its arms are >= a.
     drop = [np.array([math.comb(n - 1 - a, r) for r in range(k + 1)]) for a in range(n)]
-    picks = []
-    for layer in layers:
-        mask = smallest_k(rank.take(np.ascontiguousarray(layer.T) + lift), k, rank.size)
-        ids, left = np.full(len(layer), math.comb(n, k) - 1), np.full(len(layer), k)
-        for a, chosen in enumerate(mask):
-            ids -= chosen * drop[a].take(left)
-            left -= chosen
-        picks.append(ids)
-    return picks
+    mask = smallest_k(rank.take(np.ascontiguousarray(states.T) + lift), k, rank.size)
+    ids, left = np.full(len(states), math.comb(n, k) - 1), np.full(len(states), k)
+    for a, chosen in enumerate(mask):
+        ids -= chosen * drop[a].take(left)
+        left -= chosen
+    return ids
 
 
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
@@ -264,7 +348,7 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
     """Exact expected total cost of a stationary deterministic policy: a
     rank policy's name, "whittle" or "myopic", or a selector asked once per
     distinct joint state it reaches (a list of ArmStates) for K distinct arm
-    ids.  A name picks each layer's K arms first in `policies.rank_table`
+    ids.  A name picks every state's K arms first in `policies.rank_table`
     without a call per state; its value is bitwise that of a selector
     calling `select_whittle`/`select_myopic`, which apply the same chain one
     state at a time.  Its graph is `dp_optimal`'s, `graph` included: both refuse alike."""
@@ -272,30 +356,35 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
         raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
                          f"or one of {', '.join(EXACT_POLICIES)}")
     specs = list(specs)
-    name = policy if isinstance(policy, str) else None
-    graph, picks = _prefix(specs, initial, k, horizon, bound, graph, name)
-    if name is not None:
-        return _sweep(graph, picks)[0]
-    width, _costs, subsets, layers, edges = graph
+    parts, longest, memo = _exact(specs, initial, k, horizon, bound, graph)
+    width, subsets, states, _costs, _ends, edges = parts
+    if isinstance(policy, str):
+        if policy not in memo:
+            expanded = parts[4][longest - 2] if longest > 1 else 0
+            picks = _rank_picks(policy, specs, k, width, states[:expanded])
+            memo[policy] = _iterate(parts, _chosen(edges, len(subsets), picks), longest, False)[0]
+        return memo[policy][horizon - 1]
+    group, child, _pr, edge_ends = edges
+    parent, subset = np.divmod(group, len(subsets))
     index = {sel: j for j, sel in enumerate(subsets)}
-    asked, picks, reached = {}, [], np.ones(1, dtype=bool)
-    for slot, layer in enumerate(layers):
-        picks.append(np.zeros(len(layer), dtype=np.intp))
-        for s in np.flatnonzero(reached):
-            codes = tuple(layer[s].tolist())
-            if codes not in asked:
-                states = [ArmState(c // width, c % width) for c in codes]
-                sel = policy(states)
-                try:
-                    asked[codes] = index[tuple(sorted(sel))]
-                except (KeyError, TypeError):
-                    raise ValueError(f"policy chose {sel!r} at {states!r}: need {k} distinct "
-                                     f"arm ids in 0..{len(specs) - 1}") from None
-            picks[slot][s] = asked[codes]
-        if slot < len(edges):
-            group, child, _pr = edges[slot]
-            parent, subset = np.divmod(group, len(subsets))
-            taken = reached[parent] & (subset == picks[slot][parent])
-            reached = np.zeros(len(layers[slot + 1]), dtype=bool)
-            reached[child[taken]] = True
-    return _sweep(graph, picks)[0]
+    picks, asked = np.zeros(len(states), dtype=np.intp), np.zeros(len(states), dtype=bool)
+    level = np.zeros(1, dtype=np.intp)
+    for slot in range(horizon):
+        asked[level] = True
+        for s in level.tolist():
+            codes = [ArmState(c // width, c % width) for c in states[s].tolist()]
+            sel = policy(codes)
+            try:
+                picks[s] = index[tuple(sorted(sel))]
+            except (KeyError, TypeError):
+                raise ValueError(f"policy chose {sel!r} at {codes!r}: need {k} distinct "
+                                 f"arm ids in 0..{len(specs) - 1}") from None
+        if slot + 1 == horizon:
+            break
+        e = edge_ends[slot]
+        reached = _successors(level, len(states), parent[:e], child[:e],
+                              subset[:e] == picks.take(parent[:e]))
+        level = np.flatnonzero(reached & ~asked)
+        if not len(level):
+            break
+    return _iterate(parts, _chosen(edges, len(subsets), picks), horizon, False)[0][horizon - 1]

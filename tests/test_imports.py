@@ -2,8 +2,9 @@
 re-exported through its `__all__`, every module-level private name is
 used somewhere in the package, every public one has a caller outside the
 tests but for the acceptance suite, p(t) and h(t) are walked only by
-`attack.marginals` and `attack.hazards`, and only the array modules import
-numpy when they are imported: lint checks that need no linter.  And the
+`attack.marginals` and `attack.hazards`, the oracle sums future costs in
+one function, and only the array modules import numpy when they are
+imported: lint checks that need no linter.  And the
 package namespace, whose array-backed names are bound on first access,
 stays complete."""
 
@@ -166,6 +167,38 @@ def test_the_check_sees_a_scalar_walk():
                      "a = [hazard(p, t) for t in r]\nb = map(partial(marginal_p, p), r)\n"
                      "while True:\n    c = m.marginal_p(p, 1)\nd = marginal_p(p, 1)\n")
     assert _scalar_walks(tree, ("marginals",)) == [3, 4, 6]
+
+
+def _sites(tree, module: str, name: str) -> list:
+    """The function around each reference to `module.name`, in source
+    order; "" for one outside every function."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.value, ast.Name) and node.value.id == module):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_the_oracle_has_one_backward_induction():
+    # every value-to-go, of the optimum and of each policy at every horizon,
+    # is summed by the one value iteration
+    tree = ast.parse(pathlib.Path(probesched.oracle.__file__).read_text())
+    assert _sites(tree, "np", "bincount") == ["_iterate"]
+
+
+def test_the_check_sees_a_second_induction():
+    tree = ast.parse("def f(v):\n    return np.bincount(v)\nclass C:\n"
+                     "    def g(self, v):\n        return np.bincount(v, minlength=2)\n"
+                     "h = np.bincount\nnp.add.at(w, v, 1)\n")
+    assert _sites(tree, "np", "bincount") == ["f", "g", ""]
 
 
 # the modules that work on numpy arrays; every other one runs without numpy

@@ -11,6 +11,7 @@ import pytest
 from probesched import (
     ArmState,
     ComponentSpec,
+    MarkovIID,
     SearchSpaceError,
     Table,
     belief_abnormal,
@@ -20,8 +21,9 @@ from probesched import (
 import probesched.oracle
 import probesched.policies
 from probesched.cli import main
-from probesched.oracle import DEFAULT_BOUND, EXACT_POLICIES, _graph, _rank_picks, _unique_rows, exact_graph
+from probesched.oracle import DEFAULT_BOUND, EXACT_POLICIES, _graph, _rank_picks, exact_graph
 from probesched.policies import belief_codes, whittle_policy
+from probesched.presets import FIG3
 from probesched.subsidy import solve_lambda_star
 from helpers import markov_spec, myopic_policy
 
@@ -60,9 +62,9 @@ def test_single_slot_cost_is_sum_of_beliefs():
 
 
 def test_graph_slot_costs_match_the_scalar_beliefs():
-    # each layer's slot costs, bitwise, against beliefs computed one arm at a time
+    # each union state's slot cost, bitwise, against beliefs computed one arm at a time
     rng = np.random.default_rng(5)
-    states = 0
+    count = 0
     for _ in range(30):
         n = int(rng.integers(1, 4))
         specs = [markov_spec(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0, 3)))
@@ -72,15 +74,14 @@ def test_graph_slot_costs_match_the_scalar_beliefs():
                  for _ in range(n)]
         initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 5))) for _ in range(n)]
         k, horizon = int(rng.integers(1, n + 1)), int(rng.integers(1, 5))
-        width, costs, _s, layers, _e = _graph(specs, initial, k, horizon, 10**7)
-        assert len(costs) == len(layers) == horizon
-        for layer, cost in zip(layers, costs):
-            for codes, got in zip(layer.tolist(), cost.tolist()):
-                want = sum(s.cost * belief_abnormal(s, ArmState(*divmod(c, width)))
-                           for s, c in zip(specs, codes))
-                assert repr(got) == repr(want)
-                states += 1
-    assert states > 200
+        width, _s, states, costs, ends, _e = _graph(specs, initial, k, horizon, 10**7)
+        assert len(costs) == len(states) == ends[-1] and len(ends) == horizon
+        for codes, got in zip(states.tolist(), costs.tolist()):
+            want = sum(s.cost * belief_abnormal(s, ArmState(*divmod(c, width)))
+                       for s, c in zip(specs, codes))
+            assert repr(got) == repr(want)
+            count += 1
+    assert count > 200
 
 
 def test_single_slot_all_policies_equal():
@@ -202,20 +203,24 @@ def test_guard_refuses_before_building_any_table():
     assert peak < 2**20
 
 
-def test_oracle_op_bounds_its_sweeps(tmp_path):
-    # the op sweeps every prefix of its one graph, so its time grows with
-    # T^2: one arm at T = 1000 took 10.9 s, against 0.07 s for its graph,
-    # and two arms at T = 500 17.3 s, against 0.25 s
+def test_oracle_op_bounds_its_sweeps(tmp_path, capsys):
+    # one value iteration per method gives every horizon, where the op once
+    # swept every horizon's prefix again, so its time grew with T^2: one arm
+    # at T = 1000 took 10.9 s and was refused, two arms at T = 500 17.3 s
     out = str(tmp_path / "oracle.csv")
-    for qs, horizon, code in [([0.3], 1000, 3), ([0.3, 0.4], 500, 3), ([0.3], 100, 0)]:
+    for qs, horizon, code in [([0.3], 1000, 0), ([0.3, 0.4], 500, 0), ([0.3, 0.4], 700, 3),
+                              ([0.3], 100, 0)]:
         start = time.perf_counter()
         assert main(["oracle", "--config", _markov_cfg(tmp_path, qs, horizon), "--out", out]) == code
         assert time.perf_counter() - start < 2.0
-    graph = exact_graph([markov_spec(0.3)], _fresh(1), 1, 250)
+        assert ("sweep entries" in capsys.readouterr().err) == (code == 3)
+    # (0, 1) has two branches and (1, 1), seen abnormal, one; step h reads
+    # those of depth <= 250 - h: 3 each in steps 2..249, 2 in step 250
+    graph = exact_graph([markov_spec(0.3)], _fresh(1), 1, 250, bound=500_000)
     with pytest.raises(SearchSpaceError, match="sweep entries") as err:
-        probesched.oracle.check_sweeps(graph)
-    assert err.value.count == 32_253_000
-    probesched.oracle.check_sweeps(exact_graph([markov_spec(0.3)], _fresh(1), 1, 100))
+        probesched.oracle.check_sweeps(graph, 3)
+    assert err.value.count == 3 * (1024 * 250 + 248 * 3 + 2) == 770_238
+    probesched.oracle.check_sweeps(graph, 1)
 
 
 def test_guard_bound_is_configurable():
@@ -323,6 +328,11 @@ _GOLDEN_FIG3 = [
     ("oracle", 8, "0202cb847ef9e914a7dc20485fc009eb4a58865919fae6a76a8dbad110380afa"),
     ("evaluate", 6, "8fdbd5f9a82154c21564b4dfa0c3f244eb47deb504efd631ff5fc35907da9840"),
     ("evaluate", 8, "afc554fdf75c7076e5785e3a5856ef4c587a2d2cab32f90b4c8a868a3342aa27"),
+    # recorded on the layered graph, before the union graph replaced it
+    ("oracle", 10, "810494aa051c9dac7ae0cac05d62dbd4b08b4f20f47935a2adeb559ea9cf3245"),
+    ("oracle", 12, "92512395f3adbf8fe80798e628808956d4e9faeee55b6719d04ca42c7345791b"),
+    ("evaluate", 10, "1f1688d63d9ed1092aa45fbd20bdfa9ed46bd48c63f2c8e2626a0704323321d2"),
+    ("evaluate", 12, "a51b33cb6e9020ec0c607ad8e87e48eb494ebcce6f5c96ff5806455efa5713fc"),
 ]
 
 
@@ -382,13 +392,13 @@ def test_rank_names_equal_their_callables():
                 assert repr(value) == repr(policy_evaluate_exact(specs, initial, k, horizon, pol))
                 assert repr(value) == repr(policy_evaluate_exact(specs, initial, k, horizon,
                                                                  counting))
-                width, _b, subsets, layers, _e = _graph(specs, initial, k, horizon, 10**7)
-                for layer, picks in zip(layers, _rank_picks(name, specs, k, width, layers)):
-                    for codes, j in zip(layer.tolist(), picks.tolist()):
-                        states = tuple(ArmState(c // width, c % width) for c in codes)
-                        if states in asked:
-                            assert subsets[j] == asked[states]
-                            cases += 1
+                width, subsets, union, *_ = _graph(specs, initial, k, horizon, 10**7)
+                picks = _rank_picks(name, specs, k, width, union)
+                for codes, j in zip(union.tolist(), picks.tolist()):
+                    states = tuple(ArmState(c // width, c % width) for c in codes)
+                    if states in asked:
+                        assert subsets[j] == asked[states]
+                        cases += 1
     assert cases > 1000
 
 
@@ -400,18 +410,6 @@ def _lexsort_unique(rows):
     position = np.empty(len(rows), dtype=np.int32)
     position[order] = np.cumsum(first) - 1
     return rows[first], position
-
-
-@pytest.mark.parametrize("n, base", [(1, 5), (4, 18), (3, 2002), (12, 2**20)])
-def test_unique_rows_matches_lexsort(n, base):
-    # 12 digits of base 2^20 overflow one int64 key, so the key is re-ranked
-    rng = np.random.default_rng(n)
-    for digits in ([0, 1, base - 1], np.arange(base)):  # shared prefixes, then any
-        distinct = rng.choice(digits, size=(300, n)).astype(np.int32)
-        rows = distinct[rng.integers(0, len(distinct), 2000)]
-        got, want = _unique_rows(rows, base), _lexsort_unique(rows)
-        assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
-        assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
 
 
 def _loop_graph(specs, initial, k, horizon):
@@ -449,6 +447,45 @@ def _assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def _assert_union_holds_the_layers(got, want):
+    """Each layer of the layered reference `want` is a set of states of the
+    union graph `got` with bitwise equal slot costs and edges (subset,
+    outcome, probability, child codes); depth chunk d is layer d without
+    the states of earlier layers, and its states' edges follow those of
+    every earlier chunk.  Returns the edges and the outcomes dropped."""
+    width, subsets, states, costs, ends, (group, child, pr, edge_ends) = got
+    _w, ref_costs, _s, layers, ref_edges = want
+    assert width == want[0] and subsets == want[2]
+    c = len(subsets)
+    assert len(ends) == len(layers) and len(edge_ends) == len(ref_edges) == len(layers) - 1
+    ids = {row.tobytes(): s for s, row in enumerate(states)}
+    assert len(ids) == len(states)
+    seen, edges, dropped = set(), 0, 0
+    for d, (layer, cost) in enumerate(zip(layers, ref_costs, strict=True)):
+        at = np.array([ids[row.tobytes()] for row in layer], dtype=np.intp)
+        _assert_bitwise(costs[at], cost)
+        fresh = np.array([row.tobytes() not in seen for row in layer], dtype=bool)
+        _assert_bitwise(states[ends[d - 1] if d else 0:ends[d]], layer[fresh])
+        seen.update(row.tobytes() for row in layer)
+        if d == len(ref_edges):
+            break
+        lo = edge_ends[d - 1] if d else 0
+        assert np.array_equal(np.unique(group[lo:edge_ends[d]] // c),
+                              np.arange(ends[d - 1] if d else 0, ends[d]))
+        ref_group, ref_child, ref_pr = ref_edges[d]
+        key = at[ref_group // c] * c + ref_group % c
+        order = np.argsort(key, kind="stable")  # by parent, then subset, keeping outcome order
+        mine = np.flatnonzero(np.isin(group // c, at))
+        mine = mine[np.argsort(group[mine], kind="stable")]
+        _assert_bitwise(group[mine], key[order])
+        _assert_bitwise(pr[mine], ref_pr[order])
+        _assert_bitwise(states[child[mine]], layers[d + 1][ref_child[order]])
+        edges += len(ref_group)
+        dropped += len(layer) * c * 2 ** len(subsets[0]) - len(ref_group)
+    assert len(seen) == len(states)
+    return edges, dropped
+
+
 def test_graph_expands_every_subset_as_the_per_subset_loop_did():
     # beliefs of exactly 0.0 (any arm just seen abnormal, a table's 0.0) and
     # 1.0 (a table's 1.0) drop outcomes; a largest initial t > 1 widens the codes
@@ -463,18 +500,8 @@ def test_graph_expands_every_subset_as_the_per_subset_loop_did():
         initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 6))) for _ in range(n)]
         horizon = int(rng.integers(2, 7 if n <= 3 else 5))
         got = _graph(specs, initial, k, horizon, 10**7)
-        want = _loop_graph(specs, initial, k, horizon)
-        assert got[0] == want[0] and got[2] == want[2]
-        assert len(got[1]) == len(got[3]) == horizon and len(got[4]) == horizon - 1
-        for layer, ref in zip(got[3], want[3], strict=True):
-            _assert_bitwise(layer, ref)
-        for cost, ref in zip(got[1], want[1], strict=True):
-            _assert_bitwise(cost, ref)
-        for layer, arrays, refs in zip(got[3][:-1], got[4], want[4], strict=True):
-            for array, ref in zip(arrays, refs, strict=True):
-                _assert_bitwise(array, ref)
-            dropped += len(layer) * len(got[2]) * 2**k - len(arrays[0])
-            edges += len(arrays[0])
+        counts = _assert_union_holds_the_layers(got, _loop_graph(specs, initial, k, horizon))
+        edges, dropped = edges + counts[0], dropped + counts[1]
     assert edges > 10_000 and dropped > 10_000
 
 
@@ -645,3 +672,105 @@ def test_policy_table_is_built_on_first_read():
     assert len(list(table)) == 17
     with pytest.raises(TypeError):
         table[(0, ((0, 1), (0, 1)))] = (1,)
+
+
+def _layered_value(specs, initial, k, horizon, policy=None):
+    """The reference: backward induction over `_loop_graph`'s layers, each
+    layer's future costs summed edge by edge (`np.add.at`).  The optimum's
+    value and table ({(slot, state): selection}), or a rank policy's value."""
+    width, costs, subsets, layers, edges = _loop_graph(specs, initial, k, horizon)
+    table = {}
+    for slot in range(horizon - 1, -1, -1):
+        layer = layers[slot]
+        future = np.zeros((len(layer), len(subsets)))
+        if slot < len(edges):
+            group, child, pr = edges[slot]
+            np.add.at(future.reshape(-1), group, pr * values[child])
+        if policy is None:  # the first subset beating every earlier one by > 1e-15
+            pick = []
+            for row in future.tolist():
+                best = 0
+                for j in range(1, len(row)):
+                    if row[j] < row[best] - 1e-15:
+                        best = j
+                pick.append(best)
+            pick = np.array(pick, dtype=np.intp)
+        else:
+            pick = _rank_picks(policy, specs, k, width, layer)
+        values = costs[slot] + future[np.arange(len(layer)), pick]
+        pairs = [tuple(divmod(c, width) for c in row) for row in layer.tolist()]
+        table.update(((slot, state), subsets[j]) for state, j in zip(pairs, pick.tolist()))
+    return float(values[0]), table
+
+
+def test_every_horizon_is_bitwise_equal_three_ways():
+    # every V_h read from one graph equals the same call without a graph and
+    # a backward induction over the layers of its own horizon; non-fresh
+    # initial states make the code widths differ
+    rng = np.random.default_rng(23)
+    pool = [markov_spec(0.3), markov_spec(0.6, 2.0), ComponentSpec(Table((0.0, 0.4, 0.7)), 0.8),
+            ComponentSpec(Table((0.2, 0.5, 0.6)), 1.3)]
+    checked = 0
+    for trial in range(20):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, min(n, 3) + 1))
+        specs = [pool[j] for j in rng.integers(0, len(pool), n)]
+        initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 5))) for _ in range(n)]
+        horizon = int(rng.integers(2, 7 if n <= 3 else 5))
+        graph = exact_graph(specs, initial, k, horizon)
+        for h in range(horizon, 0, -1):
+            value, table = _layered_value(specs, initial, k, h)
+            for passed in (graph, None):
+                got, got_table = dp_optimal(specs, initial, k, h, graph=passed)
+                assert repr(got) == repr(value)
+                assert len(got_table) == len(table) and dict(got_table.items()) == table
+                for name in EXACT_POLICIES:
+                    want = _layered_value(specs, initial, k, h, name)[0]
+                    got = policy_evaluate_exact(specs, initial, k, h, name, graph=passed)
+                    assert repr(got) == repr(want)
+            checked += 1
+    assert checked > 50
+
+
+def test_fig3_table_lengths_are_the_layered_pairs():
+    # the layered (slot, state) pairs: their sums over t = 1..8 are the
+    # 37,864 `oracle.dp_states` of a traced fig3 op
+    specs = [ComponentSpec(Table(tuple(c["p"])), c["cost"]) for c in FIG3["components"]]
+    graph = exact_graph(specs, _fresh(4), 1, 8)
+    lengths = [1, 9, 65, 361, 1473, 4361, 10369, 21225]
+    assert [len(dp_optimal(specs, _fresh(4), 1, t, graph=graph)[1]) for t in range(8, 0, -1)] \
+        == lengths[::-1]
+    assert [len(dp_optimal(specs, _fresh(4), 1, t)[1]) for t in range(1, 9)] == lengths
+    assert sum(lengths) == 37_864
+
+
+def test_keys_past_int64_stay_exact():
+    # (2 x 1004)^6 = 6.6e19 keys exceed 2^63; recorded on the layered graph
+    specs = [ComponentSpec(MarkovIID(0.05 + 0.1 * i), 1 + 0.1 * i) for i in range(6)]
+    initial = [ArmState(0, 1000)] + _fresh(5)
+    assert (2 * 1004) ** 6 > 2**63
+    value, table = dp_optimal(specs, initial, 1, 4)
+    assert value.hex() == "0x1.c2e66f9335d25p+3"
+    assert policy_evaluate_exact(specs, initial, 1, 4, "whittle").hex() == "0x1.c2e66f9335d25p+3"
+    assert len(table) == len(list(table)) == 1075
+
+
+def test_sorted_keys_build_the_same_graph_as_the_key_table(monkeypatch):
+    # past `_KEY_TABLE` keys a graph looks its states up in sorted keys
+    rng = np.random.default_rng(29)
+    pool = [markov_spec(0.3), ComponentSpec(Table((0.0, 0.4, 1.0)), 0.7),
+            ComponentSpec(Table((0.2, 0.5, 0.6)), 1.0)]
+    fig3 = [ComponentSpec(Table(tuple(c["p"])), c["cost"]) for c in FIG3["components"]]
+    cases = [(fig3, _fresh(4), 1, 8)]
+    for trial in range(20):
+        n = int(rng.integers(1, 5))
+        cases.append(([pool[j] for j in rng.integers(0, len(pool), n)],
+                      [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 5))) for _ in range(n)],
+                      int(rng.integers(1, min(n, 3) + 1)), int(rng.integers(1, 6))))
+    tables = [_graph(*case, 10**7) for case in cases]
+    monkeypatch.setattr(probesched.oracle, "_KEY_TABLE", 0)
+    for case, want in zip(cases, tables):
+        got = _graph(*case, 10**7)
+        assert got[:2] == want[:2]
+        for array, ref in zip([*got[2:5], *got[5]], [*want[2:5], *want[5]], strict=True):
+            _assert_bitwise(array, ref)
