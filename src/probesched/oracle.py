@@ -119,19 +119,28 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     if 2 * n * width > bound:
         raise SearchSpaceError(2 * n * width, bound, "belief entries (2N x (largest t + horizon))")
     per_state = math.comb(n, k) * 2**k
-    base = 2 * width
-    # a state's key: its codes as base-`base` digits, the last arm's the most
-    # significant, so keys sort as `np.lexsort` sorts rows; Python ints
-    # wherever an int64 could overflow
-    dtype = np.int64 if base**n <= 2**63 else object
-    digit = np.array([base**a for a in range(n)], dtype=dtype)
-    chunk = np.array([[st.i * width + st.t for st in initial]], dtype=np.int32)
-    keys = (chunk * digit).sum(axis=1)
+    # each arm's codes within the horizon, sorted: its first code, waiting
+    # up to horizon - 1 slots, and o * width + t for t < horizon once probed
+    first = [st.i * width + st.t for st in initial]
+    reach = [np.array(sorted({*range(c, c + horizon), *range(1, horizon),
+                              *range(width + 1, width + horizon)})) for c in first]
+    radix = [len(codes) for codes in reach]
+    # a state's key: each code's place in its arm's codes as mixed-radix
+    # digits, the last arm's the most significant, so keys sort as
+    # `np.lexsort` sorts rows; Python ints wherever a key plus one unit of
+    # every digit could overflow an int64
+    dtype = np.int64 if 2 * math.prod(radix) <= 2**63 else object
+    unit = np.array([math.prod(radix[:a]) for a in range(n)], dtype=dtype)
+    codes, offset = np.concatenate(reach).astype(np.int32), np.cumsum([0] + radix[:-1])
+    # the digit of each arm's code o * width + 1 after a probe observes o
+    landing = np.array([np.searchsorted(c, [1, width + 1]) for c in reach]).reshape(-1)
+    digits = np.array([[np.searchsorted(c, f) for c, f in zip(reach, first)]])
+    keys = (digits * unit).sum(axis=1)
     chunks, costs, total = [], [], _SLOT_ENTRIES * horizon
     empty = np.zeros(0, dtype=np.intp)
     groups, children, probs = [empty], [empty], [np.zeros(0)]  # no edges before depth 0
     for depth in range(horizon):
-        total += len(chunk) * per_state * (n + horizon - 1 - depth)
+        total += len(digits) * per_state * (n + horizon - 1 - depth)
         if total > bound:
             what = (f"{_SLOT_ENTRIES} x horizon + states x K-subsets x 2^K outcomes x "
                     "(N arms + the horizon - 1 - depth steps that read them)")
@@ -140,8 +149,9 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
             arms = np.array(list(itertools.combinations(range(n), k)))
             beliefs, lift = belief_codes(specs, width), np.arange(n)[:, None] * 2 * width
             outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
-            ids = _StateIds(keys, base**n)
+            ids = _StateIds(keys, math.prod(radix))
         start = sum(map(len, chunks))
+        chunk = codes.take(digits + offset)
         chunks.append(chunk)
         # arm-major (N, states), so each pass runs along the states
         belief = beliefs.take(np.ascontiguousarray(chunk.T) + lift)
@@ -149,19 +159,22 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
         if depth + 1 == horizon or not len(chunk):
             break
         subset, parent, branch, pr = _branches(belief, arms, outcomes)
-        # a child's key is its parent's with every code one slot older and
-        # each probed arm's code o * width + 1 in place of code + 1
-        child = keys.take(parent) + digit.sum()
+        # a child's key is its parent's with every code one slot older, the
+        # next digit, and each probed arm's landing digit in place of that
+        child = keys.take(parent) + unit.sum()
         for r in range(k):
             arm = arms[:, r].take(subset)
-            child += (outcomes[:, r].take(branch) * width - chunk.take(parent * n + arm)) \
-                * digit.take(arm)
+            step = landing.take(2 * arm + outcomes[:, r].take(branch))
+            step -= digits.take(parent * n + arm)
+            step -= 1
+            child += step * unit.take(arm)
+        groups.append((parent + start) * len(arms) + subset)
+        del subset, parent, branch, arm, step  # before the lookups, to lower the peak
         keys = np.sort(child[ids.find(child) < 0])
         keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
         ids.add(keys)
-        chunk = (keys[:, None] // digit % base).astype(np.int32)
+        digits = (keys[:, None] // unit % radix).astype(np.int32)
         child = ids.find(child).astype(np.intp)
-        groups.append((parent + start) * len(arms) + subset)
         children.append(child)
         probs.append(pr)
     # depths past the last new state add no states and no edges

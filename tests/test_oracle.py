@@ -745,7 +745,9 @@ def test_fig3_table_lengths_are_the_layered_pairs():
 
 
 def test_keys_past_int64_stay_exact():
-    # (2 x 1004)^6 = 6.6e19 keys exceed 2^63; recorded on the layered graph
+    # rows of codes below 2 x 1004 number (2 x 1004)^6 = 6.6e19 > 2^63, but
+    # rows of the codes these arms reach within 4 slots only 10 x 7^5;
+    # recorded on the layered graph
     specs = [ComponentSpec(MarkovIID(0.05 + 0.1 * i), 1 + 0.1 * i) for i in range(6)]
     initial = [ArmState(0, 1000)] + _fresh(5)
     assert (2 * 1004) ** 6 > 2**63
@@ -753,6 +755,21 @@ def test_keys_past_int64_stay_exact():
     assert value.hex() == "0x1.c2e66f9335d25p+3"
     assert policy_evaluate_exact(specs, initial, 1, 4, "whittle").hex() == "0x1.c2e66f9335d25p+3"
     assert len(table) == len(list(table)) == 1075
+
+
+def test_python_int_keys_equal_the_layered_reference():
+    # each arm reaches 7 codes within 3 slots: (0, 3..5), (0, 1..2) and
+    # (1, 1..2), so 23 arms' keys run to 7^23 = 2.7e19 > 2^62
+    specs = [ComponentSpec(MarkovIID(0.05 + 0.04 * i), 1 + 0.05 * i) for i in range(23)]
+    initial = [ArmState(0, 3)] * 23
+    assert 7**23 > 2**62
+    value, table = dp_optimal(specs, initial, 1, 3)
+    want, want_table = _layered_value(specs, initial, 1, 3)
+    assert repr(value) == repr(want)
+    assert len(table) == len(want_table) and dict(table.items()) == want_table
+    for name in EXACT_POLICIES:
+        got = policy_evaluate_exact(specs, initial, 1, 3, name)
+        assert repr(got) == repr(_layered_value(specs, initial, 1, 3, name)[0])
 
 
 def test_sorted_keys_build_the_same_graph_as_the_key_table(monkeypatch):
