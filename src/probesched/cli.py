@@ -34,7 +34,6 @@ from .whittle import index_rows
 # the one they call.
 _ARRAY_NAMES = {
     "EXACT_POLICIES": "oracle",
-    "check_sweeps": "oracle",
     "dp_optimal": "oracle",
     "exact_graph": "oracle",
     "policy_evaluate_exact": "oracle",
@@ -213,15 +212,14 @@ def cmd_oracle(cfg):
     header = ["horizon", "optimal_cost"]
     for name in policies:
         header += [f"{name}_cost", f"{name}_rel_gap"]
-    graph = exact_graph(specs, initial, k, horizon, bound)
-    check_sweeps(graph, 1 + len(policies))
+    graph = exact_graph(specs, initial, k, horizon, bound, 1 + len(policies))
     rows = []
     for t in range(horizon, 0, -1):  # longest first, the order traced runs record
         opt, _table = dp_optimal(specs, initial, k, t, bound, graph)
         row = [t, opt]
         for name in policies:
             val = policy_evaluate_exact(specs, initial, k, t, name, bound, graph)
-            row += [val, (val - opt) / opt if opt > 0 else 0.0]
+            row += [val, (val - opt) / opt if opt > 0 else math.inf if val > 0 else 0.0]
         rows.append(row)
     return header, rows[::-1]
 

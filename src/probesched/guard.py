@@ -9,10 +9,9 @@ DEFAULT_BOUND = 10_000_000
 
 class SearchSpaceError(RuntimeError):
     """Raised when a problem's size exceeds the bound set on it, before the
-    work is done: the oracle's belief table, the branch entries of its
-    graph and of one value iteration over it, or the entries the `oracle`
-    op's value iterations read; the simulator's run size; or the rows of
-    an index table."""
+    work is done: an exact op's graph, whose belief table, branch entries
+    and value-iteration sweeps `oracle._graph` counts; the simulator's run
+    size; or the rows of an index table."""
 
     def __init__(self, count: int, bound: int, what: str):
         self.count = count

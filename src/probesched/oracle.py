@@ -93,7 +93,7 @@ class _StateIds:
             self.known, self.ids = np.insert(self.known, at, keys), np.insert(self.ids, at, ids)
 
 
-def _graph(specs, initial, k: int, horizon: int, bound: int):
+def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1):
     """(code width, K-subsets, states, slot costs, depth ends, edges).
     states[:ends[d]] are the distinct joint states reachable in d slots or
     fewer, those first reached in d slots after the rest and in
@@ -106,9 +106,14 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     subset's first arm varying slowest, 0 before 1), without outcomes of
     belief 0 or 1.  Each depth expands every subset at once (`_branches`).
 
-    A state of depth d is charged its K-subsets x 2^K branches, each built
-    from N codes and read by the horizon - 1 - d value-iteration steps
-    that follow the one it first joins, before it is expanded."""
+    One guard refuses every exact op before its work: the belief table,
+    2N x (largest t + horizon), before any table is built; before each
+    depth, the branch entries, `_SLOT_ENTRIES` per step plus each depth-d
+    state's K-subsets x 2^K branches, built from N codes and read by the
+    horizon - 1 - d steps after the one it first joins; after the last, the
+    sweeps of the op's `solves` value iterations, step h reading the edges
+    of depth <= horizon - h plus `_SLOT_ENTRIES`: never more than the
+    branch entries when `solves` is 1."""
     n = len(specs)
     _check_k(n, k)
     if horizon < 1:
@@ -180,6 +185,10 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
     # depths past the last new state add no states and no edges
     ends = np.cumsum([len(c) for c in chunks] + [0] * (horizon - len(chunks)))
     edge_ends = np.cumsum([len(p) for p in probs] + [0] * (horizon - len(probs)), dtype=np.intp)
+    sweeps = solves * (_SLOT_ENTRIES * horizon + int(edge_ends[1:].sum()))
+    if sweeps > bound:
+        raise SearchSpaceError(sweeps, bound, f"sweep entries ({solves} value iterations x (the "
+                               f"branches each step reads + {_SLOT_ENTRIES}))")
     del ids  # the key table, and below each column's parts once joined, to lower the peak
     edges = []
     for parts in (groups, children, probs):
@@ -189,17 +198,20 @@ def _graph(specs, initial, k: int, horizon: int, bound: int):
             ends, (*edges, edge_ends[1:]))
 
 
-def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND):
+def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND,
+                solves: int = 1):
     """One instance's graph for `horizon` slots, to pass to `dp_optimal` and
     `policy_evaluate_exact` on that instance (specs, initial, K, bound): a
-    call at any horizon h up to `horizon` reads its value at h.  The code
+    call at any horizon h up to `horizon` reads its value at h, and
+    `solves` methods will run on it (`_graph` bounds their work).  The code
     width is `horizon`'s, which keeps every code's order, so each result is
     bit for bit that of a graph of its own.  The value also keeps what the
     first call of each method computes: the optimum's values and picks at
     every horizon, each rank policy's values, and the states reachable at
     each slot, found when a policy table is first read."""
     specs = tuple(specs)
-    return (specs, tuple(initial), k, bound), horizon, _graph(specs, initial, k, horizon, bound), {}
+    return ((specs, tuple(initial), k, bound), horizon,
+            _graph(specs, initial, k, horizon, bound, solves), {})
 
 
 def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
@@ -213,19 +225,6 @@ def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
     if not 1 <= horizon <= longest:
         raise ValueError(f"horizon must be in 1..{longest} on the graph passed, got {horizon}")
     return parts, longest, memo
-
-
-def check_sweeps(graph, solves: int) -> None:
-    """Refuse `solves` value iterations over every horizon of `graph` (the
-    `oracle` op runs one for the optimum and one per policy) if together
-    they read more than the graph's bound: step h of each reads the
-    branches of the states of depth <= T - h, plus `_SLOT_ENTRIES`."""
-    (_specs, _initial, _k, bound), longest, parts, _memo = graph
-    edge_ends = parts[-1][-1]
-    work = solves * (_SLOT_ENTRIES * longest + int(edge_ends.sum()))
-    if work > bound:
-        raise SearchSpaceError(work, bound, f"sweep entries ({solves} value iterations x (the "
-                               f"branches each step reads + {_SLOT_ENTRIES}))")
 
 
 def _first_min(future):

@@ -8,7 +8,10 @@ arm state (0, t) is
 with W(0, 0) = 0, and W(1, t) = W(0, t-1) because a repaired component lags
 a reset one by exactly one slot.  Under strictly concave marginals W(0, .)
 is strictly increasing, which makes the index the infimum passivity subsidy
-at each state.
+at each state.  On random nondecreasing tables (zero prefixes, plateaus, a
+final 1.0, S-shapes, steps) the tests find W(0, .) nondecreasing up to
+rounding, and its threshold at each lam below its plateau the t0* of
+`subsidy.optimal_stopping`; the DP indifference check is on concave ones.
 """
 
 from __future__ import annotations

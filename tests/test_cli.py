@@ -151,6 +151,24 @@ def test_oracle_small_homogeneous_gap_zero(tmp_path):
         assert float(row["whittle_rel_gap"]) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_oracle_gap_over_a_zero_optimum_is_infinite(tmp_path):
+    # myopic, tied at belief 0, probes the never-abnormal arm in slot 1, so
+    # the other is abnormal in slot 2; the optimum probes that one and pays
+    # nothing, and myopic's cost of 1 once read as a 0.0 gap
+    cfg = _write_cfg(tmp_path, {
+        "components": [{"kind": "table", "p": [0.0], "cost": 1.0},
+                       {"kind": "table", "p": [0.0, 1.0], "cost": 1.0}],
+        "K": 1,
+        "horizon": 2,
+        "policies": ["whittle", "myopic"],
+    })
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+    assert [[row[f] for f in ("optimal_cost", "whittle_rel_gap", "myopic_cost",
+                              "myopic_rel_gap")] for row in _read_csv(out)] == [
+        ["0.0", "0.0", "0.0", "0.0"], ["0.0", "0.0", "1.0", "inf"]]
+
+
 def test_oracle_guard_exit_code(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "mode": "oracle",

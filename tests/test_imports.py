@@ -3,8 +3,8 @@ re-exported through its `__all__`, every module-level private name is
 used somewhere in the package, every public one has a caller outside the
 tests but for the acceptance suite, p(t) and h(t) are walked only by
 `attack.marginals` and `attack.hazards`, the oracle sums future costs in
-one function, and only the array modules import numpy when they are
-imported: lint checks that need no linter.  And the
+one function and refuses work in one, and only the array modules import
+numpy when they are imported: lint checks that need no linter.  And the
 package namespace, whose array-backed names are bound on first access,
 stays complete."""
 
@@ -169,36 +169,67 @@ def test_the_check_sees_a_scalar_walk():
     assert _scalar_walks(tree, ("marginals",)) == [3, 4, 6]
 
 
-def _sites(tree, module: str, name: str) -> list:
-    """The function around each reference to `module.name`, in source
-    order; "" for one outside every function."""
-    found = []
+def _sites(tree, found) -> list:
+    """The function around each node `found` accepts, in source order; ""
+    for one outside every function."""
+    sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == name
-                and isinstance(node.value, ast.Name) and node.value.id == module):
-            found.append(where)
+        if found(node):
+            sites.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, "")
+    return sites
+
+
+def _attribute(module: str, name: str):
+    """A test for a reference to `module.name`."""
+    return lambda node: (isinstance(node, ast.Attribute) and node.attr == name
+                         and isinstance(node.value, ast.Name) and node.value.id == module)
+
+
+def _raise_of(name: str):
+    """A test for a `raise` of `name` or of a call to it."""
+    def found(node):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        return isinstance(exc, ast.Name) and exc.id == name
     return found
+
+
+def _oracle_tree():
+    return ast.parse(pathlib.Path(probesched.oracle.__file__).read_text())
 
 
 def test_the_oracle_has_one_backward_induction():
     # every value-to-go, of the optimum and of each policy at every horizon,
     # is summed by the one value iteration
-    tree = ast.parse(pathlib.Path(probesched.oracle.__file__).read_text())
-    assert _sites(tree, "np", "bincount") == ["_iterate"]
+    assert _sites(_oracle_tree(), _attribute("np", "bincount")) == ["_iterate"]
 
 
 def test_the_check_sees_a_second_induction():
     tree = ast.parse("def f(v):\n    return np.bincount(v)\nclass C:\n"
                      "    def g(self, v):\n        return np.bincount(v, minlength=2)\n"
                      "h = np.bincount\nnp.add.at(w, v, 1)\n")
-    assert _sites(tree, "np", "bincount") == ["f", "g", ""]
+    assert _sites(tree, _attribute("np", "bincount")) == ["f", "g", ""]
+
+
+def test_the_oracle_has_one_guard():
+    # every exact op is refused by the one graph guard, which counts the
+    # value iterations the op will run too
+    sites = _sites(_oracle_tree(), _raise_of("SearchSpaceError"))
+    assert sites and set(sites) == {"_graph"}
+
+
+def test_the_check_sees_a_second_guard():
+    tree = ast.parse("def _graph(n):\n    if n:\n        raise SearchSpaceError(n, 1, 'x')\n"
+                     "def check(n):\n    raise SearchSpaceError(n, 1, 'y')\n"
+                     "def other():\n    raise ValueError('z')\nraise SearchSpaceError\n")
+    assert _sites(tree, _raise_of("SearchSpaceError")) == ["_graph", "check", ""]
 
 
 # the modules that work on numpy arrays; every other one runs without numpy

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import re
 import time
 import tracemalloc
 
@@ -216,11 +218,46 @@ def test_oracle_op_bounds_its_sweeps(tmp_path, capsys):
         assert ("sweep entries" in capsys.readouterr().err) == (code == 3)
     # (0, 1) has two branches and (1, 1), seen abnormal, one; step h reads
     # those of depth <= 250 - h: 3 each in steps 2..249, 2 in step 250
-    graph = exact_graph([markov_spec(0.3)], _fresh(1), 1, 250, bound=500_000)
     with pytest.raises(SearchSpaceError, match="sweep entries") as err:
-        probesched.oracle.check_sweeps(graph, 3)
+        exact_graph([markov_spec(0.3)], _fresh(1), 1, 250, bound=500_000, solves=3)
     assert err.value.count == 3 * (1024 * 250 + 248 * 3 + 2) == 770_238
-    probesched.oracle.check_sweeps(graph, 1)
+    exact_graph([markov_spec(0.3)], _fresh(1), 1, 250, bound=500_000)
+
+
+def _refusal(err: str):
+    """(count, what) of a refusal's stderr line, or None."""
+    match = re.match(r"refused: search space too large: (\d+) (\w+ entries)", err)
+    return match and (int(match[1]), match[2])
+
+
+@pytest.mark.parametrize("command, horizon, refusal", [
+    ("oracle", 15, None), ("oracle", 16, (10_780_932, "sweep entries")),
+    ("oracle", 17, (10_329_504, "branch entries")),
+    ("evaluate", 16, None), ("evaluate", 17, (10_329_504, "branch entries"))])
+def test_fig3_exact_limits(capsys, command, horizon, refusal):
+    # oracle's three solves (the optimum, whittle, myopic) refuse T = 16 by
+    # their sweeps; evaluate's one graph passes it
+    code = main([command, "--preset", "fig3", "--horizon", str(horizon), "--out", os.devnull])
+    assert code == (0 if refusal is None else 3)
+    assert _refusal(capsys.readouterr().err) == refusal
+
+
+@pytest.mark.parametrize("n, k, limits", [(2, 1, {"evaluate": 759, "oracle": 462}),
+                                          (3, 2, {"evaluate": 258, "oracle": 181}),
+                                          (4, 3, {"evaluate": 96, "oracle": 79})])
+def test_single_horizon_limits(tmp_path, capsys, n, k, limits):
+    # fresh Markov arms that rarely repeat a state; at the default bound the
+    # largest horizon passes and the next is refused, `oracle` by its sweeps
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"components": [{"kind": "markov", "q": 0.05 + 0.1 * i,
+                                               "cost": 1 + 0.1 * i} for i in range(n)],
+                               "K": k, "policies": ["whittle", "myopic"]}))
+    for command, limit in limits.items():
+        for horizon, code in [(limit, 0), (limit + 1, 3)]:
+            assert main([command, "--config", str(cfg), "--horizon", str(horizon),
+                         "--out", os.devnull]) == code
+        what = "sweep entries" if command == "oracle" else "branch entries"
+        assert _refusal(capsys.readouterr().err)[1] == what
 
 
 def test_guard_bound_is_configurable():

@@ -11,6 +11,7 @@ from probesched import (
     belief_abnormal,
     check_c1,
     indifference_gap,
+    optimal_stopping,
     whittle_index,
 )
 import probesched.whittle
@@ -67,6 +68,56 @@ def test_strict_increase_under_c1():
         assert check_c1(spec.process, horizon)
         w = index_values(spec, horizon - 1)
         assert all(a < b for a, b in zip(w, w[1:]))
+
+
+_SHAPES = ("zero prefix", "plateau", "final 1.0", "S-shape", "step")
+
+
+def _nondecreasing_table(rng, shape: str) -> Table:
+    """A random nondecreasing table of 1..8 entries (a plateau repeats one
+    of them up to 3 more times), of one of `_SHAPES`."""
+    n = int(rng.integers(1, 9))
+    grow = np.sort(rng.uniform(0.0, 1.0, n))
+    if shape == "zero prefix":
+        vals = np.where(np.arange(n) < rng.integers(1, n + 1), 0.0, grow)
+    elif shape == "plateau":
+        k = int(rng.integers(0, n))
+        vals = np.insert(grow, k, [grow[k]] * int(rng.integers(1, 4)))
+    elif shape == "final 1.0":
+        vals = np.append(grow, 1.0)
+    elif shape == "S-shape":
+        mid, steep, top = rng.uniform(1, n + 1), rng.uniform(0.5, 4.0), rng.uniform(0.3, 1.0)
+        vals = top / (1.0 + np.exp(-steep * (np.arange(1, n + 1) - mid)))
+    else:
+        top = 1.0 if rng.random() < 0.3 else rng.uniform()
+        vals = np.where(np.arange(n) < rng.integers(0, n), 0.0, top)
+    return Table(tuple(vals.tolist()))
+
+
+def test_closed_form_on_nondecreasing_tables():
+    # C1 (strict concavity) is sufficient; these tables break it.  Past a
+    # table's end, and on a plateau of three entries, W(0, .) is constant
+    # but may drop by an ulp: W(0, t) subtracts terms of up to
+    # c (t + 1) p(t + 1) and rounds relative to them, not to itself.  On
+    # Table((0.000225, 0.000225)), c = 1.87, W(0, 2) - W(0, 3) is 1.07e-12
+    # of W = c p^2 but half an ulp of c (t + 2) p(t + 2), the scale the
+    # 1e-12 allowance is relative to.
+    rng = np.random.default_rng(20_261_019)
+    checks = 0
+    for j in range(1000):
+        table = _nondecreasing_table(rng, _SHAPES[j % len(_SHAPES)])
+        spec, p = ComponentSpec(table, float(rng.uniform(0.3, 3.0))), table.values
+        w = index_values(spec, len(p) + 2)
+        for t, (now, later) in enumerate(zip(w, w[1:])):
+            assert later >= now - 1e-12 * spec.cost * (t + 2) * p[min(t + 2, len(p)) - 1]
+        # below the plateau the stopping rule probes at the first index above
+        # lam; at lam = W(0, t) probing at t and at t + 1 tie, so that is skipped
+        for lam in (w[-1] * np.arange(1, 13) / 13).tolist():
+            if lam > 0.0 and all(abs(v - lam) > 1e-12 * lam for v in w):
+                first = next(t for t in range(1, len(w)) if w[t] > lam)
+                assert optimal_stopping(spec, lam).t0_star == first, (table, spec.cost, lam)
+                checks += 1
+    assert checks > 10_000
 
 
 def test_index_table_layout():
