@@ -133,6 +133,8 @@ def process_to_json(process: AttackProcess) -> dict:
 
 
 def process_from_json(obj: dict) -> AttackProcess:
+    if not isinstance(obj, dict):
+        raise TypeError(f"a process descriptor must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "markov":
         if "q" not in obj:
@@ -152,6 +154,8 @@ def component_to_json(spec: ComponentSpec) -> dict:
 
 
 def component_from_json(obj: dict) -> ComponentSpec:
+    if not isinstance(obj, dict):
+        raise TypeError(f"a component descriptor must be a JSON object, got {obj!r}")
     if "cost" not in obj:
         raise ValueError("component descriptor needs a 'cost' field")
     return ComponentSpec(process=process_from_json(obj), cost=float(obj["cost"]))

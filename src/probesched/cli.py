@@ -284,6 +284,8 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{args.config} nests deeper than the JSON parser can read") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: top-level JSON value must be an object")
     else:

@@ -14,11 +14,12 @@ every K-subset) or a policy's exact value (its own selection's), and an
 `exact_graph` value keeps each method's values, made by its first call,
 for calls at every horizon.  A policy is a rank policy's name, which
 picks each state's K arms first in `policies.rank_table` for all states
-at once, as the simulator does, or any callable, asked once per state it
-reaches; a name and its scalar selector (`select_whittle` or
-`select_myopic` on one state) give bitwise equal values.  Each slot costs
-sum(c_n * P(abnormal)) before its probes take effect, from exact
-marginals; `_graph` computes it once per state.
+at once, as the simulator does, or any callable, asked once for each
+state its own picks reach, slot by slot, by the one forward walk
+(`_layers`) that lists a policy table's layers; a name and its scalar
+selector (`select_whittle` or `select_myopic` on one state) give bitwise
+equal values.  Each slot costs sum(c_n * P(abnormal)) before its probes
+take effect, from exact marginals; `_graph` computes it once per state.
 """
 
 from __future__ import annotations
@@ -205,13 +206,13 @@ def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND
     call at any horizon h up to `horizon` reads its value at h, and
     `solves` methods will run on it (`_graph` bounds their work).  The code
     width is `horizon`'s, which keeps every code's order, so each result is
-    bit for bit that of a graph of its own.  The value also keeps what the
-    first call of each method computes: the optimum's values and picks at
-    every horizon, each rank policy's values, and the states reachable at
-    each slot, found when a policy table is first read."""
+    bit for bit that of a graph of its own.  The value, (instance, parts,
+    memo), keeps what the first call of each method computes: the
+    optimum's values and picks at every horizon, each rank policy's values,
+    and the states reachable at each slot, listed by the forward walk that
+    also finds a callable's states when a policy table is first read."""
     specs = tuple(specs)
-    return ((specs, tuple(initial), k, bound), horizon,
-            _graph(specs, initial, k, horizon, bound, solves), {})
+    return (specs, tuple(initial), k, bound), _graph(specs, initial, k, horizon, bound, solves), {}
 
 
 def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
@@ -219,7 +220,8 @@ def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
     their own for `horizon` slots if it is None."""
     if graph is None:
         graph = exact_graph(specs, initial, k, horizon, bound)
-    key, longest, parts, memo = graph
+    key, parts, memo = graph
+    longest = len(parts[4])
     if key != (tuple(specs), tuple(initial), k, bound):
         raise ValueError("the graph passed is another instance's (specs, initial, K, bound)")
     if not 1 <= horizon <= longest:
@@ -275,13 +277,24 @@ def _chosen(edges, subsets: int, picks):
     return group[keep] // subsets, child[keep], pr[keep], count.take(edge_ends)
 
 
-def _successors(level, size: int, parent, child, taken=True):
-    """The states any of the `taken` edges leads to from the states `level`."""
-    on = np.zeros(size, dtype=bool)
-    on[level] = True
-    reached = np.zeros(size, dtype=bool)
-    reached[child[on.take(parent) & taken]] = True
-    return reached
+def _layers(parts, horizon: int, picks=None):
+    """Yield the states reachable at each slot 0..horizon - 1, walking the
+    edges of every K-subset or, given `picks`, each state's picked subset:
+    the caller fills a layer's picks before the walk steps past it."""
+    _width, subsets, states, _costs, _ends, (group, child, _pr, edge_ends) = parts
+    parent, subset = np.divmod(group, len(subsets))
+    layer = np.zeros(1, dtype=np.intp)
+    yield layer
+    for e in edge_ends[:horizon - 1]:
+        on = np.zeros(len(states), dtype=bool)
+        on[layer] = True
+        taken = on.take(parent[:e])
+        if picks is not None:
+            taken &= subset[:e] == picks.take(parent[:e])
+        reached = np.zeros(len(states), dtype=bool)
+        reached[child[:e][taken]] = True
+        layer = np.flatnonzero(reached)
+        yield layer
 
 
 class _PolicyTable(Mapping):
@@ -292,17 +305,12 @@ class _PolicyTable(Mapping):
         self._parts = parts, memo, picks, horizon
 
     @functools.cached_property
-    def _layers(self):
-        """The states reachable at each slot, by one forward pass over the
-        edges, kept with the graph."""
+    def _reached(self):
+        """The states reachable at each slot, walked for the graph's longest
+        horizon and kept with the graph."""
         parts, memo, _picks, horizon = self._parts
         if "layers" not in memo:
-            _width, subsets, states, _costs, _ends, (group, child, _pr, edge_ends) = parts
-            parent, layers = group // len(subsets), [np.zeros(1, dtype=np.intp)]
-            for e in edge_ends:
-                layers.append(np.flatnonzero(_successors(layers[-1], len(states), parent[:e],
-                                                         child[:e])))
-            memo["layers"] = layers
+            memo["layers"] = list(_layers(parts, len(parts[4])))
         return memo["layers"][:horizon]
 
     @functools.cached_property
@@ -310,7 +318,7 @@ class _PolicyTable(Mapping):
         (width, subsets, states, *_), _memo, picks, horizon = self._parts
         pairs = [divmod(code, width) for code in range(2 * width)]  # one (i, t) object per code
         return {(slot, tuple(map(pairs.__getitem__, row))): subsets[j]
-                for slot, layer in enumerate(self._layers)
+                for slot, layer in enumerate(self._reached)
                 for row, j in zip(states.take(layer, axis=0).tolist(),
                                   picks[horizon - slot - 1].take(layer).tolist())}
 
@@ -321,7 +329,7 @@ class _PolicyTable(Mapping):
         return iter(self._entries)
 
     def __len__(self):
-        return sum(map(len, self._layers))
+        return sum(map(len, self._reached))
 
     def __repr__(self):
         return repr(self._entries)
@@ -358,12 +366,13 @@ def _rank_picks(policy: str, specs, k: int, width: int, states):
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
                           bound: int = DEFAULT_BOUND, graph=None) -> float:
     """Exact expected total cost of a stationary deterministic policy: a
-    rank policy's name, "whittle" or "myopic", or a selector asked once per
-    distinct joint state it reaches (a list of ArmStates) for K distinct arm
-    ids.  A name picks every state's K arms first in `policies.rank_table`
-    without a call per state; its value is bitwise that of a selector
-    calling `select_whittle`/`select_myopic`, which apply the same chain one
-    state at a time.  Its graph is `dp_optimal`'s, `graph` included: both refuse alike."""
+    rank policy's name, "whittle" or "myopic", or a selector asked for K
+    distinct arm ids once for each joint state (a list of ArmStates) its own
+    picks reach, slot by slot, by the forward walk that lists a policy
+    table's layers.  A name picks every state's K arms first in
+    `policies.rank_table` without a call per state; its value is bitwise
+    that of a selector calling `select_whittle`/`select_myopic`, which apply
+    the same chain one state at a time.  Its graph is `dp_optimal`'s, `graph` included: both refuse alike."""
     if isinstance(policy, str) and policy not in EXACT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
                          f"or one of {', '.join(EXACT_POLICIES)}")
@@ -376,14 +385,10 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
             picks = _rank_picks(policy, specs, k, width, states[:expanded])
             memo[policy] = _iterate(parts, _chosen(edges, len(subsets), picks), longest, False)[0]
         return memo[policy][horizon - 1]
-    group, child, _pr, edge_ends = edges
-    parent, subset = np.divmod(group, len(subsets))
     index = {sel: j for j, sel in enumerate(subsets)}
     picks, asked = np.zeros(len(states), dtype=np.intp), np.zeros(len(states), dtype=bool)
-    level = np.zeros(1, dtype=np.intp)
-    for slot in range(horizon):
-        asked[level] = True
-        for s in level.tolist():
+    for layer in _layers(parts, horizon, picks):
+        for s in layer[~asked.take(layer)].tolist():
             codes = [ArmState(c // width, c % width) for c in states[s].tolist()]
             sel = policy(codes)
             try:
@@ -391,12 +396,5 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
             except (KeyError, TypeError):
                 raise ValueError(f"policy chose {sel!r} at {codes!r}: need {k} distinct "
                                  f"arm ids in 0..{len(specs) - 1}") from None
-        if slot + 1 == horizon:
-            break
-        e = edge_ends[slot]
-        reached = _successors(level, len(states), parent[:e], child[:e],
-                              subset[:e] == picks.take(parent[:e]))
-        level = np.flatnonzero(reached & ~asked)
-        if not len(level):
-            break
+        asked[layer] = True
     return _iterate(parts, _chosen(edges, len(subsets), picks), horizon, False)[0][horizon - 1]

@@ -384,6 +384,25 @@ def test_infinite_cost_rejected(tmp_path, capsys, command):
     assert "config.components[0]" in err and "cost" in err
 
 
+@pytest.mark.parametrize("command", ["index", "simulate", "evaluate", "oracle", "subsidy"])
+@pytest.mark.parametrize("component", ["cost", ["cost"]], ids=["string", "list"])
+def test_component_that_is_no_object_rejected(tmp_path, capsys, command, component):
+    # "cost" in a string or list once passed, and `obj.get` raised a traceback
+    cfg = _write_cfg(tmp_path, {"components": [component], "K": 1, "horizon": 3})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config.components[0]: a component descriptor must be a JSON object")
+
+
+def test_config_nested_past_the_parser_limit_rejected(tmp_path, capsys):
+    # once a RecursionError traceback out of `json.load`
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["index", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path} nests deeper than the JSON parser "
+                                       "can read\n")
+
+
 def test_module_entry_point_prints_csv(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "probesched.cli", "index", "--preset", "fig2"],
@@ -429,6 +448,8 @@ def _config(draw, command):
         return draw(st.one_of(valid, _JUNK) if dirty else valid)
 
     def component():
+        if dirty and draw(st.integers(0, 3)) == 0:  # no object, but "cost" in it
+            return draw(st.sampled_from(["cost", ["cost"], ["kind", "cost"]]))
         if draw(st.booleans()):
             return {"kind": "markov", "q": pick(_PROB), "cost": pick(_COST)}
         p = draw(st.lists(st.floats(0.0, 1.0), min_size=0 if dirty else 1, max_size=6))
@@ -449,7 +470,8 @@ def _config(draw, command):
     horizon = draw(st.integers(0 if dirty else 1, t_max))
     if command == "queueing":
         classes = [{"holding_cost": c.pop("cost"),
-                    "arrival": {**c, "kind": "bernoulli"} if "q" in c else c} for c in specs]
+                    "arrival": {**c, "kind": "bernoulli"} if "q" in c else c}
+                   if isinstance(c, dict) else c for c in specs]
         cfg = {"queueing": {"servers": k, "classes": classes}, "queueing_mode": mode}
     else:
         cfg = {"components": specs, "K": k}

@@ -3,10 +3,10 @@ re-exported through its `__all__`, every module-level private name is
 used somewhere in the package, every public one has a caller outside the
 tests but for the acceptance suite, p(t) and h(t) are walked only by
 `attack.marginals` and `attack.hazards`, the oracle sums future costs in
-one function and refuses work in one, and only the array modules import
-numpy when they are imported: lint checks that need no linter.  And the
-package namespace, whose array-backed names are bound on first access,
-stays complete."""
+one function, refuses work in one and walks its graph forward in one,
+and only the array modules import numpy when they are imported: lint
+checks that need no linter.  And the package namespace, whose
+array-backed names are bound on first access, stays complete."""
 
 import ast
 import pathlib
@@ -216,6 +216,26 @@ def test_the_check_sees_a_second_induction():
                      "    def g(self, v):\n        return np.bincount(v, minlength=2)\n"
                      "h = np.bincount\nnp.add.at(w, v, 1)\n")
     assert _sites(tree, _attribute("np", "bincount")) == ["f", "g", ""]
+
+
+def _reads(name: str):
+    """A test for a read of the name `name`."""
+    return lambda node: (isinstance(node, ast.Name) and node.id == name
+                         and isinstance(node.ctx, ast.Load))
+
+
+def test_the_oracle_has_one_forward_walk():
+    # the graph's builder, the value iteration and a policy's edge filter
+    # read the depths' edge ends; every reachable layer comes from the walk
+    sites = _sites(_oracle_tree(), _reads("edge_ends"))
+    assert set(sites) == {"_graph", "_iterate", "_chosen", "_layers"}
+
+
+def test_the_check_sees_a_second_forward_walk():
+    tree = ast.parse("def _layers(parts):\n    g, edge_ends = parts\n    yield edge_ends[0]\n"
+                     "class T:\n    def walk(self, edge_ends):\n        return edge_ends[1]\n"
+                     "def other(edges):\n    edge_ends = edges\nx = edge_ends\n")
+    assert _sites(tree, _reads("edge_ends")) == ["_layers", "walk", ""]
 
 
 def test_the_oracle_has_one_guard():

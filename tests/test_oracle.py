@@ -357,6 +357,22 @@ def test_policy_is_called_once_per_reachable_state():
     assert len(seen) == len(set(seen)) > 6
 
 
+def test_fig3_callable_is_asked_the_recorded_states():
+    # a callable is asked once for each state its own picks reach, slot by
+    # slot; asking every expanded state instead made 6,529 calls at T = 8
+    specs = [ComponentSpec(Table(tuple(c["p"])), c["cost"]) for c in FIG3["components"]]
+    graph, pol = exact_graph(specs, _fresh(4), 1, 14), whittle_policy(specs, 1)
+    for horizon, calls in [(1, 1), (2, 3), (6, 63), (8, 239), (10, 519), (12, 707), (14, 787)]:
+        seen = []
+
+        def counting(states):
+            seen.append(tuple(states))
+            return pol(states)
+
+        policy_evaluate_exact(specs, _fresh(4), 1, horizon, counting, graph=graph)
+        assert len(seen) == len(set(seen)) == calls
+
+
 # sha256 of the fig3 `oracle` and `evaluate` CSV bytes, recorded before the
 # oracle moved from dicts of state tuples onto arrays of state codes
 _GOLDEN_FIG3 = [
