@@ -6,22 +6,17 @@ Whittle index of each (last observation, elapsed slots) arm state, runs
 index / myopic / queue / random policies in a seeded simulator, verifies
 them against exact finite-horizon dynamic programming on small instances,
 and solves the time-averaged probe budget via a passivity subsidy.
+K servers sharing N finite buffers, each empty or full, are the same
+model: a full buffer is an abnormal component, serving it is probing and
+its holding cost is the abnormal cost, so the CLI's `queueing` command
+only rewrites such a network as components.
 """
 
 import importlib
 
 from .arm import ArmState, belief_abnormal
-from .attack import (
-    ComponentSpec,
-    MarkovIID,
-    Table,
-    check_c1,
-    component_from_json,
-    component_to_json,
-    marginal_p,
-)
+from .attack import ComponentSpec, MarkovIID, Table, check_c1, component_from_json, marginal_p
 from .guard import SearchSpaceError
-from .queueing import CustomerClass, QueueNetworkSpec, to_rmab
 from .subsidy import indifference_gap, optimal_stopping, relaxed_select, solve_lambda_star
 from .whittle import whittle_index
 
@@ -55,16 +50,13 @@ def __dir__():
 __all__ = [
     "ArmState",
     "ComponentSpec",
-    "CustomerClass",
     "MarkovIID",
-    "QueueNetworkSpec",
     "RunConfig",
     "SearchSpaceError",
     "Table",
     "belief_abnormal",
     "check_c1",
     "component_from_json",
-    "component_to_json",
     "dp_optimal",
     "indifference_gap",
     "marginal_p",
@@ -77,6 +69,5 @@ __all__ = [
     "select_myopic",
     "select_whittle",
     "solve_lambda_star",
-    "to_rmab",
     "whittle_index",
 ]

@@ -126,12 +126,6 @@ def check_c1(process: AttackProcess, horizon: int) -> bool:
     return all(a > b for a, b in pairwise(deltas))
 
 
-def process_to_json(process: AttackProcess) -> dict:
-    if isinstance(process, MarkovIID):
-        return {"kind": "markov", "q": process.q}
-    return {"kind": "table", "p": list(process.values)}
-
-
 def process_from_json(obj: dict) -> AttackProcess:
     if not isinstance(obj, dict):
         raise TypeError(f"a process descriptor must be a JSON object, got {obj!r}")
@@ -145,12 +139,6 @@ def process_from_json(obj: dict) -> AttackProcess:
             raise ValueError("table process needs a 'p' field")
         return Table(values=tuple(obj["p"]))
     raise ValueError(f"unknown process kind {kind!r}")
-
-
-def component_to_json(spec: ComponentSpec) -> dict:
-    out = process_to_json(spec.process)
-    out["cost"] = spec.cost
-    return out
 
 
 def component_from_json(obj: dict) -> ComponentSpec:

@@ -20,10 +20,9 @@ import math
 import sys
 
 from .arm import ArmState
-from .attack import component_from_json, component_to_json
+from .attack import component_from_json
 from .guard import DEFAULT_BOUND, SearchSpaceError
 from .presets import PRESETS
-from .queueing import queue_network_from_json, to_rmab
 from .subsidy import solve_lambda_star
 from .whittle import index_rows
 
@@ -239,24 +238,46 @@ def cmd_subsidy(cfg):
     return header, rows
 
 
+def _queueing(obj):
+    """(components, K) of a queueing descriptor.  K servers share N finite
+    buffers, each empty or full: a full buffer is an abnormal component,
+    serving it is probing, and its holding cost is the abnormal cost, so a
+    class is a component descriptor with `bernoulli` arrivals read as
+    `markov` and `holding_cost` as `cost`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config.queueing: expected a network descriptor object, got {obj!r}")
+    classes, servers = obj.get("classes"), obj.get("servers")
+    if not isinstance(classes, list) or len(classes) < 2:
+        raise ConfigError(f"config.queueing: need a list of at least two classes, got {classes!r}")
+    if not isinstance(servers, int) or isinstance(servers, bool) \
+            or not 1 <= servers < len(classes):
+        raise ConfigError("config.queueing: need an integer 1 <= servers < classes, "
+                          f"got servers={servers!r}, classes={len(classes)}")
+    components = []
+    for idx, c in enumerate(classes):
+        if not isinstance(c, dict) or not isinstance(c.get("arrival"), dict) \
+                or "holding_cost" not in c:
+            raise ConfigError(f"config.queueing: classes[{idx}] needs an 'arrival' object "
+                              "and a 'holding_cost'")
+        kind = c["arrival"].get("kind")
+        components.append({**c["arrival"], "kind": "markov" if kind == "bernoulli" else kind,
+                           "cost": c["holding_cost"]})
+        try:
+            component_from_json(components[-1])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"config.queueing: classes[{idx}]: {exc}") from exc
+    return components, servers
+
+
 def cmd_queueing(cfg):
-    if "queueing" not in cfg:
-        raise ConfigError("config.queueing: missing queueing descriptor")
-    try:
-        qspec = queue_network_from_json(cfg["queueing"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config.queueing: {exc}") from exc
-    components, k = to_rmab(qspec)
-    sub = dict(cfg)
-    sub["components"] = [component_to_json(c) for c in components]
-    sub["K"] = k
+    components, k = _queueing(cfg.get("queueing"))
     submode = cfg.get("queueing_mode", "simulate")
     dispatch = {"simulate": cmd_simulate, "oracle": cmd_oracle, "evaluate": cmd_evaluate}
     if not isinstance(submode, str) or submode not in dispatch:
         raise ConfigError(
             f"config.queueing_mode: expected simulate|oracle|evaluate, got {submode!r}"
         )
-    return dispatch[submode](sub)
+    return dispatch[submode]({**cfg, "components": components, "K": k})
 
 
 COMMANDS = {

@@ -10,8 +10,10 @@ a reset one by exactly one slot.  Under strictly concave marginals W(0, .)
 is strictly increasing, which makes the index the infimum passivity subsidy
 at each state.  On random nondecreasing tables (zero prefixes, plateaus, a
 final 1.0, S-shapes, steps) the tests find W(0, .) nondecreasing up to
-rounding, and its threshold at each lam below its plateau the t0* of
-`subsidy.optimal_stopping`; the DP indifference check is on concave ones.
+rounding and exactly constant past the table's end, its threshold at each
+lam below its plateau the t0* of `subsidy.optimal_stopping`, and at
+lam = W(0, t) the cycle rewards of probing at t and at t + 1 equal up to
+rounding; the finite-horizon DP indifference check is on concave ones.
 """
 
 from __future__ import annotations
@@ -26,12 +28,17 @@ from .attack import ComponentSpec, marginals
 def index_from_marginals(cost: float, marginals):
     """W(0, 0), W(0, 1), ... lazily from the marginals p(1), p(2), ...:
     W(0, t) takes p(t + 1), so n >= 1 marginals give W(0, 0..n-1).  The
-    closed form is written here only."""
-    yield 0.0
-    cum = 0.0
+    closed form is written here only.  Where p(t - 1) = p(t) = p(t + 1) it
+    gives W(0, t) = W(0, t - 1), which is yielded again, so W(0, .) is
+    exactly constant past a table's end."""
+    yield (w := 0.0)
+    cum = p_prev = 0.0
     for t, (p_t, p_next) in enumerate(pairwise(marginals), 1):
         cum += p_t
-        yield (p_next * (t + p_t) / (1.0 + p_next - p_t) - cum) * cost
+        if not p_prev == p_t == p_next:
+            w = (p_next * (t + p_t) / (1.0 + p_next - p_t) - cum) * cost
+        yield w
+        p_prev = p_t
 
 
 def index_values(spec: ComponentSpec, horizon: int) -> list:

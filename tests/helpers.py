@@ -1,7 +1,8 @@
 """Shared fixtures: reference processes, random spec generators, the
 scalar references the array code is pinned against (the arm update rule,
 h(t), the random pick, the myopic selector), the reference relaxed-budget
-solve and the environment of a child interpreter."""
+solve, the inverse of the JSON descriptor parsers and the environment of a
+child interpreter."""
 
 import bisect
 import os
@@ -26,6 +27,18 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def process_to_json(process) -> dict:
+    if isinstance(process, MarkovIID):
+        return {"kind": "markov", "q": process.q}
+    return {"kind": "table", "p": list(process.values)}
+
+
+def component_to_json(spec: ComponentSpec) -> dict:
+    out = process_to_json(spec.process)
+    out["cost"] = spec.cost
+    return out
 
 
 def concave_spec(cost=1.0):

@@ -10,11 +10,10 @@ from probesched import (
     Table,
     check_c1,
     component_from_json,
-    component_to_json,
     marginal_p,
 )
 from probesched.attack import hazards, marginals
-from helpers import CONCAVE8, hazard
+from helpers import CONCAVE8, component_to_json, hazard
 
 # edge cases of the walk: 1 - q rounds to 1, q near 1, a zero prefix, a
 # table reaching 1.0; every table here ends before t = 40

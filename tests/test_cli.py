@@ -265,6 +265,37 @@ def test_queueing_rejects_too_many_servers(tmp_path, capsys):
         assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
 
+_ARMS = [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2
+
+
+# (command, config file text or None for no file, extra flags, message)
+@pytest.mark.parametrize("command, text, flags, message", [
+    ("index", "{}", ["--preset", "fig2"], "give either --preset or --config, not both"),
+    ("index", None, [], "cannot read config {path}: "),
+    ("index", "{", [], "{path} is not valid JSON: "),
+    ("index", "[]", [], "{path}: top-level JSON value must be an object"),
+    ("simulate", json.dumps({"components": _ARMS, "K": 3, "horizon": 2}), [],
+     "config.K: K=3 exceeds the 2 configured components"),
+    ("simulate", json.dumps({"components": _ARMS, "K": 1, "horizon": 2, "policies": []}), [],
+     "config.policies: expected a nonempty list of policy names"),
+    ("simulate", json.dumps({"components": _ARMS, "K": 1, "horizon": 2, "policies": "whittle"}),
+     [], "config.policies: expected a nonempty list of policy names"),
+    ("queueing", json.dumps({"horizon": 2}), [],
+     "config.queueing: expected a network descriptor object, got None"),
+    ("index", json.dumps({"components": _ARMS[0], "horizon": 2}), [],
+     "config.components: expected list, got {"),
+], ids=["preset-and-config", "unreadable", "invalid-json", "top-level-array", "k-above-n",
+        "empty-policies", "policies-not-list", "no-queueing", "components-not-list"])
+def test_invalid_config_exits_2(tmp_path, capsys, command, text, flags, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.replace("{path}", str(path)))
+    assert err.count("\n") == 1
+
+
 def test_flag_overrides(tmp_path):
     out = tmp_path / "short.csv"
     assert main(["simulate", "--preset", "fig4", "--horizon", "3",

@@ -24,9 +24,10 @@ import probesched.oracle
 import probesched.policies
 from probesched.cli import main
 from probesched.oracle import DEFAULT_BOUND, EXACT_POLICIES, _graph, _rank_picks, exact_graph
-from probesched.policies import belief_codes, whittle_policy
+from probesched.policies import belief_codes, queue_init, select_whittle, whittle_policy
 from probesched.presets import FIG3
-from probesched.subsidy import solve_lambda_star
+from probesched.subsidy import single_arm_q, solve_lambda_star
+from probesched.whittle import index_rows, index_values
 from helpers import markov_spec, myopic_policy
 
 
@@ -55,6 +56,22 @@ def value_monotonicity_probe(specs, k, horizon, trials, seed=0):
         if v_bump < v_base - 1e-9:
             return False
     return True
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dp_optimal([markov_spec()] * 2, [ArmState(0, 1)] * 2, 1, horizon=0),
+     "horizon must be >= 1, got 0"),
+    (lambda: index_values(markov_spec(), -1), "horizon must be >= 0, got -1"),
+    (lambda: list(index_rows(markov_spec(), 0)), "horizon must be >= 1, got 0"),
+    (lambda: single_arm_q(markov_spec(), 0.5, ArmState(0, 1), 0), "horizon must be >= 1, got 0"),
+    (lambda: single_arm_q(markov_spec(), 0.5, ArmState(0, 0), 5), "undefined at the (0,0) sentinel"),
+    (lambda: select_whittle([markov_spec()] * 2, [ArmState(0, 1)], 1), "2 specs but 1 states"),
+    (lambda: queue_init(0, []), "need N >= 1, got 0"),
+], ids=["dp-horizon-0", "index-values-negative", "index-rows-0", "single-arm-horizon-0",
+        "single-arm-sentinel", "select-short-states", "queue-no-arms"])
+def test_library_rejects_invalid_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_single_slot_cost_is_sum_of_beliefs():

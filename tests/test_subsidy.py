@@ -14,7 +14,6 @@ from probesched import (
     ComponentSpec,
     MarkovIID,
     Table,
-    component_to_json,
     marginal_p,
     optimal_stopping,
     relaxed_select,
@@ -31,6 +30,7 @@ from probesched.subsidy import (
 from probesched.cli import main
 from probesched.whittle import index_values
 from helpers import (
+    component_to_json,
     concave_spec,
     markov_spec,
     random_relaxed_instances,

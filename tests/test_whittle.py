@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import deque
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from probesched import (
 )
 import probesched.whittle
 from probesched.attack import marginals
+from probesched.subsidy import _objective
 from probesched.whittle import index_rows, index_values
 from helpers import concave_spec, markov_spec, random_strict_specs
 
@@ -94,22 +96,38 @@ def _nondecreasing_table(rng, shape: str) -> Table:
     return Table(tuple(vals.tolist()))
 
 
+# W(0, 1..3) of this table once dropped by an ulp of the terms each
+# subtracts; on the nearly periodic one the finite-horizon indifference gap
+# swings with the horizon
+_FLAT = (Table((0.00022528330471449642,) * 2), 1.8672351802106297)
+_PERIODIC = (Table((0, 0, 0, 0, 0, 0, 0.9449940099230699)), 1.0)
+
+
 def test_closed_form_on_nondecreasing_tables():
     # C1 (strict concavity) is sufficient; these tables break it.  Past a
-    # table's end, and on a plateau of three entries, W(0, .) is constant
-    # but may drop by an ulp: W(0, t) subtracts terms of up to
-    # c (t + 1) p(t + 1) and rounds relative to them, not to itself.  On
-    # Table((0.000225, 0.000225)), c = 1.87, W(0, 2) - W(0, 3) is 1.07e-12
-    # of W = c p^2 but half an ulp of c (t + 2) p(t + 2), the scale the
-    # 1e-12 allowance is relative to.
+    # table's end W(0, .) is exactly constant.  Elsewhere it may drop by
+    # rounding where the true increase is below it: W(0, t) subtracts terms
+    # of up to c (t + 1) p(t + 1) and rounds relative to them, not to
+    # itself, so the 1e-12 allowance is relative to that scale.
     rng = np.random.default_rng(20_261_019)
+    cases = [(_nondecreasing_table(rng, _SHAPES[j % len(_SHAPES)]), float(rng.uniform(0.3, 3.0)))
+             for j in range(1000)]
     checks = 0
-    for j in range(1000):
-        table = _nondecreasing_table(rng, _SHAPES[j % len(_SHAPES)])
-        spec, p = ComponentSpec(table, float(rng.uniform(0.3, 3.0))), table.values
+    for table, cost in [*cases, _FLAT, _PERIODIC]:
+        spec, p = ComponentSpec(table, cost), table.values
         w = index_values(spec, len(p) + 2)
         for t, (now, later) in enumerate(zip(w, w[1:])):
             assert later >= now - 1e-12 * spec.cost * (t + 2) * p[min(t + 2, len(p)) - 1]
+        assert w[len(p):] == [w[len(p)]] * 3, (table, cost)
+        # horizon-free indifference: at lam = W(0, t) the cycle rewards of
+        # probing at t and at t + 1 tie, up to rounding of their terms
+        pt = list(islice(marginals(table), len(w) + 1))
+        cum = list(accumulate(pt))
+        for t in range(1, len(w)):
+            lam, scale = w[t], abs(w[t]) * (t + 1) + spec.cost * cum[t + 1]
+            gap = (_objective(spec, lam, t, pt[t], cum[t])
+                   - _objective(spec, lam, t + 1, pt[t + 1], cum[t + 1]))
+            assert scale == 0.0 or abs(gap) <= 1e-12 * scale, (table, cost, t)
         # below the plateau the stopping rule probes at the first index above
         # lam; at lam = W(0, t) probing at t and at t + 1 tie, so that is skipped
         for lam in (w[-1] * np.arange(1, 13) / 13).tolist():
@@ -118,6 +136,7 @@ def test_closed_form_on_nondecreasing_tables():
                 assert optimal_stopping(spec, lam).t0_star == first, (table, spec.cost, lam)
                 checks += 1
     assert checks > 10_000
+    assert index_values(ComponentSpec(*_FLAT), 3)[1:] == [9.47669793037101e-08] * 3
 
 
 def test_index_table_layout():
