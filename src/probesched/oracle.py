@@ -2,28 +2,35 @@
 
 A joint state is an int32 row of per-arm codes i * width + t, the
 simulator's encoding: a probe observing o moves an arm to o * width + 1,
-waiting adds 1.  `_graph` builds the union of the joint states reachable
-within the horizon when any K-subset may be probed, in the order of the
-slot that first reaches them, and expands each once, every subset in one
-pass, so the states and branches of depth <= d are prefixes of its
-arrays.  The graph is time-homogeneous, so one value iteration over it
-(`_iterate`; Puterman 1994, ch. 8) gives the value of every horizon 1..T
-at once: step h reads only the states of depth <= T - h and their
-branches.  It gives the optimal expected cost (least value-to-go over
-every K-subset) or a policy's exact value (its own selection's), and an
-`exact_graph` value keeps each method's values, made by its first call,
-for calls at every horizon.  A policy is a rank policy's name, which
-picks each state's K arms first in `policies.rank_table` for all states
-at once, as the simulator does, or any callable, asked once for each
-state its own picks reach, slot by slot, by the one forward walk
-(`_layers`) that lists a policy table's layers; a name and its scalar
-selector (`select_whittle` or `select_myopic` on one state) give bitwise
-equal values.  Each slot costs sum(c_n * P(abnormal)) before its probes
-take effect, from exact marginals; `_graph` computes it once per state.
+waiting adds 1.  A table arm's clock stops where its marginals stop
+changing (`_caps`), unless another arm reaches a code that ties its capped
+code in a rank policy's chain, so the graph of a table instance stops
+growing with the horizon; Markov arms keep their clocks.  `_graph` builds
+the union of the joint states reachable within the horizon when any
+K-subset may be probed, in the order of the slot that first reaches them,
+and expands each once, every subset in one pass, so the states and
+branches of depth <= d are prefixes of its arrays.  The graph is
+time-homogeneous, so one value iteration over it (`_iterate`; Puterman
+1994, ch. 8) gives the value of every horizon 1..T at once: step h reads
+only the states of depth <= T - h and their branches.  It gives the
+optimal expected cost (least value-to-go over every K-subset) or a
+policy's exact value (its own selection's), and an `exact_graph` value
+keeps each method's values, made by its first call, for calls at every
+horizon.  A policy is a rank policy's name, which picks each state's K
+arms first in `policies.rank_table` for all states at once, as the
+simulator does, or any callable, asked once for each state its own picks
+reach, slot by slot, by the one forward walk (`_layers`) that lists a
+policy table's layers; a name and its scalar selector (`select_whittle`
+or `select_myopic` on one state) give bitwise equal values.  Names and the
+optimum read the capped graph; callables and the policy table, which need
+true ages, read its uncapped twin (`_twin`).  Each slot costs
+sum(c_n * P(abnormal)) before its probes take effect, from exact
+marginals; `_graph` computes it once per state.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -32,8 +39,10 @@ from collections.abc import Mapping
 import numpy as np
 
 from .arm import ArmState
+from .attack import MarkovIID, marginals
 from .guard import DEFAULT_BOUND, SearchSpaceError
 from .policies import _check_k, belief_codes, rank_table, smallest_k
+from .whittle import index_from_marginals
 
 # the rank policies `policy_evaluate_exact` takes by name
 EXACT_POLICIES = ("whittle", "myopic")
@@ -94,42 +103,77 @@ class _StateIds:
             self.known, self.ids = np.insert(self.known, at, keys), np.insert(self.ids, at, ids)
 
 
-def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1):
-    """(code width, K-subsets, states, slot costs, depth ends, edges).
-    states[:ends[d]] are the distinct joint states reachable in d slots or
-    fewer, those first reached in d slots after the rest and in
-    `np.lexsort(states.T)` order among themselves; costs[s] is state s's
-    slot cost, sum(c_n * P(arm n abnormal)).  edges = (group, child,
-    probability, edge ends): each state of depth d < horizon - 1 branches
-    once, after every shallower state, edge_ends[d] edges in all from
-    depths <= d; group = state * len(subsets) + subset and child is a state
-    id, ordered by subset, parent, then outcome within a depth (the
-    subset's first arm varying slowest, 0 before 1), without outcomes of
-    belief 0 or 1.  Each depth expands every subset at once (`_branches`).
+def _caps(specs, initial, horizon: int, bound: int) -> list:
+    """Each arm's clock cap c, or None where it keeps its true clock.  A
+    table arm's belief, index, cost and transitions are bitwise constant
+    from the clock c >= 1 of its table's first entry equal to its last on
+    (`index_from_marginals` repeats W there), so (i, t) is (i, c + i) for
+    t >= c + i.  An arm is capped only where it reaches a clock past c and
+    no other arm reaches a code that ties its capped codes on whittle's or
+    myopic's (primary key, cost-weighted belief): probe age, which the cap
+    drops, would settle that tie.  Markov arms keep their clocks."""
+    tops = [st.t - st.i + horizon - 1 for st in initial]  # each arm's largest clock
+    caps = [None if isinstance(s.process, MarkovIID) else
+            bisect.bisect_left(s.process.values, s.process.values[-1]) + 1 for s in specs]
+    caps = [None if c is None or c >= top else c for c, top in zip(caps, tops)]
+    markov = [top for s, top in zip(specs, tops) if isinstance(s.process, MarkovIID)]
+    if caps.count(None) == len(caps) or 2 * len(specs) * (max(markov, default=0) + 1) > bound:
+        return caps  # nothing to check, or a belief table refused whatever the caps
+    keys, at_cap = [], []  # per arm, the (whittle, myopic) keys of the clocks it reaches
+    for s, st, top, c in zip(specs, initial, tops, caps):
+        last = top if c is None else c
+        clocks = zip(index_from_marginals(s.cost, itertools.islice(marginals(s.process), 1, None)),
+                     marginals(s.process))
+        rows = [((w, s.cost * b), (b, s.cost * b))
+                for x, (w, b) in enumerate(itertools.islice(clocks, last + 1))
+                if x < horizon or x >= min(st.t - st.i, last)]
+        keys.append([{row[j] for row in rows} for j in (0, 1)])
+        at_cap.append(rows[-1])
+    for a, c in enumerate(caps):
+        if c is not None and any(at_cap[a][j] in keys[b][j]
+                                 for b in range(len(specs)) if b != a for j in (0, 1)):
+            caps[a] = None
+    return caps
+
+
+def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1, caps=None):
+    """(code width, K-subsets, states, slot costs, depth ends, edges) of a
+    checked instance, each arm's clock capped at its `caps` entry if not
+    None: its code for (i, t) is i * width + min(t, c + i), and waiting
+    moves it to its next capped code.  states[:ends[d]] are the distinct
+    joint states reachable in d slots or fewer, those first reached in d
+    slots after the rest and in `np.lexsort(states.T)` order among
+    themselves; costs[s] is state s's slot cost, sum(c_n * P(arm n
+    abnormal)).  edges = (group, child, probability, edge ends): each state
+    of depth d < horizon - 1 branches once, after every shallower state,
+    edge_ends[d] edges in all from depths <= d; group = state *
+    len(subsets) + subset and child is a state id, ordered by subset,
+    parent, then outcome within a depth (the subset's first arm varying
+    slowest, 0 before 1), without outcomes of belief 0 or 1.  Each depth
+    expands every subset at once (`_branches`).
 
     One guard refuses every exact op before its work: the belief table,
-    2N x (largest t + horizon), before any table is built; before each
-    depth, the branch entries, `_SLOT_ENTRIES` per step plus each depth-d
-    state's K-subsets x 2^K branches, built from N codes and read by the
-    horizon - 1 - d steps after the one it first joins; after the last, the
-    sweeps of the op's `solves` value iterations, step h reading the edges
-    of depth <= horizon - h plus `_SLOT_ENTRIES`: never more than the
-    branch entries when `solves` is 1."""
+    2N x (largest capped t + horizon), before any table is built; before
+    each depth, the branch entries, `_SLOT_ENTRIES` per step plus each
+    depth-d state's K-subsets x 2^K branches, built from N codes and read
+    by the horizon - 1 - d steps after the one it first joins; after the
+    last, the sweeps of the op's `solves` value iterations, step h reading
+    the edges of depth <= horizon - h plus `_SLOT_ENTRIES`: never more than
+    the branch entries when `solves` is 1."""
     n = len(specs)
-    _check_k(n, k)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if min(st.t for st in initial) < 1:
-        raise ValueError("the (0,0) sentinel is not the state of a trajectory")
-    width = max(st.t for st in initial) + horizon
+    # the clock each arm stops at; an uncapped arm's never reaches t + horizon
+    stops = [st.t + horizon if c is None else c for c, st in zip(caps or [None] * n, initial)]
+    width = max(min(st.t, c + st.i) for c, st in zip(stops, initial)) + horizon
     if 2 * n * width > bound:
-        raise SearchSpaceError(2 * n * width, bound, "belief entries (2N x (largest t + horizon))")
+        raise SearchSpaceError(2 * n * width, bound,
+                               "belief entries (2N x (largest capped t + horizon))")
     per_state = math.comb(n, k) * 2**k
     # each arm's codes within the horizon, sorted: its first code, waiting
     # up to horizon - 1 slots, and o * width + t for t < horizon once probed
-    first = [st.i * width + st.t for st in initial]
-    reach = [np.array(sorted({*range(c, c + horizon), *range(1, horizon),
-                              *range(width + 1, width + horizon)})) for c in first]
+    steps, ages = np.arange(horizon), np.arange(1, horizon)
+    reach = [np.unique(np.concatenate([i * width + np.minimum(t, c + i) for i, t in
+                                       [(st.i, st.t + steps), (0, ages), (1, ages)]]))
+             for c, st in zip(stops, initial)]
     radix = [len(codes) for codes in reach]
     # a state's key: each code's place in its arm's codes as mixed-radix
     # digits, the last arm's the most significant, so keys sort as
@@ -140,7 +184,11 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1):
     codes, offset = np.concatenate(reach).astype(np.int32), np.cumsum([0] + radix[:-1])
     # the digit of each arm's code o * width + 1 after a probe observes o
     landing = np.array([np.searchsorted(c, [1, width + 1]) for c in reach]).reshape(-1)
-    digits = np.array([[np.searchsorted(c, f) for c, f in zip(reach, first)]])
+    digits = np.array([[np.searchsorted(r, st.i * width + min(st.t, c + st.i))
+                        for r, c, st in zip(reach, stops, initial)]])
+    # the digit each code waits to: the next code, or itself at its cap
+    waits = np.concatenate([np.searchsorted(r, r + (r % width < c + r // width))
+                            for r, c in zip(reach, stops)])
     keys = (digits * unit).sum(axis=1)
     chunks, costs, total = [], [], _SLOT_ENTRIES * horizon
     empty = np.zeros(0, dtype=np.intp)
@@ -165,17 +213,17 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1):
         if depth + 1 == horizon or not len(chunk):
             break
         subset, parent, branch, pr = _branches(belief, arms, outcomes)
-        # a child's key is its parent's with every code one slot older, the
-        # next digit, and each probed arm's landing digit in place of that
-        child = keys.take(parent) + unit.sum()
+        # a child's key is its parent's with every code one slot older, at
+        # its waiting digit, and each probed arm's landing digit in place of that
+        older = waits.take(digits + offset)
+        child = (older * unit).sum(axis=1).take(parent)
         for r in range(k):
             arm = arms[:, r].take(subset)
             step = landing.take(2 * arm + outcomes[:, r].take(branch))
-            step -= digits.take(parent * n + arm)
-            step -= 1
+            step -= older.take(parent * n + arm)
             child += step * unit.take(arm)
         groups.append((parent + start) * len(arms) + subset)
-        del subset, parent, branch, arm, step  # before the lookups, to lower the peak
+        del subset, parent, branch, arm, step, older  # before the lookups, to lower the peak
         keys = np.sort(child[ids.find(child) < 0])
         keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
         ids.add(keys)
@@ -204,29 +252,50 @@ def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND
     """One instance's graph for `horizon` slots, to pass to `dp_optimal` and
     `policy_evaluate_exact` on that instance (specs, initial, K, bound): a
     call at any horizon h up to `horizon` reads its value at h, and
-    `solves` methods will run on it (`_graph` bounds their work).  The code
-    width is `horizon`'s, which keeps every code's order, so each result is
-    bit for bit that of a graph of its own.  The value, (instance, parts,
-    memo), keeps what the first call of each method computes: the
-    optimum's values and picks at every horizon, each rank policy's values,
-    and the states reachable at each slot, listed by the forward walk that
-    also finds a callable's states when a policy table is first read."""
-    specs = tuple(specs)
-    return (specs, tuple(initial), k, bound), _graph(specs, initial, k, horizon, bound, solves), {}
+    `solves` methods will run on it (`_graph` bounds their work).  Table
+    arms are capped where `_caps` allows.  The code width is `horizon`'s,
+    which keeps every code's order, so each result is bit for bit that of a
+    graph of its own.  The value, (instance, parts, memo), keeps what the
+    first call of each method computes: the optimum's values and picks at
+    every horizon, each rank policy's values, the states reachable at each
+    slot, listed by the forward walk that also finds a callable's states
+    when a policy table is first read, and the uncapped twin (`_twin`)."""
+    specs, initial = tuple(specs), tuple(initial)
+    _check_k(len(specs), k)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if min(st.t for st in initial) < 1:
+        raise ValueError("the (0,0) sentinel is not the state of a trajectory")
+    caps = _caps(specs, initial, horizon, bound)
+    graph = (specs, initial, k, bound), _graph(specs, initial, k, horizon, bound, solves, caps), {}
+    graph[2]["twin"] = graph if caps.count(None) == len(caps) else functools.partial(
+        _graph, specs, initial, k, horizon, bound, solves)
+    return graph
+
+
+def _twin(graph):
+    """`graph` with every arm at its true clock, which a policy table's
+    states and a callable's need: the graph itself where no arm is capped,
+    else built by the same builder, under the same guard, on first read
+    and kept with the graph."""
+    memo = graph[2]
+    if callable(memo["twin"]):
+        twin = graph[0], memo["twin"](), {}
+        twin[2]["twin"] = memo["twin"] = twin
+    return memo["twin"]
 
 
 def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
-    """The parts, longest horizon and memo of `graph`, or of a graph of
-    their own for `horizon` slots if it is None."""
+    """`graph`, or a graph of their own for `horizon` slots if it is None,
+    checked against the instance and the horizon."""
     if graph is None:
         graph = exact_graph(specs, initial, k, horizon, bound)
-    key, parts, memo = graph
-    longest = len(parts[4])
-    if key != (tuple(specs), tuple(initial), k, bound):
+    longest = len(graph[1][4])
+    if graph[0] != (tuple(specs), tuple(initial), k, bound):
         raise ValueError("the graph passed is another instance's (specs, initial, K, bound)")
     if not 1 <= horizon <= longest:
         raise ValueError(f"horizon must be in 1..{longest} on the graph passed, got {horizon}")
-    return parts, longest, memo
+    return graph
 
 
 def _first_min(future):
@@ -299,23 +368,25 @@ def _layers(parts, horizon: int, picks=None):
 
 class _PolicyTable(Mapping):
     """Read-only {(slot, joint state as ((i, t), ...)): selection} over
-    `horizon` slots; its states and entries are found on first read."""
+    `horizon` slots of a graph's uncapped twin; its states and entries are
+    found on first read."""
 
-    def __init__(self, parts, memo, picks, horizon):
-        self._parts = parts, memo, picks, horizon
+    def __init__(self, graph, horizon):
+        self._parts = graph, horizon
 
     @functools.cached_property
     def _reached(self):
         """The states reachable at each slot, walked for the graph's longest
         horizon and kept with the graph."""
-        parts, memo, _picks, horizon = self._parts
+        (_key, parts, memo), horizon = _twin(self._parts[0]), self._parts[1]
         if "layers" not in memo:
             memo["layers"] = list(_layers(parts, len(parts[4])))
         return memo["layers"][:horizon]
 
     @functools.cached_property
     def _entries(self):
-        (width, subsets, states, *_), _memo, picks, horizon = self._parts
+        twin, horizon = _twin(self._parts[0]), self._parts[1]
+        (width, subsets, states, *_), picks = twin[1], _optimum(twin)[1]
         pairs = [divmod(code, width) for code in range(2 * width)]  # one (i, t) object per code
         return {(slot, tuple(map(pairs.__getitem__, row))): subsets[j]
                 for slot, layer in enumerate(self._reached)
@@ -335,16 +406,21 @@ class _PolicyTable(Mapping):
         return repr(self._entries)
 
 
+def _optimum(graph):
+    """The optimum's values and picks at every horizon of `graph`."""
+    _key, parts, memo = graph
+    if None not in memo:
+        memo[None] = _iterate(parts, parts[-1], len(parts[4]), True)
+    return memo[None]
+
+
 def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND, graph=None):
     """Exact minimal expected total cost over `horizon` slots, plus the
     optimal policy table, a read-only mapping {(slot, joint state):
     selection} that is built the first time it is read.  An `exact_graph`
     of this instance passed as `graph` is read in place of a new one."""
-    parts, longest, memo = _exact(list(specs), initial, k, horizon, bound, graph)
-    if None not in memo:
-        memo[None] = _iterate(parts, parts[-1], longest, True)
-    values, picks = memo[None]
-    return values[horizon - 1], _PolicyTable(parts, memo, picks, horizon)
+    graph = _exact(list(specs), initial, k, horizon, bound, graph)
+    return _optimum(graph)[0][horizon - 1], _PolicyTable(graph, horizon)
 
 
 def _rank_picks(policy: str, specs, k: int, width: int, states):
@@ -372,19 +448,23 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
     table's layers.  A name picks every state's K arms first in
     `policies.rank_table` without a call per state; its value is bitwise
     that of a selector calling `select_whittle`/`select_myopic`, which apply
-    the same chain one state at a time.  Its graph is `dp_optimal`'s, `graph` included: both refuse alike."""
+    the same chain one state at a time.  A name reads the capped graph and a
+    callable its uncapped twin, as `dp_optimal`'s value and table do, so
+    both refuse alike."""
     if isinstance(policy, str) and policy not in EXACT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
                          f"or one of {', '.join(EXACT_POLICIES)}")
     specs = list(specs)
-    parts, longest, memo = _exact(specs, initial, k, horizon, bound, graph)
-    width, subsets, states, _costs, _ends, edges = parts
+    graph = _exact(specs, initial, k, horizon, bound, graph)
     if isinstance(policy, str):
+        _key, parts, memo = graph
+        width, subsets, states, _costs, ends, edges = parts
         if policy not in memo:
-            expanded = parts[4][longest - 2] if longest > 1 else 0
+            expanded = ends[-2] if len(ends) > 1 else 0
             picks = _rank_picks(policy, specs, k, width, states[:expanded])
-            memo[policy] = _iterate(parts, _chosen(edges, len(subsets), picks), longest, False)[0]
+            memo[policy] = _iterate(parts, _chosen(edges, len(subsets), picks), len(ends), False)[0]
         return memo[policy][horizon - 1]
+    width, subsets, states, _costs, _ends, edges = parts = _twin(graph)[1]
     index = {sel: j for j, sel in enumerate(subsets)}
     picks, asked = np.zeros(len(states), dtype=np.intp), np.zeros(len(states), dtype=bool)
     for layer in _layers(parts, horizon, picks):

@@ -23,7 +23,8 @@ from probesched import (
 import probesched.oracle
 import probesched.policies
 from probesched.cli import main
-from probesched.oracle import DEFAULT_BOUND, EXACT_POLICIES, _graph, _rank_picks, exact_graph
+from probesched.oracle import (DEFAULT_BOUND, EXACT_POLICIES, _caps, _chosen, _graph, _iterate,
+                               _rank_picks, _twin, exact_graph)
 from probesched.policies import belief_codes, queue_init, select_whittle, whittle_policy
 from probesched.presets import FIG3
 from probesched.subsidy import single_arm_q, solve_lambda_star
@@ -248,12 +249,14 @@ def _refusal(err: str):
 
 
 @pytest.mark.parametrize("command, horizon, refusal", [
-    ("oracle", 15, None), ("oracle", 16, (10_780_932, "sweep entries")),
-    ("oracle", 17, (10_329_504, "branch entries")),
-    ("evaluate", 16, None), ("evaluate", 17, (10_329_504, "branch entries"))])
+    ("oracle", 15, None), ("oracle", 17, None), ("oracle", 68, None),
+    ("oracle", 69, (10_044_300, "sweep entries")),
+    ("evaluate", 16, None), ("evaluate", 177, None),
+    ("evaluate", 178, (10_003_304, "branch entries"))])
 def test_fig3_exact_limits(capsys, command, horizon, refusal):
-    # oracle's three solves (the optimum, whittle, myopic) refuse T = 16 by
-    # their sweeps; evaluate's one graph passes it
+    # the capped graph holds 7,009 states from T = 12 on, so the counts grow
+    # only by the steps that read them; oracle's three solves (the optimum,
+    # whittle, myopic) refuse T = 69 by their sweeps
     code = main([command, "--preset", "fig3", "--horizon", str(horizon), "--out", os.devnull])
     assert code == (0 if refusal is None else 3)
     assert _refusal(capsys.readouterr().err) == refusal
@@ -861,3 +864,97 @@ def test_sorted_keys_build_the_same_graph_as_the_key_table(monkeypatch):
         assert got[:2] == want[:2]
         for array, ref in zip([*got[2:5], *got[5]], [*want[2:5], *want[5]], strict=True):
             _assert_bitwise(array, ref)
+
+
+def _fig3_specs():
+    return [ComponentSpec(Table(tuple(c["p"])), c["cost"]) for c in FIG3["components"]]
+
+
+def test_capped_graph_gives_the_uncapped_values():
+    # tables shorter than the horizon, flat tails, initial t past a table's
+    # end, Markov arms and identical table arms: every horizon's optimum and
+    # rank values on the capped graph, and the policy table and callables on
+    # its twin, against the layered reference on true clocks
+    rng = np.random.default_rng(37)
+    pool = [ComponentSpec(Table((0.2, 0.5, 0.5, 0.5)), 1.0), ComponentSpec(Table((0.3, 0.6)), 1.4),
+            ComponentSpec(Table((0.1, 0.4, 0.7)), 0.9), ComponentSpec(Table((0.45,)), 1.1),
+            ComponentSpec(Table((0.0, 0.35, 0.35)), 2.0), markov_spec(0.3), markov_spec(0.55, 0.7)]
+    tail = dict(zip(pool, [2, 2, 3, 1, 2]))  # the clock each table is constant from
+    capped = merged = twins = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, min(n, 3) + 1))
+        specs = [pool[j] for j in rng.integers(0, len(pool), n)]
+        initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 9))) for _ in range(n)]
+        horizon = int(rng.integers(2, 7 if n <= 2 else 5))
+        caps = _caps(specs, initial, horizon, DEFAULT_BOUND)
+        # each arm's largest clock; a cap must merge clocks, and two identical
+        # arms that both reach their cap tie there
+        tops = [st.t - st.i + horizon - 1 for st in initial]
+        for a, (spec, c) in enumerate(zip(specs, caps)):
+            if spec not in tail or tops[a] <= tail[spec]:
+                assert c is None
+            elif any(specs[b] == spec and tops[b] >= tail[spec] for b in range(n) if b != a):
+                assert c is None
+                twins += 1
+            else:
+                assert c in (None, tail[spec])
+        capped += caps.count(None) < n
+        graph = exact_graph(specs, initial, k, horizon)
+        for h in range(horizon, 0, -1):
+            value, table = _layered_value(specs, initial, k, h)
+            got, got_table = dp_optimal(specs, initial, k, h, graph=graph)
+            assert repr(got) == repr(value)
+            assert len(got_table) == len(table) and dict(got_table.items()) == table
+            for name, make in (("whittle", whittle_policy), ("myopic", myopic_policy)):
+                want = repr(_layered_value(specs, initial, k, h, name)[0])
+                assert repr(policy_evaluate_exact(specs, initial, k, h, name, graph=graph)) == want
+                got = policy_evaluate_exact(specs, initial, k, h, make(specs, k), graph=graph)
+                assert repr(got) == want
+        merged += len(graph[1][2]) < len(_twin(graph)[1][2])
+    assert capped > 25 and merged > 15 and twins > 8
+
+
+def test_a_tie_past_the_cap_keeps_both_clocks():
+    # myopic ranks the capped codes of both arms (p = 0.5, cost-weighted
+    # 0.5) equal, so probe age settles the tie; capped anyway, the policy
+    # would read 2.84025 where it costs 2.78
+    specs = [ComponentSpec(Table((0.2, 0.5)), 1.0), ComponentSpec(Table((0.1, 0.4, 0.5)), 1.0)]
+    initial = [ArmState(1, 3), ArmState(0, 4)]
+    assert _caps(specs, initial, 5, DEFAULT_BOUND) == [None, None]
+    want = _layered_value(specs, initial, 1, 5, "myopic")[0]
+    assert repr(policy_evaluate_exact(specs, initial, 1, 5, "myopic")) == repr(want)
+    assert repr(want) == "2.7800000000000002"
+    forced = _graph(specs, initial, 1, 5, DEFAULT_BOUND, 1, [2, 3])
+    picks = _rank_picks("myopic", specs, 1, forced[0], forced[2][:forced[4][-2]])
+    assert repr(_iterate(forced, _chosen(forced[5], 2, picks), 5, False)[0][-1]) == "2.84025"
+
+
+def test_fig3_graph_is_stationary():
+    # each arm's clock stops at its table's length, 6: 7,009 states from
+    # T = 12 on, where every clock kept held 129,281 at T = 15
+    specs = _fig3_specs()
+    assert _caps(specs, _fresh(4), 12, DEFAULT_BOUND) == [6] * 4
+    assert [len(exact_graph(specs, _fresh(4), 1, t)[1][2]) for t in (12, 15)] == [7009, 7009]
+
+
+def test_table_arms_far_past_their_end_build_a_narrow_graph():
+    # capped initial codes set the code width; from t = 10^6 the belief table
+    # once held 2N x (10^6 + T) entries, 0.23 s of the call
+    specs = [ComponentSpec(Table((0.3, 0.6)), 1.0), ComponentSpec(Table((0.2, 0.5, 0.7)), 1.5)]
+    far = [ArmState(0, 10**6)] * 2
+    start = time.perf_counter()
+    value, _ = dp_optimal(specs, far, 1, 3)
+    assert time.perf_counter() - start < 0.1
+    assert repr(value) == repr(dp_optimal(specs, [ArmState(0, 2), ArmState(0, 3)], 1, 3)[0])
+    assert exact_graph(specs, far, 1, 3)[1][0] == 3 + 3  # the largest capped t + T
+
+
+def test_fig3_oracle_reaches_horizon_30(tmp_path):
+    out = {t: tmp_path / f"oracle{t}.csv" for t in (15, 30)}
+    for t, path in out.items():
+        start = time.perf_counter()
+        assert main(["oracle", "--preset", "fig3", "--horizon", str(t), "--out", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+    rows = {t: path.read_bytes().splitlines(keepends=True) for t, path in out.items()}
+    assert len(rows[30]) == 31 and rows[30][:16] == rows[15]
