@@ -8,8 +8,8 @@ them against exact finite-horizon dynamic programming on small instances,
 and solves the time-averaged probe budget via a passivity subsidy.
 K servers sharing N finite buffers, each empty or full, are the same
 model: a full buffer is an abnormal component, serving it is probing and
-its holding cost is the abnormal cost, so the CLI's `queueing` command
-only rewrites such a network as components.
+its holding cost is the abnormal cost, so every CLI subcommand reads a
+`queueing` network in a config as those components.
 """
 
 import importlib

@@ -1,9 +1,10 @@
 """Batch experiment front end.
 
-Subcommands: index | simulate | evaluate | oracle | subsidy | queueing.
-Configs come from a JSON file or a built-in preset; a handful of flags
-override the common fields.  All outputs are CSV with a header row and LF
-line endings, and are deterministic functions of (config, seed).
+Subcommands: index | simulate | evaluate | oracle | subsidy.
+Configs come from a JSON file or a built-in preset and give the arms as
+`components` and `K` or as a `queueing` network; a subcommand takes a
+flag only for a field it reads.  All outputs are CSV with a header row
+and LF line endings, and are deterministic functions of (config, seed).
 
 Exit codes: 0 success, 2 validation error, 3 search-space guard refusal.
 """
@@ -11,12 +12,14 @@ Exit codes: 0 success, 2 validation error, 3 search-space guard refusal.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import csv
 import functools
 import importlib
-import itertools
 import json
 import math
+import os
 import sys
 
 from .arm import ArmState
@@ -63,25 +66,22 @@ class ConfigError(Exception):
     """A configuration field failed validation; the message names it."""
 
 
-# rows formatted and written at a time, so a long table is never held whole
-_CHUNK_ROWS = 4096
-
-
 def _write_csv(path, header, rows):
-    def write(fh):
-        fh.write(",".join(header) + "\n")
-        rows_left = iter(rows)
-        while chunk := list(itertools.islice(rows_left, _CHUNK_ROWS)):
-            fh.write("".join(",".join(map(str, row)) + "\n" for row in chunk))
-
-    if path is None:
-        write(sys.stdout)
-        return
+    """Write the rows as they are made, so a long table is never held whole."""
     try:
-        with open(path, "w", newline="") as fh:
-            write(fh)
+        with (contextlib.nullcontext(sys.stdout) if path is None
+              else open(path, "w", newline="")) as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            fh.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        if path is None:
+            # stdout is gone (a closed pipe): what is still buffered goes
+            # to the null device, so the flush at exit raises nothing
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def _require(cfg, field, kind, where="config"):
@@ -104,7 +104,7 @@ def _components(cfg):
     for idx, obj in enumerate(comps):
         try:
             out.append(component_from_json(obj))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"config.components[{idx}]: {exc}") from exc
     return out
 
@@ -123,11 +123,14 @@ _COST_LIMIT = math.sqrt(sys.float_info.max)
 
 def _bounded_costs(specs, horizon, replications=1):
     """Refuse costs whose running totals over the horizon would overflow."""
-    total = sum(s.cost for s in specs) * (horizon + 1)
-    if not total * math.sqrt(replications) < _COST_LIMIT:
+    try:
+        total, scale = sum(s.cost for s in specs) * (horizon + 1), math.sqrt(replications)
+    except OverflowError as exc:  # an integer past float range
+        raise ConfigError(f"config.horizon or config.replications: {exc}") from exc
+    if not total * scale < _COST_LIMIT:
         raise ConfigError(
             f"config.components: total cost x (horizon + 1) = {total!r} would overflow; "
-            f"keep it below {_COST_LIMIT / math.sqrt(replications):.6g}"
+            f"keep it below {_COST_LIMIT / scale:.6g}"
         )
 
 
@@ -264,29 +267,18 @@ def _queueing(obj):
                            "cost": c["holding_cost"]})
         try:
             component_from_json(components[-1])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"config.queueing: classes[{idx}]: {exc}") from exc
     return components, servers
 
 
-def cmd_queueing(cfg):
-    components, k = _queueing(cfg.get("queueing"))
-    submode = cfg.get("queueing_mode", "simulate")
-    dispatch = {"simulate": cmd_simulate, "oracle": cmd_oracle, "evaluate": cmd_evaluate}
-    if not isinstance(submode, str) or submode not in dispatch:
-        raise ConfigError(
-            f"config.queueing_mode: expected simulate|oracle|evaluate, got {submode!r}"
-        )
-    return dispatch[submode]({**cfg, "components": components, "K": k})
-
-
+# Each subcommand and the config fields it reads that a flag may override.
 COMMANDS = {
-    "index": cmd_index,
-    "simulate": cmd_simulate,
-    "evaluate": cmd_evaluate,
-    "oracle": cmd_oracle,
-    "subsidy": cmd_subsidy,
-    "queueing": cmd_queueing,
+    "index": (cmd_index, ("horizon",)),
+    "simulate": (cmd_simulate, ("seed", "replications", "horizon")),
+    "evaluate": (cmd_evaluate, ("horizon",)),
+    "oracle": (cmd_oracle, ("horizon",)),
+    "subsidy": (cmd_subsidy, ()),
 }
 
 
@@ -311,7 +303,11 @@ def _load_config(args) -> dict:
             raise ConfigError(f"{args.config}: top-level JSON value must be an object")
     else:
         raise ConfigError("a --preset or --config is required")
-    for field in ("seed", "replications", "horizon"):
+    if "queueing" in cfg:
+        if "components" in cfg or "K" in cfg:
+            raise ConfigError("config.queueing: give a network or components and K, not both")
+        cfg["components"], cfg["K"] = _queueing(cfg.pop("queueing"))
+    for field in COMMANDS[args.command][1]:
         override = getattr(args, field)
         if override is not None:
             cfg[field] = override
@@ -329,13 +325,12 @@ def _parser() -> argparse.ArgumentParser:
         description="Index-policy probe scheduling: indices, simulation, exact oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_cmd, fields) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--preset", help="built-in preset: fig2 | fig3 | fig4")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--replications", type=int)
-        p.add_argument("--horizon", type=int)
+        for field in fields:
+            p.add_argument(f"--{field}", type=int, help=f"override the config's {field}")
         p.add_argument("--out", help="output CSV path (default: stdout)")
     return parser
 
@@ -346,7 +341,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         if args.command not in _CORE_COMMANDS:
             _arrays()
-        header, rows = COMMANDS[args.command](cfg)
+        header, rows = COMMANDS[args.command][0](cfg)
         _write_csv(args.out, header, rows)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

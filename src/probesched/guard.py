@@ -11,7 +11,8 @@ class SearchSpaceError(RuntimeError):
     """Raised when a problem's size exceeds the bound set on it, before the
     work is done: an exact op's graph, whose belief table, branch entries
     and value-iteration sweeps `oracle._graph` counts; the simulator's run
-    size; or the rows of an index table."""
+    size; the rows of an index table; or the arm-table slots a relaxed
+    budget's solve holds and walks."""
 
     def __init__(self, count: int, bound: int, what: str):
         self.count = count

@@ -12,17 +12,20 @@ per-slot probe budget K binds only on average, the optimal policy runs
 each arm's subsidy policy at a common multiplier lam*, chosen so the
 activation rates sum to K, randomising at index-equal states to hit the
 boundary exactly.  An arm's slots are read from `attack.marginals` up to
-p's convergence or the constant stopping cap `T_CAP`.
+p's convergence or the constant stopping cap `T_CAP`; `solve_lambda_star`
+counts them, and the walks over them, before it reads any.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from itertools import islice
 
 from .arm import ArmState
 from .attack import ComponentSpec, Table, marginal_p, marginals
+from .guard import DEFAULT_BOUND, SearchSpaceError
 from .whittle import index_from_marginals, whittle_index
 
 T_CAP = 10_000
@@ -75,6 +78,19 @@ def _converged(proc, t: int, p_t: float) -> bool:
     if isinstance(proc, Table):
         return t >= len(proc.values)
     return 1.0 - p_t <= _CONVERGENCE_EPS or p_t == 0.0
+
+
+def _stop(proc) -> int:
+    """The stop `_marginals` reaches, from the process alone: a table's
+    length; 1 for a memoryless process whose 1 - q rounds to 1.0; else the
+    first t at which (1 - q)^t, which 1 - p(t) equals up to rounding, is
+    at most _CONVERGENCE_EPS.  Each is capped at T_CAP."""
+    if isinstance(proc, Table):
+        return min(len(proc.values), T_CAP)
+    keep = 1.0 - proc.q
+    if keep == 1.0:
+        return 1
+    return min(math.ceil(math.log(_CONVERGENCE_EPS) / math.log(keep)), T_CAP)
 
 
 def _marginals(proc) -> list:
@@ -220,6 +236,14 @@ def solve_lambda_star(specs, K: int) -> RelaxedPlan:
     n = len(specs)
     if not 1 <= K < n:
         raise ValueError(f"need 1 <= K < N, got K={K}, N={n}")
+    # The arm tables hold `slots` slots.  The lambda* bisection over at most
+    # `slots` candidates and the mixing bisection's at most 100 steps each
+    # walk at most every one of them.
+    slots = sum(_stop(s.process) + 1 for s in specs)
+    count = slots * (1 + slots.bit_length() + 100)
+    if count > DEFAULT_BOUND:
+        raise SearchSpaceError(count, DEFAULT_BOUND, "arm-table slots held and walked "
+                               "(slots x (1 + log2(slots) + 100 bisection steps))")
     arms = [(s, _arm_table(s)) for s in specs]
 
     def total(lam: float) -> float:  # the summed rates at gamma = 0

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import probesched
-from probesched.cli import main
+from probesched.cli import COMMANDS, main
 from probesched.presets import FIG2, FIG3, FIG4, PRESETS
 from helpers import child_env
 
@@ -213,6 +216,9 @@ def test_subsidy_rejects_full_budget(tmp_path):
     assert main(["subsidy", "--config", cfg]) == 2
 
 
+_ARMS = [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2
+
+
 def test_queueing_matches_direct_config(tmp_path):
     qcfg = _write_cfg(tmp_path, {
         "mode": "queueing",
@@ -224,7 +230,6 @@ def test_queueing_matches_direct_config(tmp_path):
                 {"arrival": {"kind": "bernoulli", "q": 0.8}, "holding_cost": 2.0},
             ],
         },
-        "queueing_mode": "simulate",
         "horizon": 15,
         "replications": 10,
         "seed": 3,
@@ -244,28 +249,38 @@ def test_queueing_matches_direct_config(tmp_path):
         "policies": ["whittle"],
     }, "d.json")
     out_q, out_d = tmp_path / "q.csv", tmp_path / "d.csv"
-    assert main(["queueing", "--config", qcfg, "--out", str(out_q)]) == 0
+    assert main(["simulate", "--config", qcfg, "--out", str(out_q)]) == 0
     assert main(["simulate", "--config", dcfg, "--out", str(out_d)]) == 0
     assert out_q.read_bytes() == out_d.read_bytes()
 
 
+_CLASSES = [
+    {"arrival": {"kind": "bernoulli", "q": 0.2}, "holding_cost": 1.0},
+    {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0},
+]
+
+
 def test_queueing_rejects_too_many_servers(tmp_path, capsys):
-    classes = [
-        {"arrival": {"kind": "bernoulli", "q": 0.2}, "holding_cost": 1.0},
-        {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0},
-    ]
-    # the second config has a valid network but a mode that is no string
-    for bad, field in (({"queueing": {"servers": 2, "classes": classes}}, "config.queueing"),
-                       ({"queueing": {"servers": 1, "classes": classes},
-                         "queueing_mode": ["oracle"]}, "config.queueing_mode")):
-        cfg = _write_cfg(tmp_path, {"mode": "queueing", **bad, "horizon": 5,
-                                    "policies": ["whittle"]})
-        assert main(["queueing", "--config", cfg]) == 2
+    # every subcommand reads the network, so each refuses it
+    cfg = _write_cfg(tmp_path, {"mode": "queueing", "horizon": 5, "policies": ["whittle"],
+                                "queueing": {"servers": 2, "classes": _CLASSES}})
+    for command in COMMANDS:
+        assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+        assert err.startswith("error: config.queueing: need an integer 1 <= servers")
+        assert err.count("\n") == 1
 
 
-_ARMS = [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2
+@pytest.mark.parametrize("both", [{"components": _ARMS}, {"K": 1},
+                                  {"components": _ARMS, "K": 1}],
+                         ids=["components", "K", "components-and-K"])
+def test_a_config_with_both_forms_is_refused(tmp_path, capsys, both):
+    cfg = _write_cfg(tmp_path, {"horizon": 5, "queueing": {"servers": 1, "classes": _CLASSES},
+                                **both})
+    for command in COMMANDS:
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == ("error: config.queueing: give a network or "
+                                           "components and K, not both\n")
 
 
 # (command, config file text or None for no file, extra flags, message)
@@ -280,7 +295,7 @@ _ARMS = [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2
      "config.policies: expected a nonempty list of policy names"),
     ("simulate", json.dumps({"components": _ARMS, "K": 1, "horizon": 2, "policies": "whittle"}),
      [], "config.policies: expected a nonempty list of policy names"),
-    ("queueing", json.dumps({"horizon": 2}), [],
+    ("simulate", json.dumps({"queueing": None, "horizon": 2}), [],
      "config.queueing: expected a network descriptor object, got None"),
     ("index", json.dumps({"components": _ARMS[0], "horizon": 2}), [],
      "config.components: expected list, got {"),
@@ -381,20 +396,20 @@ def test_oracle_rejects_inexact_policies(tmp_path, capsys, policy):
     assert "config.policies" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "queueing"])
+@pytest.mark.parametrize("queueing", [False, True], ids=["evaluate", "queueing"])
 def test_exact_evaluation_refuses_a_policy_before_building(tmp_path, capsys, monkeypatch,
-                                                           command):
+                                                           queueing):
     # `evaluate` once built the graph and solved whittle before refusing queue
     builds = []
     monkeypatch.setattr(probesched.oracle, "_graph", lambda *args: builds.append(args))
     arms = [{"kind": "markov", "q": 0.5, "cost": 1.0}] * 2
     cfg = {"horizon": 2, "policies": ["whittle", "queue"]}
-    if command == "queueing":
-        cfg.update(queueing_mode="evaluate", queueing={"servers": 1, "classes": [
+    if queueing:
+        cfg.update(queueing={"servers": 1, "classes": [
             {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0}] * 2})
     else:
         cfg.update(components=arms, K=1)
-    assert main([command, "--config", _write_cfg(tmp_path, cfg)]) == 2
+    assert main(["evaluate", "--config", _write_cfg(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err == ("error: config.policies: exact evaluation supports "
                                        "whittle|myopic, got 'queue'\n")
     assert builds == []
@@ -460,20 +475,23 @@ def test_evaluate_long_horizon_exits_cleanly(tmp_path, capsys):
 
 
 # Values that no field accepts as valid input of its own kind.
-_JUNK = st.sampled_from([None, "x", -1, 0, 2.5, True, [], {}, float("nan"), float("inf")])
+_JUNK = st.sampled_from([None, "x", -1, 0, 2.5, True, [], {}, float("nan"), float("inf"),
+                         10**400])
 _PROB = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _COST = st.floats(0.0, 5.0)
-_EXACT = ("evaluate", "oracle")  # a tuple: junk modes may be unhashable
 
 
 @st.composite
 def _config(draw, command):
-    """A small config for `command`: all fields valid, or (half the time)
-    some of them junk, out of range or missing.  Sizes keep every example
-    cheap: R·N·T <= 2·10^4 for simulations, N <= 3 and T <= 12 for the
-    oracle, and T <= 1500 for `evaluate` with N <= 2, except that two arms
-    sharing one probe (whose all-subsets layers grow with T) stop at 60."""
+    """A small config for `command`, its arms as components and K or as a
+    queueing network: all fields valid, or (half the time) some of them
+    junk, out of range or missing.  Sizes keep every example cheap:
+    R·N·T <= 2·10^4 for simulations, N <= 3 and T <= 12 for the oracle,
+    and T <= 1500 for `evaluate` with N <= 2, except that two arms sharing
+    one probe (whose all-subsets layers grow with T) stop at 60."""
     dirty = draw(st.booleans())
+    queueing = draw(st.booleans())
+    relaxed = queueing or command == "subsidy"  # K < N
 
     def pick(valid):
         return draw(st.one_of(valid, _JUNK) if dirty else valid)
@@ -486,30 +504,27 @@ def _config(draw, command):
         p = draw(st.lists(st.floats(0.0, 1.0), min_size=0 if dirty else 1, max_size=6))
         return {"kind": "table", "p": p if dirty else sorted(p), "cost": pick(_COST)}
 
-    mode = command
-    if command == "queueing":
-        mode = pick(st.sampled_from(["simulate", "oracle", "evaluate"]))
-    n_max = 2 if mode == "evaluate" else 3
-    n = draw(st.integers(0 if dirty else (2 if command in ("subsidy", "queueing") else 1),
-                         n_max))
+    n_max = 2 if command == "evaluate" else 3
+    n = draw(st.integers(0 if dirty else (2 if relaxed else 1), n_max))
     specs = [component() for _ in range(n)]
-    k = pick(st.integers(1, max(1, n - 1 if command in ("subsidy", "queueing") else n)))
-    if mode == "evaluate":
+    k = pick(st.integers(1, max(1, n - 1 if relaxed else n)))
+    if command == "evaluate":
         t_max = 60 if n == 2 and k == 1 else 1500
     else:
-        t_max = 12 if mode == "oracle" else 200
+        t_max = 12 if command == "oracle" else 200
     horizon = draw(st.integers(0 if dirty else 1, t_max))
-    if command == "queueing":
+    if queueing:
         classes = [{"holding_cost": c.pop("cost"),
                     "arrival": {**c, "kind": "bernoulli"} if "q" in c else c}
                    if isinstance(c, dict) else c for c in specs]
-        cfg = {"queueing": {"servers": k, "classes": classes}, "queueing_mode": mode}
+        cfg = {"queueing": {"servers": k, "classes": classes}}
     else:
         cfg = {"components": specs, "K": k}
     cfg["horizon"] = horizon
     cfg["replications"] = pick(st.integers(1, 20_000 // (max(n, 1) * max(horizon, 1))))
     cfg["seed"] = pick(st.integers(0, 2**32))
-    names = ["whittle", "myopic"] if mode in _EXACT else ["whittle", "myopic", "queue", "random"]
+    names = (["whittle", "myopic"] if command in ("evaluate", "oracle")
+             else ["whittle", "myopic", "queue", "random"])
     cfg["policies"] = pick(st.lists(st.sampled_from(names), min_size=1, max_size=3))
     if draw(st.booleans()):
         cfg["bound"] = pick(st.integers(1, 10**7))
@@ -518,8 +533,7 @@ def _config(draw, command):
     return cfg
 
 
-@pytest.mark.parametrize("command", ["index", "simulate", "evaluate", "oracle",
-                                     "subsidy", "queueing"])
+@pytest.mark.parametrize("command", ["index", "simulate", "evaluate", "oracle", "subsidy"])
 def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys, command):
     path = tmp_path / "cfg.json"
     codes = []
@@ -595,15 +609,19 @@ def test_index_refuses_an_oversized_table(capsys):
     assert "refused" in capsys.readouterr().err
 
 
-def test_index_rows_are_written_in_chunks(tmp_path, monkeypatch):
-    # the rows stream out chunk by chunk; chunk boundaries leave no mark
-    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
-    argv = ["index", "--preset", "fig4", "--horizon", "40", "--out"]
-    assert main(argv + [str(whole)]) == 0
-    monkeypatch.setattr(probesched.cli, "_CHUNK_ROWS", 7)
-    assert main(argv + [str(chunked)]) == 0
-    assert chunked.read_bytes() == whole.read_bytes()
-    assert len(whole.read_bytes().splitlines()) == 1 + 8 * 2 * 40
+def test_rows_stream_out_as_they_are_made(tmp_path):
+    # 50,000 index rows, held whole, take about 5 MiB; streamed, the
+    # write peaks near 0.2 MiB
+    out = tmp_path / "idx.csv"
+    main(["index", "--preset", "fig2", "--horizon", "1", "--out", str(out)])  # builds the parser
+    tracemalloc.start()
+    try:
+        assert main(["index", "--preset", "fig2", "--horizon", "25000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_bytes().splitlines()) == 1 + 50_000
+    assert peak < 2**20
 
 
 def test_index_errors_come_before_the_first_byte(tmp_path):
@@ -625,6 +643,21 @@ def test_an_unwritable_out_path_is_a_validation_error(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_a_closed_stdout_is_a_validation_error():
+    # a reader that stops after the header once met a BrokenPipeError
+    # traceback and exit 1; the flush at exit must stay quiet too
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "probesched.cli", "index", "--preset", "fig2",
+         "--horizon", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert proc.stdout.readline() == b"component,state_i,state_t,index\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
 def test_simulate_errors_come_before_the_first_byte(tmp_path, monkeypatch):
     # the rows stream out policy by policy, so every policy's config, the
     # size guard and the cost bound are checked before any run starts
@@ -642,22 +675,9 @@ def test_simulate_errors_come_before_the_first_byte(tmp_path, monkeypatch):
     queue = {"queueing": {"servers": 1, "classes": [
         {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0}] * 2}}
     cfg = _write_cfg(tmp_path, {**queue, "horizon": 2**27, "replications": 2})
-    assert main(["queueing", "--config", cfg, "--out", str(out)]) == 3
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
     assert not out.exists()
     assert runs == []
-
-
-def test_simulate_rows_are_written_in_chunks(tmp_path, monkeypatch):
-    # chunk boundaries fall inside and across policies and leave no mark
-    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
-    cfg = _write_cfg(tmp_path, {**FIG4, "horizon": 30, "replications": 20,
-                                "policies": ["whittle", "myopic", "queue", "random"]})
-    argv = ["simulate", "--config", cfg, "--out"]
-    assert main(argv + [str(whole)]) == 0
-    monkeypatch.setattr(probesched.cli, "_CHUNK_ROWS", 7)
-    assert main(argv + [str(chunked)]) == 0
-    assert chunked.read_bytes() == whole.read_bytes()
-    assert len(whole.read_bytes().splitlines()) == 1 + 4 * 30
 
 
 def test_simulate_negative_seed_exits_promptly(capsys):
@@ -752,7 +772,7 @@ def test_bad_argv_leaves_the_next_call_unchanged(tmp_path, capsys):
     })]
     assert main([*argv, "--out", str(first)]) == 0
     with pytest.raises(SystemExit) as exc:
-        main(["subsidy", "--horizon", "three", "--bogus"])
+        main(["index", "--horizon", "three", "--bogus"])
     assert exc.value.code == 2
     assert "invalid int value" in capsys.readouterr().err
     assert main([*argv, "--out", str(again)]) == 0
@@ -767,3 +787,91 @@ def test_cli_import_builds_no_parser():
         capture_output=True, env=child_env(), check=True, text=True,
     )
     assert proc.stdout.strip() == "0"
+
+
+# The config fields each subcommand reads that a flag may override.
+_FLAGS_READ = {"index": ["horizon"], "simulate": ["seed", "replications", "horizon"],
+               "evaluate": ["horizon"], "oracle": ["horizon"], "subsidy": []}
+
+
+@pytest.mark.parametrize("command", _FLAGS_READ)
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command):
+    reads = _FLAGS_READ[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
+    assert listed == {"--help", "--config", "--preset", "--out", *(f"--{f}" for f in reads)}
+
+    for flag in {"seed", "replications", "horizon"}.difference(reads):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig3", f"--{flag}", "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag} 2" in capsys.readouterr().err
+
+    # each flag it reads overrides its field, as the field set in the config would
+    base = {"components": FIG3["components"][:3], "K": 1, "horizon": 3, "replications": 4,
+            "seed": 1}
+    values = {"seed": 5, "replications": 2, "horizon": 2}
+    flagged, edited, plain = (tmp_path / f"{n}.csv" for n in ("flagged", "edited", "plain"))
+    cfg = _write_cfg(tmp_path, base)
+    flags = [arg for f in reads for arg in (f"--{f}", str(values[f]))]
+    assert main([command, "--config", cfg, *flags, "--out", str(flagged)]) == 0
+    assert main([command, "--config", cfg, "--out", str(plain)]) == 0
+    edited_cfg = _write_cfg(tmp_path, {**base, **{f: values[f] for f in reads}}, "edited.json")
+    assert main([command, "--config", edited_cfg, "--out", str(edited)]) == 0
+    assert flagged.read_bytes() == edited.read_bytes()
+    assert (flagged.read_bytes() != plain.read_bytes()) == bool(reads)
+
+
+_HUGE = 10**400  # a JSON integer past float range
+
+
+@pytest.mark.parametrize("command", ["index", "simulate", "evaluate", "oracle"])
+def test_a_horizon_past_float_range_is_refused(tmp_path, capsys, command):
+    # simulate, evaluate and oracle once died with an OverflowError traceback
+    code, message = (3, "refused: ") if command == "index" else (
+        2, "error: config.horizon or config.replications: ")
+    for horizon, flags in ((_HUGE, []), (3, ["--horizon", str(_HUGE)])):
+        cfg = _write_cfg(tmp_path, {"components": _ARMS, "K": 1, "horizon": horizon})
+        assert main([command, "--config", cfg, *flags]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_replications_past_float_range_are_refused(tmp_path, capsys):
+    for cfg_reps, flags in ((_HUGE, []), (2, ["--replications", str(_HUGE)])):
+        cfg = _write_cfg(tmp_path, {"components": _ARMS, "K": 1, "horizon": 3,
+                                    "replications": cfg_reps})
+        assert main(["simulate", "--config", cfg, *flags]) == 2
+        assert capsys.readouterr().err == ("error: config.horizon or config.replications: "
+                                           "int too large to convert to float\n")
+
+
+@pytest.mark.parametrize("command", _FLAGS_READ)
+def test_a_component_number_past_float_range_is_refused(tmp_path, capsys, command):
+    # a cost, q or table entry past float range once raised an OverflowError
+    # traceback, in a component and in a queueing class alike
+    good = {"kind": "markov", "q": 0.5, "cost": 1.0}
+    for bad in ({"kind": "markov", "q": _HUGE, "cost": 1.0},
+                {"kind": "markov", "q": 0.5, "cost": _HUGE},
+                {"kind": "table", "p": [0.5, _HUGE], "cost": 1.0}):
+        cls = {"holding_cost": bad["cost"],
+               "arrival": {k: v for k, v in bad.items() if k != "cost"}}
+        for cfg, where in (({"components": [bad, good], "K": 1}, "config.components[0]: "),
+                           ({"queueing": {"servers": 1, "classes": [cls, cls]}},
+                            "config.queueing: classes[0]: ")):
+            path = _write_cfg(tmp_path, {**cfg, "horizon": 3})
+            assert main([command, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: " + where) and err.count("\n") == 1
+
+
+def test_readme_json_examples_run_under_simulate(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    assert len(examples) >= 2  # the components form and the queueing form
+    for idx, text in enumerate(examples):
+        cfg = tmp_path / f"readme{idx}.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", os.devnull]) == 0, text

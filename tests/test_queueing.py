@@ -1,7 +1,7 @@
-"""The queueing mode is a config rewrite: `cli._queueing` turns each
+"""A queueing network is a config form: `cli._queueing` turns each
 customer class into a component descriptor (`bernoulli` arrivals read as
 `markov`, `holding_cost` as `cost`) and the servers into K, and every
-`queueing_mode` then runs the components config that rewrite names."""
+subcommand then runs the components config that rewrite names."""
 
 import csv
 import json
@@ -60,22 +60,21 @@ def test_rejects_negative_holding_cost():
             _queueing({"servers": 1, "classes": [{"arrival": arrival, "holding_cost": cost}] * 2})
 
 
-@pytest.mark.parametrize("mode", ["simulate", "evaluate", "oracle"])
+@pytest.mark.parametrize("mode", ["simulate", "evaluate", "oracle", "index", "subsidy"])
 def test_translation_matches_direct_construction(tmp_path, mode):
     specs, k = _specs({"servers": 1, "classes": _CLASSES})
     assert specs == [ComponentSpec(MarkovIID(0.2), 1.0), ComponentSpec(MarkovIID(0.5), 1.0),
                      ComponentSpec(MarkovIID(0.8), 2.0)]
     run = {"horizon": 4, "replications": 10, "seed": 4, "policies": ["whittle", "myopic"]}
     direct = [{"kind": "markov", "q": s.process.q, "cost": s.cost} for s in specs]
-    mapped = _csv_bytes(tmp_path, "queueing", {
-        **run, "queueing_mode": mode, "queueing": {"servers": 1, "classes": _CLASSES}})
+    mapped = _csv_bytes(tmp_path, mode, {**run, "queueing": {"servers": 1, "classes": _CLASSES}})
     assert mapped == _csv_bytes(tmp_path, mode, {**run, "components": direct, "K": k})
 
 
 def test_holding_cost_scaling_scales_trajectories(tmp_path):
     def means(scale):
         classes = [{**c, "holding_cost": scale * c["holding_cost"]} for c in _CLASSES]
-        rows = _csv_bytes(tmp_path, "queueing", {
+        rows = _csv_bytes(tmp_path, "simulate", {
             "horizon": 20, "replications": 15, "seed": 9, "policies": ["myopic"],
             "queueing": {"servers": 1, "classes": classes}})
         return np.array([float(r["mean_cumulative_cost"])

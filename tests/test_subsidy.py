@@ -3,16 +3,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import probesched.subsidy
 from probesched import (
     ArmState,
     ComponentSpec,
     MarkovIID,
+    SearchSpaceError,
     Table,
     marginal_p,
     optimal_stopping,
@@ -24,7 +27,9 @@ from probesched.subsidy import (
     T_CAP,
     _arm_table,
     _converged,
+    _marginals,
     _policy_rates,
+    _stop,
     single_arm_q,
 )
 from probesched.cli import main
@@ -565,11 +570,56 @@ def test_solve_matches_the_reference_solve_bit_for_bit():
     assert zero >= 50 and mixed >= 300, (zero, mixed)
 
 
+def test_walk_length_is_counted_without_walking():
+    # the guard's count of an arm's slots, from its process alone, against
+    # the walk `_marginals` makes: a table's length, 1 where 1 - q rounds to
+    # 1.0, else the closed form, which rounding moves by at most one slot
+    rng = random.Random(28)
+    longer_than_the_cap = tuple(t / (T_CAP + 5) for t in range(T_CAP + 5))
+    for values in ((0.2,), (0.1, 0.5, 0.5), (0.0,) * 7 + (0.9,), longer_than_the_cap):
+        proc = Table(values)
+        assert _stop(proc) == len(_marginals(proc)) - 1 == min(len(values), T_CAP)
+    qs = [1e-175, 1e-17, 1e-6, 0.5, 1.0 - 2**-53] + [10 ** rng.uniform(-17, -1e-5)
+                                                      for _ in range(200)]
+    off = [q for q in qs if _stop(MarkovIID(q)) != len(_marginals(MarkovIID(q))) - 1]
+    assert all(_stop(MarkovIID(q)) == len(_marginals(MarkovIID(q))) for q in off), off
+    assert [_stop(MarkovIID(q)) for q in qs[:4]] == [1, 1, T_CAP, 40]
+
+
+def test_subsidy_refuses_slow_arms_before_any_table(tmp_path, capsys, monkeypatch):
+    # 10,000 arms of q = 1e-6, each walked to T_CAP, once would have taken
+    # about 14 GiB; as components and as a queueing network alike
+    tables = []
+    monkeypatch.setattr(probesched.subsidy, "_arm_table", tables.append)
+    arm, n = {"kind": "markov", "q": 1e-6, "cost": 1.0}, 10_000
+    cls = {"arrival": {"kind": "bernoulli", "q": 1e-6}, "holding_cost": 1.0}
+    path = tmp_path / "cfg.json"
+    for cfg in ({"components": [arm] * n, "K": n // 2},
+                {"queueing": {"servers": n // 2, "classes": [cls] * n}}):
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        assert main(["subsidy", "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith(
+            f"refused: search space too large: {n * 10_001 * 128} arm-table slots")
+    assert tables == []
+
+
+def test_subsidy_guard_passes_eight_slow_arms_and_refuses_nine():
+    # T_CAP + 1 slots each, held and walked by 1 + 17 + 100 passes
+    specs = [markov_spec(1e-6 * (1 + 0.01 * i), cost=1.0) for i in range(9)]
+    plan = solve_lambda_star(specs[:8], 4)
+    assert sum(plan.rates) == pytest.approx(4.0, abs=1e-6)
+    with pytest.raises(SearchSpaceError) as exc:
+        solve_lambda_star(specs, 4)
+    assert exc.value.count == 9 * 10_001 * 118 > exc.value.bound > 8 * 10_001 * 118
+
+
 _TRIAL_3 = list(_criterion_8_instances())[3]
 # (name, subcommand, config, sha256 of the CSV bytes), recorded before the
 # relaxed plan kept its cost rates: criterion 8's trial 3, where one arm
 # mixes; four arms whose q = 1e-175 arm is parked; and a queueing network
-# in its default mode, `simulate`.
+# under `simulate`.
 _GOLDEN_CSV = [
     ("criterion-8-trial-3", "subsidy",
      {"components": [component_to_json(s) for s in _TRIAL_3[0]], "K": _TRIAL_3[1]},
@@ -582,7 +632,7 @@ _GOLDEN_CSV = [
                       "cost": 1.2}],
       "K": 2},
      "b37cde58d5783907119fcb0d8ca73ac715c0bbe0a397ee46a0efea9cad1da1d0"),
-    ("queueing-default-mode", "queueing",
+    ("queueing-default-mode", "simulate",
      {"queueing": {"servers": 1, "classes": [
          {"arrival": {"kind": "bernoulli", "q": 0.2}, "holding_cost": 1.0},
          {"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": 1.0},
