@@ -145,9 +145,11 @@ def _policies(cfg):
     pols = cfg.get("policies", ["whittle"])
     if not isinstance(pols, list) or not pols:
         raise ConfigError("config.policies: expected a nonempty list of policy names")
-    for p in pols:
+    for i, p in enumerate(pols):
         if p not in POLICY_NAMES:
             raise ConfigError(f"config.policies: unknown policy {p!r}; choose from {POLICY_NAMES}")
+        if p in pols[:i]:
+            raise ConfigError(f"config.policies: {p!r} is listed more than once")
     return pols
 
 
@@ -317,9 +319,10 @@ def _load_config(args) -> dict:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first `main` call of a process and
-    reused by every later one: parsing leaves it unchanged."""
+def _parser():
+    """The argument parser and each subcommand's own, built on the first
+    `main` call of a process and reused by every later one: parsing leaves
+    them unchanged."""
     parser = argparse.ArgumentParser(
         prog="probesched",
         description="Index-policy probe scheduling: indices, simulation, exact oracles.",
@@ -332,11 +335,14 @@ def _parser() -> argparse.ArgumentParser:
         for field in fields:
             p.add_argument(f"--{field}", type=int, help=f"override the config's {field}")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # the subcommand's parser reports them, with the usage that lists its flags
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _load_config(args)
         if args.command not in _CORE_COMMANDS:

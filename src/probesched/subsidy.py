@@ -12,7 +12,7 @@ per-slot probe budget K binds only on average, the optimal policy runs
 each arm's subsidy policy at a common multiplier lam*, chosen so the
 activation rates sum to K, randomising at index-equal states to hit the
 boundary exactly.  An arm's slots are read from `attack.marginals` up to
-p's convergence or the constant stopping cap `T_CAP`; `solve_lambda_star`
+`_stop` (p's convergence or the stopping cap `T_CAP`); `solve_lambda_star`
 counts them, and the walks over them, before it reads any.
 """
 
@@ -71,37 +71,27 @@ def _objective(spec: ComponentSpec, lam: float, t: int, p_t: float, cum: float) 
     return (lam * (t - 1.0 + p_t) - spec.cost * cum) / (t + p_t)
 
 
-def _converged(proc, t: int, p_t: float) -> bool:
-    """True once p is constant from slot t on: past a table's last entry,
-    or within _CONVERGENCE_EPS of 1 for a memoryless process, or 0.0 at
-    t >= 1 for one whose 1 - q rounds to 1 (its p is 0.0 at every t)."""
-    if isinstance(proc, Table):
-        return t >= len(proc.values)
-    return 1.0 - p_t <= _CONVERGENCE_EPS or p_t == 0.0
-
-
 def _stop(proc) -> int:
-    """The stop `_marginals` reaches, from the process alone: a table's
-    length; 1 for a memoryless process whose 1 - q rounds to 1.0; else the
-    first t at which (1 - q)^t, which 1 - p(t) equals up to rounding, is
-    at most _CONVERGENCE_EPS.  Each is capped at T_CAP."""
+    """An arm's last slot, counted from its process alone, past which p
+    is taken as constant: a table's length; 1 for a memoryless process
+    whose 1 - q rounds to 1.0 (its p is 0.0 at every t); else the first t
+    at which 1 - p(t) is at most _CONVERGENCE_EPS.  Each is capped at
+    T_CAP."""
     if isinstance(proc, Table):
         return min(len(proc.values), T_CAP)
     keep = 1.0 - proc.q
     if keep == 1.0:
         return 1
-    return min(math.ceil(math.log(_CONVERGENCE_EPS) / math.log(keep)), T_CAP)
+    # the first t with (1 - q)^t <= eps, or the slot before it, where
+    # 1 - p(t), (1 - q)^t rounded to a multiple of 2^-53, may be <= eps
+    t = min(math.ceil(math.log(_CONVERGENCE_EPS) / math.log(keep)), T_CAP)
+    return t - 1 if t > 1 and 1.0 - marginal_p(proc, t - 1) <= _CONVERGENCE_EPS else t
 
 
 def _marginals(proc) -> list:
-    """p(t) for t = 0..stop, where stop is the first t >= 1 at which p has
-    converged, or T_CAP: every scan of an arm's slots ends at stop."""
-    p = [0.0]
-    for t, p_t in enumerate(islice(marginals(proc), 1, T_CAP + 1), 1):
-        p.append(p_t)
-        if _converged(proc, t, p_t):
-            break
-    return p
+    """p(t) for t = 0..`_stop(proc)`: every scan of an arm's slots ends at
+    the stop `solve_lambda_star`'s guard counts."""
+    return list(islice(marginals(proc), _stop(proc) + 1))
 
 
 def _best_stopping(spec: ComponentSpec, lam: float):
@@ -214,8 +204,8 @@ def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table):
     # it does not probe, the 0-observation interval follows, one slot late.
     s = 1.0 - _activation_prob(0.0, lam, gamma)
     e1, b1, c1 = 1.0 + s * e0, s * b0, s * c0
-    denom = 1.0 - b1 + b0
-    theta = b0 / denom if denom > 0.0 else 0.0
+    # 1 - b1 + b0 = 1 + b0 (1 - s) >= 1, since b0 and s lie in [0, 1]
+    theta = b0 / (1.0 - b1 + b0)
     e_len = (1.0 - theta) * e0 + theta * e1
     rate = 1.0 / e_len
     cost_rate = ((1.0 - theta) * c0 + theta * c1) / e_len

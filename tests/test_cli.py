@@ -1,6 +1,8 @@
 import csv
+import functools
 import json
 import math
+import operator
 import os
 import pathlib
 import re
@@ -481,11 +483,21 @@ _PROB = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _COST = st.floats(0.0, 5.0)
 
 
+def _fields(value, path=()):
+    """The path of every field and list entry of a JSON value, at any depth."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield (*path, key)
+        yield from _fields(item, (*path, key))
+
+
 @st.composite
 def _config(draw, command):
     """A small config for `command`, its arms as components and K or as a
-    queueing network: all fields valid, or (half the time) some of them
-    junk, out of range or missing.  Sizes keep every example cheap:
+    queueing network: all fields valid, or (half the time) one of them,
+    chosen by the draw at any depth, junk or missing, so a field read late
+    is reached as often as one read first.  Sizes keep every example cheap:
     R·N·T <= 2·10^4 for simulations, N <= 3 and T <= 12 for the oracle,
     and T <= 1500 for `evaluate` with N <= 2, except that two arms sharing
     one probe (whose all-subsets layers grow with T) stop at 60."""
@@ -493,43 +505,42 @@ def _config(draw, command):
     queueing = draw(st.booleans())
     relaxed = queueing or command == "subsidy"  # K < N
 
-    def pick(valid):
-        return draw(st.one_of(valid, _JUNK) if dirty else valid)
-
     def component():
-        if dirty and draw(st.integers(0, 3)) == 0:  # no object, but "cost" in it
-            return draw(st.sampled_from(["cost", ["cost"], ["kind", "cost"]]))
         if draw(st.booleans()):
-            return {"kind": "markov", "q": pick(_PROB), "cost": pick(_COST)}
-        p = draw(st.lists(st.floats(0.0, 1.0), min_size=0 if dirty else 1, max_size=6))
-        return {"kind": "table", "p": p if dirty else sorted(p), "cost": pick(_COST)}
+            return {"kind": "markov", "q": draw(_PROB), "cost": draw(_COST)}
+        p = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+        return {"kind": "table", "p": sorted(p), "cost": draw(_COST)}
 
     n_max = 2 if command == "evaluate" else 3
-    n = draw(st.integers(0 if dirty else (2 if relaxed else 1), n_max))
+    n = draw(st.integers(2 if relaxed else 1, n_max))
     specs = [component() for _ in range(n)]
-    k = pick(st.integers(1, max(1, n - 1 if relaxed else n)))
+    k = draw(st.integers(1, n - 1 if relaxed else n))
     if command == "evaluate":
         t_max = 60 if n == 2 and k == 1 else 1500
     else:
         t_max = 12 if command == "oracle" else 200
-    horizon = draw(st.integers(0 if dirty else 1, t_max))
+    horizon = draw(st.integers(1, t_max))
     if queueing:
         classes = [{"holding_cost": c.pop("cost"),
-                    "arrival": {**c, "kind": "bernoulli"} if "q" in c else c}
-                   if isinstance(c, dict) else c for c in specs]
+                    "arrival": {**c, "kind": "bernoulli"} if "q" in c else c} for c in specs]
         cfg = {"queueing": {"servers": k, "classes": classes}}
     else:
         cfg = {"components": specs, "K": k}
     cfg["horizon"] = horizon
-    cfg["replications"] = pick(st.integers(1, 20_000 // (max(n, 1) * max(horizon, 1))))
-    cfg["seed"] = pick(st.integers(0, 2**32))
+    cfg["replications"] = draw(st.integers(1, 20_000 // (n * horizon)))
+    cfg["seed"] = draw(st.integers(0, 2**32))
     names = (["whittle", "myopic"] if command in ("evaluate", "oracle")
              else ["whittle", "myopic", "queue", "random"])
-    cfg["policies"] = pick(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    cfg["policies"] = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
     if draw(st.booleans()):
-        cfg["bound"] = pick(st.integers(1, 10**7))
-    if dirty and cfg and draw(st.booleans()):
-        del cfg[draw(st.sampled_from(sorted(cfg)))]
+        cfg["bound"] = draw(st.integers(1, 10**7))
+    if dirty:
+        *parents, key = draw(st.sampled_from(list(_fields(cfg))))
+        holder = functools.reduce(operator.getitem, parents, cfg)
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(_JUNK)
     return cfg
 
 
@@ -803,11 +814,14 @@ def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command
     listed = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
     assert listed == {"--help", "--config", "--preset", "--out", *(f"--{f}" for f in reads)}
 
-    for flag in {"seed", "replications", "horizon"}.difference(reads):
+    # an unknown flag is reported with this subcommand's usage, which lists its flags
+    for flag in ["bogus", *{"seed", "replications", "horizon"}.difference(reads)]:
         with pytest.raises(SystemExit) as exc:
             main([command, "--preset", "fig3", f"--{flag}", "2"])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: --{flag} 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: probesched {command} [-h] [--config CONFIG]")
+        assert err.endswith(f"probesched {command}: error: unrecognized arguments: --{flag} 2\n")
 
     # each flag it reads overrides its field, as the field set in the config would
     base = {"components": FIG3["components"][:3], "K": 1, "horizon": 3, "replications": 4,
@@ -822,6 +836,16 @@ def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command
     assert main([command, "--config", edited_cfg, "--out", str(edited)]) == 0
     assert flagged.read_bytes() == edited.read_bytes()
     assert (flagged.read_bytes() != plain.read_bytes()) == bool(reads)
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "oracle"])
+def test_a_policy_listed_twice_is_refused(tmp_path, capsys, command):
+    # it once wrote the policy's `oracle` columns twice and ran it twice in `simulate`
+    cfg = _write_cfg(tmp_path, {"components": _ARMS, "K": 1, "horizon": 2,
+                                "policies": ["whittle", "myopic", "whittle"]})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("error: config.policies: 'whittle' is listed "
+                                       "more than once\n")
 
 
 _HUGE = 10**400  # a JSON integer past float range

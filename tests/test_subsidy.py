@@ -6,6 +6,7 @@ import math
 import random
 import threading
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from probesched import (
     solve_lambda_star,
     whittle_index,
 )
+from probesched.attack import marginals
 from probesched.subsidy import (
     T_CAP,
     _arm_table,
-    _converged,
     _marginals,
     _policy_rates,
     _stop,
@@ -375,7 +376,7 @@ def test_walk_matches_renewal_formula_at_index_multipliers():
             w = lambda t: whittle_index(spec, ArmState(0, t))
             table = _arm_table(spec)
             t = 1
-            while not _converged(spec.process, t, p(t)) and w(t + 1) > w(t):
+            while t < _stop(spec.process) and w(t + 1) > w(t):
                 for gamma, t0 in ((0.0, t + 1), (1.0, t)):
                     rate, cost_rate, _t0 = _policy_rates(spec, w(t), gamma, table)
                     cycle = t0 + p(t0)
@@ -506,8 +507,7 @@ def test_lambda_star_reaches_past_slot_64_of_a_late_converging_arm():
     # arm 0 and sums the rates to 0.990099; lambda* is arm 0's W(0, 78).
     specs = _late_converging_pair()
     arm0 = specs[0]
-    p = lambda t: marginal_p(arm0.process, t)
-    assert next(t for t in range(1, 100) if _converged(arm0.process, t, p(t))) == 78
+    assert _stop(arm0.process) == 78
     plan = solve_lambda_star(specs, 1)
     assert sum(plan.rates) == pytest.approx(1.0, abs=1e-6)
     assert plan.lambda_star == index_values(arm0, 78)[78]
@@ -570,20 +570,56 @@ def test_solve_matches_the_reference_solve_bit_for_bit():
     assert zero >= 50 and mixed >= 300, (zero, mixed)
 
 
+def _converged_walk(proc) -> int:
+    """The slot a walk of p stops at: the first t >= 1 with 1 - p(t) <=
+    1e-12, or p(t) = 0.0, or t at a table's length; T_CAP if none is."""
+    for t, p_t in enumerate(islice(marginals(proc), 1, T_CAP + 1), 1):
+        if t >= len(proc.values) if isinstance(proc, Table) else 1.0 - p_t <= 1e-12 or p_t == 0.0:
+            return t
+    return T_CAP
+
+
 def test_walk_length_is_counted_without_walking():
-    # the guard's count of an arm's slots, from its process alone, against
-    # the walk `_marginals` makes: a table's length, 1 where 1 - q rounds to
-    # 1.0, else the closed form, which rounding moves by at most one slot
+    # `_stop` counts an arm's last slot from its process alone, and
+    # `_marginals` holds p up to it.  It is the slot a walk of p stops at:
+    # never earlier, and not one later where 1 - p(t) rounds down to the
+    # bound while (1 - q)^t is still above it (q = 0.999, t = 4).
+    assert _stop(MarkovIID(0.999)) == _converged_walk(MarkovIID(0.999)) == 4
     rng = random.Random(28)
     longer_than_the_cap = tuple(t / (T_CAP + 5) for t in range(T_CAP + 5))
-    for values in ((0.2,), (0.1, 0.5, 0.5), (0.0,) * 7 + (0.9,), longer_than_the_cap):
-        proc = Table(values)
-        assert _stop(proc) == len(_marginals(proc)) - 1 == min(len(values), T_CAP)
+    tables = [Table(values) for values in ((0.2,), (0.1, 0.5, 0.5), (0.0,) * 7 + (0.9,),
+                                           longer_than_the_cap)]
+    assert [_stop(proc) for proc in tables] == [1, 3, 8, T_CAP]
     qs = [1e-175, 1e-17, 1e-6, 0.5, 1.0 - 2**-53] + [10 ** rng.uniform(-17, -1e-5)
                                                       for _ in range(200)]
-    off = [q for q in qs if _stop(MarkovIID(q)) != len(_marginals(MarkovIID(q))) - 1]
-    assert all(_stop(MarkovIID(q)) == len(_marginals(MarkovIID(q))) for q in off), off
+    for proc in [*tables, *map(MarkovIID, qs)]:
+        assert _stop(proc) == _converged_walk(proc), proc
+        assert len(_marginals(proc)) == _stop(proc) + 1
     assert [_stop(MarkovIID(q)) for q in qs[:4]] == [1, 1, T_CAP, 40]
+
+
+def test_the_guard_counts_the_slots_the_tables_hold(monkeypatch):
+    # On criterion 8's instances the slots `solve_lambda_star` counts
+    # before it builds a table are the slots its arm tables hold: the
+    # count is S x (1 + log2(S) + 100), increasing in S.
+    held = []
+
+    def arm_table(spec):
+        p, w = _arm_table(spec)
+        held.append(len(p))
+        return p, w
+
+    monkeypatch.setattr(probesched.subsidy, "_arm_table", arm_table)
+    for specs, k in _criterion_8_instances():
+        held.clear()
+        solve_lambda_star(specs, k)
+        slots = sum(held)
+        assert len(held) == len(specs)
+        with monkeypatch.context() as m:
+            m.setattr(probesched.subsidy, "DEFAULT_BOUND", 0)
+            with pytest.raises(SearchSpaceError) as exc:
+                solve_lambda_star(specs, k)
+        assert exc.value.count == slots * (1 + slots.bit_length() + 100)
 
 
 def test_subsidy_refuses_slow_arms_before_any_table(tmp_path, capsys, monkeypatch):
