@@ -172,6 +172,8 @@ def cmd_simulate(cfg):
     reps = _positive(cfg, "replications")
     _bounded_costs(specs, horizon, reps)
     seed = _require(cfg, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"config.seed: must be >= 0, got {seed}")
     configs = [RunConfig(specs=tuple(specs), k=k, horizon=horizon, policy=policy,
                          replications=reps, seed=seed) for policy in _policies(cfg)]
     header = ["policy", "slot", "mean_cumulative_cost", "stderr"]

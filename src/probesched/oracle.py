@@ -8,15 +8,15 @@ code in a rank policy's chain, so the graph of a table instance stops
 growing with the horizon; Markov arms keep their clocks.  `_graph` builds
 the union of the joint states reachable within the horizon when any
 K-subset may be probed, in the order of the slot that first reaches them,
-and expands each once, every subset in one pass, so the states and
-branches of depth <= d are prefixes of its arrays.  The graph is
-time-homogeneous, so one value iteration over it (`_iterate`; Puterman
-1994, ch. 8) gives the value of every horizon 1..T at once: step h reads
-only the states of depth <= T - h and their branches.  It gives the
-optimal expected cost (least value-to-go over every K-subset) or a
-policy's exact value (its own selection's), and an `exact_graph` value
-keeps each method's values, made by its first call, for calls at every
-horizon.  A policy is a rank policy's name, which picks each state's K
+and expands each once into a block of its 2^K outcomes under every
+subset, so the states of depth <= d and their blocks are prefixes of its
+arrays.  The graph is time-homogeneous, so one value iteration over it
+(`_iterate`; Puterman 1994, ch. 8) gives the value of every horizon 1..T
+at once: step h reads only the states of depth <= T - h and their
+blocks.  It gives the optimal expected cost (least value-to-go over every
+K-subset) or a policy's exact value (its own selection's), and an
+`exact_graph` value keeps each method's values, made by its first call,
+for calls at every horizon.  A policy is a rank policy's name, which picks each state's K
 arms first in `policies.rank_table` for all states at once, as the
 simulator does, or any callable, asked once for each state its own picks
 reach, slot by slot, by the one forward walk (`_layers`) that lists a
@@ -53,26 +53,18 @@ _KEY_TABLE = 2**21
 
 
 def _branches(belief, arms, outcomes):
-    """Every probe outcome of every K-subset from every state: (subset,
-    parent, outcome, probability) arrays ordered by subset, parent, then
-    outcome, without outcomes of belief 0 or 1.  `belief` holds each arm's
-    beliefs across the states, `arms` the subsets' arm ids and `outcomes`
-    each outcome's bits, the subset's first arm the most significant."""
-    k = arms.shape[1]
+    """Every probe outcome of every K-subset from every state: (probability,
+    possible) arrays of shape (2^K outcomes, subsets, states).  An outcome
+    is impossible where one of its belief factors is exactly 0 or 1, so its
+    probability is exactly 0.0; a possible one's may underflow to 0.0.
+    `belief` holds each arm's beliefs across the states, `arms` the
+    subsets' arm ids and `outcomes` each outcome's bits, the subset's first
+    arm the most significant."""
     b = belief.take(arms, axis=0)  # (subsets, K, states)
     factor = 1.0 - b, b  # by outcome bit
-    pr = np.empty((len(arms), belief.shape[1], 2**k))
-    live = np.empty(pr.shape, dtype=bool)
-    for o, bits in enumerate(outcomes):
-        f = [factor[bit][:, r] for r, bit in enumerate(bits)]
-        pr[:, :, o] = functools.reduce(np.multiply, f)  # left to right
-        # not pr != 0: a possible outcome's probability may underflow
-        live[:, :, o] = functools.reduce(np.logical_and, [x != 0.0 for x in f])
-    ids = np.flatnonzero(live)
-    pr = pr.take(ids)
-    subset = np.repeat(np.arange(len(arms)), np.count_nonzero(live.reshape(len(arms), -1), 1))
-    ids -= subset * live[0].size  # parent * 2^K + outcome
-    return subset, ids >> k, ids & (2**k - 1), pr
+    f = [[factor[bit][:, r] for r, bit in enumerate(bits)] for bits in outcomes]
+    pr = np.array([functools.reduce(np.multiply, x) for x in f])  # left to right
+    return pr, np.array([functools.reduce(np.logical_and, [y != 0.0 for y in x]) for x in f])
 
 
 class _StateIds:
@@ -144,13 +136,14 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1, ca
     joint states reachable in d slots or fewer, those first reached in d
     slots after the rest and in `np.lexsort(states.T)` order among
     themselves; costs[s] is state s's slot cost, sum(c_n * P(arm n
-    abnormal)).  edges = (group, child, probability, edge ends): each state
-    of depth d < horizon - 1 branches once, after every shallower state,
-    edge_ends[d] edges in all from depths <= d; group = state *
-    len(subsets) + subset and child is a state id, ordered by subset,
-    parent, then outcome within a depth (the subset's first arm varying
-    slowest, 0 before 1), without outcomes of belief 0 or 1.  Each depth
-    expands every subset at once (`_branches`).
+    abnormal)).  edges = (child, probability), blocks of shape (2^K
+    outcomes, expanded states, K-subsets): every state of depth d <
+    horizon - 1 is expanded, so a block's [:, :ends[d]] holds the outcomes
+    of the states of depth <= d.  Slot (o, s, j) is outcome o of probing
+    subset j from state s (the subset's first arm varying slowest, 0
+    before 1): the state id it leads to and its probability, or child -1
+    and probability 0.0 where it is impossible (a belief factor of 0 or
+    1).  Each depth expands every subset at once (`_branches`).
 
     One guard refuses every exact op before its work: the belief table,
     2N x (largest capped t + horizon), before any table is built; before
@@ -158,8 +151,8 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1, ca
     depth-d state's K-subsets x 2^K branches, built from N codes and read
     by the horizon - 1 - d steps after the one it first joins; after the
     last, the sweeps of the op's `solves` value iterations, step h reading
-    the edges of depth <= horizon - h plus `_SLOT_ENTRIES`: never more than
-    the branch entries when `solves` is 1."""
+    the possible outcomes of depth <= horizon - h plus `_SLOT_ENTRIES`:
+    never more than the branch entries when `solves` is 1."""
     n = len(specs)
     # the clock each arm stops at; an uncapped arm's never reaches t + horizon
     stops = [st.t + horizon if c is None else c for c, st in zip(caps or [None] * n, initial)]
@@ -167,7 +160,7 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1, ca
     if 2 * n * width > bound:
         raise SearchSpaceError(2 * n * width, bound,
                                "belief entries (2N x (largest capped t + horizon))")
-    per_state = math.comb(n, k) * 2**k
+    per_state, block = math.comb(n, k) * 2**k, (2**k, 0, math.comb(n, k))
     # each arm's codes within the horizon, sorted: its first code, waiting
     # up to horizon - 1 slots, and o * width + t for t < horizon once probed
     steps, ages = np.arange(horizon), np.arange(1, horizon)
@@ -182,17 +175,14 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1, ca
     dtype = np.int64 if 2 * math.prod(radix) <= 2**63 else object
     unit = np.array([math.prod(radix[:a]) for a in range(n)], dtype=dtype)
     codes, offset = np.concatenate(reach).astype(np.int32), np.cumsum([0] + radix[:-1])
-    # the digit of each arm's code o * width + 1 after a probe observes o
-    landing = np.array([np.searchsorted(c, [1, width + 1]) for c in reach]).reshape(-1)
     digits = np.array([[np.searchsorted(r, st.i * width + min(st.t, c + st.i))
                         for r, c, st in zip(reach, stops, initial)]])
     # the digit each code waits to: the next code, or itself at its cap
     waits = np.concatenate([np.searchsorted(r, r + (r % width < c + r // width))
                             for r, c in zip(reach, stops)])
     keys = (digits * unit).sum(axis=1)
-    chunks, costs, total = [], [], _SLOT_ENTRIES * horizon
-    empty = np.zeros(0, dtype=np.intp)
-    groups, children, probs = [empty], [empty], [np.zeros(0)]  # no edges before depth 0
+    chunks, costs, total, reads = [], [], _SLOT_ENTRIES * horizon, 0
+    children, probs = [np.zeros(block, dtype=np.intp)], [np.zeros(block)]  # none before depth 0
     for depth in range(horizon):
         total += len(digits) * per_state * (n + horizon - 1 - depth)
         if total > bound:
@@ -203,8 +193,12 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1, ca
             arms = np.array(list(itertools.combinations(range(n), k)))
             beliefs, lift = belief_codes(specs, width), np.arange(n)[:, None] * 2 * width
             outcomes = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+            # per (outcome, subset), the key of the subset's arms alone, each
+            # at its code o * width + 1 after a probe observes o
+            landing = np.array([np.searchsorted(c, [1, width + 1]) for c in reach])
+            landed = sum(landing[arms[:, r], outcomes[:, r, None]] * unit.take(arms[:, r])
+                         for r in range(k))[:, :, None]
             ids = _StateIds(keys, math.prod(radix))
-        start = sum(map(len, chunks))
         chunk = codes.take(digits + offset)
         chunks.append(chunk)
         # arm-major (N, states), so each pass runs along the states
@@ -212,39 +206,35 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1, ca
         costs.append(sum(s.cost * belief[a] for a, s in enumerate(specs)))
         if depth + 1 == horizon or not len(chunk):
             break
-        subset, parent, branch, pr = _branches(belief, arms, outcomes)
+        pr, live = _branches(belief, arms, outcomes)
+        reads += np.count_nonzero(live) * (horizon - 1 - depth)  # by the steps after this one
         # a child's key is its parent's with every code one slot older, at
-        # its waiting digit, and each probed arm's landing digit in place of that
-        older = waits.take(digits + offset)
-        child = (older * unit).sum(axis=1).take(parent)
-        for r in range(k):
-            arm = arms[:, r].take(subset)
-            step = landing.take(2 * arm + outcomes[:, r].take(branch))
-            step -= older.take(parent * n + arm)
-            child += step * unit.take(arm)
-        groups.append((parent + start) * len(arms) + subset)
-        del subset, parent, branch, arm, step, older  # before the lookups, to lower the peak
-        keys = np.sort(child[ids.find(child) < 0])
+        # its waiting digit, and the probed arms' landed key in place of theirs;
+        # (outcomes, subsets, states), so the lookups run along near-sorted keys
+        older = (waits.take(digits + offset) * unit).T
+        child = older.sum(axis=0) - older.take(arms, axis=0).sum(axis=1) + landed
+        del older  # before the lookups, to lower the peak
+        keys = np.sort(child[live & (ids.find(child) < 0)])
         keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
         ids.add(keys)
         digits = (keys[:, None] // unit % radix).astype(np.int32)
-        child = ids.find(child).astype(np.intp)
-        children.append(child)
-        probs.append(pr)
+        child = ids.find(child).astype(np.intp, copy=False)
+        child[~live] = -1
+        children.append(child.transpose(0, 2, 1))
+        probs.append(pr.transpose(0, 2, 1))
     # depths past the last new state add no states and no edges
     ends = np.cumsum([len(c) for c in chunks] + [0] * (horizon - len(chunks)))
-    edge_ends = np.cumsum([len(p) for p in probs] + [0] * (horizon - len(probs)), dtype=np.intp)
-    sweeps = solves * (_SLOT_ENTRIES * horizon + int(edge_ends[1:].sum()))
+    sweeps = solves * (_SLOT_ENTRIES * horizon + reads)
     if sweeps > bound:
         raise SearchSpaceError(sweeps, bound, f"sweep entries ({solves} value iterations x (the "
                                f"branches each step reads + {_SLOT_ENTRIES}))")
-    del ids  # the key table, and below each column's parts once joined, to lower the peak
+    del ids  # the key table, and below each block's parts once joined, to lower the peak
     edges = []
-    for parts in (groups, children, probs):
-        edges.append(np.concatenate(parts))
+    for parts in (children, probs):
+        edges.append(np.concatenate(parts, axis=1))
         parts.clear()
     return (width, list(map(tuple, arms.tolist())), np.concatenate(chunks), np.concatenate(costs),
-            ends, (*edges, edge_ends[1:]))
+            ends, tuple(edges))
 
 
 def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND,
@@ -299,70 +289,59 @@ def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
 
 
 def _first_min(future):
-    """Per state, the first subset beating every earlier one by > 1e-15."""
+    """Per state, the first subset beating every earlier one by more than
+    1e-15 of the best so far (values are >= 0), and its value."""
     pick, best = np.zeros(len(future), dtype=np.intp), future[:, 0]
     for j in range(1, future.shape[1]):
-        better = future[:, j] < best - 1e-15
+        better = future[:, j] < best - 1e-15 * best
         pick, best = np.where(better, j, pick), np.where(better, future[:, j], best)
-    return pick
+    return pick, best
 
 
-def _iterate(parts, edges, horizon: int, optimal: bool):
+def _iterate(parts, edges, horizon: int):
     """Value iteration over the first `horizon` depths: step h gives V_h on
     the states of depth <= horizon - h, each state's slot cost plus
-    future[state, subset], the sum in edge order of probability x V_{h-1}
-    of the child over the edges of group state * subsets + subset.  The
-    optimum's `edges` (group, child, probability, edge ends) are the
-    graph's and each step takes `_first_min`'s subset; a policy's are its
-    own (`_chosen`), one group per state.  Returns V_1..V_horizon at the
-    initial state and the optimum's picks at each step."""
+    future[state, subset] of `_first_min`'s subset, the sum over the
+    subset's outcomes, left to right, of probability x V_{h-1} of the
+    child; an impossible outcome adds 0.0 x V_{h-1}[-1] = 0.0.  The
+    optimum's `edges` (child, probability) are the graph's; a policy's are
+    its own (`_chosen`), one subset per state, which `_first_min` picks.
+    Returns V_1..V_horizon at the initial state and the picks at each step."""
     costs, ends = parts[3], parts[4]
-    group, child, pr, edge_ends = edges
-    choices, firsts, picks = len(parts[1]) if optimal else 1, [], []
+    child, pr = edges
+    firsts, picks = [], []
     for h in range(1, horizon + 1):
-        size = ends[horizon - h] * choices
+        e = ends[horizon - h]
         if h == 1:
-            future = np.zeros(size)  # nothing follows the last slot
+            future = np.zeros((e, child.shape[2]))  # nothing follows the last slot
         else:
-            e = edge_ends[horizon - h]
-            future = np.bincount(group[:e], weights=pr[:e] * values.take(child[:e]),
-                                 minlength=size)
-        if optimal:
-            picks.append(_first_min(future.reshape(-1, choices)))
-            future = future.take(picks[-1] + np.arange(0, size, choices))
-        values = costs[:ends[horizon - h]] + future
+            future = functools.reduce(np.add, pr[:, :e] * values.take(child[:, :e]))
+        pick, future = _first_min(future)
+        picks.append(pick)
+        values = costs[:e] + future
         firsts.append(float(values[0]))
     return firsts, picks
 
 
-def _chosen(edges, subsets: int, picks):
-    """The edges of each state's picked subset, in their order, grouped by
-    their parent alone."""
-    group, child, pr, edge_ends = edges
-    chosen = np.zeros(len(picks) * subsets, dtype=bool)
-    chosen[picks + np.arange(0, chosen.size, subsets)] = True
-    keep = chosen.take(group)
-    count = np.concatenate([[0], np.cumsum(keep)])
-    return group[keep] // subsets, child[keep], pr[keep], count.take(edge_ends)
+def _chosen(edges, picks):
+    """A policy's edges: each expanded state's outcomes under its picked
+    subset alone, blocks of shape (2^K outcomes, expanded states, 1)."""
+    at = picks[None, :edges[0].shape[1], None]
+    return tuple(np.take_along_axis(x, at, 2) for x in edges)
 
 
 def _layers(parts, horizon: int, picks=None):
-    """Yield the states reachable at each slot 0..horizon - 1, walking the
-    edges of every K-subset or, given `picks`, each state's picked subset:
-    the caller fills a layer's picks before the walk steps past it."""
-    _width, subsets, states, _costs, _ends, (group, child, _pr, edge_ends) = parts
-    parent, subset = np.divmod(group, len(subsets))
+    """Yield the states reachable at each slot 0..horizon - 1, each layer's
+    children under every K-subset or, given `picks`, under each state's
+    picked subset: the caller fills a layer's picks before the walk steps
+    past it."""
+    states, child = parts[2], parts[5][0]
     layer = np.zeros(1, dtype=np.intp)
     yield layer
-    for e in edge_ends[:horizon - 1]:
-        on = np.zeros(len(states), dtype=bool)
-        on[layer] = True
-        taken = on.take(parent[:e])
-        if picks is not None:
-            taken &= subset[:e] == picks.take(parent[:e])
-        reached = np.zeros(len(states), dtype=bool)
-        reached[child[:e][taken]] = True
-        layer = np.flatnonzero(reached)
+    for _ in range(horizon - 1):
+        reached = np.zeros(len(states) + 1, dtype=bool)  # the last entry: impossible outcomes
+        reached[child[:, layer] if picks is None else child[:, layer, picks.take(layer)]] = True
+        layer = np.flatnonzero(reached[:-1])
         yield layer
 
 
@@ -410,7 +389,7 @@ def _optimum(graph):
     """The optimum's values and picks at every horizon of `graph`."""
     _key, parts, memo = graph
     if None not in memo:
-        memo[None] = _iterate(parts, parts[-1], len(parts[4]), True)
+        memo[None] = _iterate(parts, parts[5], len(parts[4]))
     return memo[None]
 
 
@@ -458,11 +437,10 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
     graph = _exact(specs, initial, k, horizon, bound, graph)
     if isinstance(policy, str):
         _key, parts, memo = graph
-        width, subsets, states, _costs, ends, edges = parts
+        width, _subsets, states, _costs, ends, edges = parts
         if policy not in memo:
-            expanded = ends[-2] if len(ends) > 1 else 0
-            picks = _rank_picks(policy, specs, k, width, states[:expanded])
-            memo[policy] = _iterate(parts, _chosen(edges, len(subsets), picks), len(ends), False)[0]
+            picks = _rank_picks(policy, specs, k, width, states[:edges[0].shape[1]])
+            memo[policy] = _iterate(parts, _chosen(edges, picks), len(ends))[0]
         return memo[policy][horizon - 1]
     width, subsets, states, _costs, _ends, edges = parts = _twin(graph)[1]
     index = {sel: j for j, sel in enumerate(subsets)}
@@ -477,4 +455,4 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
                 raise ValueError(f"policy chose {sel!r} at {codes!r}: need {k} distinct "
                                  f"arm ids in 0..{len(specs) - 1}") from None
         asked[layer] = True
-    return _iterate(parts, _chosen(edges, len(subsets), picks), horizon, False)[0][horizon - 1]
+    return _iterate(parts, _chosen(edges, picks), horizon)[0][horizon - 1]

@@ -594,6 +594,41 @@ def test_large_costs_below_the_limit_stay_finite(tmp_path, command):
     assert values and all(math.isfinite(v) for v in values)
 
 
+# the columns that are costs, and scale with them
+_COST_COLUMNS = {"mean_cumulative_cost", "stderr", "expected_cost", "optimal_cost", "whittle_cost",
+                 "myopic_cost", "lambda_star"}
+
+
+@pytest.mark.parametrize("e", [-40, 30])
+def test_a_power_of_two_cost_scale_scales_exactly_the_cost_columns(tmp_path, e):
+    # every cost enters linearly, so with every cost x 2^e each cost column
+    # (means, standard errors, exact costs, lambda*) is the unscaled one x
+    # 2^e bit for bit, and every other column keeps its bytes; an absolute
+    # tie margin once made the optimum pick other subsets at small scales
+    runs = [("simulate", FIG4, ["--horizon", "60", "--replications", "200"]),
+            ("oracle", FIG3, ["--horizon", "8"]), ("evaluate", FIG3, ["--horizon", "8"]),
+            ("subsidy", FIG4, [])]
+    scaled = 0
+    for command, preset, flags in runs:
+        tables = []
+        for scale in (0, e):
+            cfg = dict(preset, components=[dict(c, cost=math.ldexp(c["cost"], scale))
+                                           for c in preset["components"]])
+            out = tmp_path / f"{command}{scale}.csv"
+            assert main([command, "--config", _write_cfg(tmp_path, cfg), *flags,
+                         "--out", str(out)]) == 0
+            tables.append(_read_csv(out))
+        for want, got in zip(*tables, strict=True):
+            assert list(got) == list(want)
+            for column, value in want.items():
+                if column in _COST_COLUMNS:
+                    assert float(got[column]) == math.ldexp(float(value), e), (command, column)
+                    scaled += 1
+                else:
+                    assert got[column] == value, (command, column)
+    assert scaled > 200
+
+
 def test_simulate_refuses_an_oversized_uniform_block(capsys):
     # R·N·T = 2000 · 8 · 2e6 uniforms: once a 238 GiB allocation and a traceback
     start = time.perf_counter()
@@ -695,7 +730,7 @@ def test_simulate_negative_seed_exits_promptly(capsys):
     start = time.perf_counter()
     assert main(["simulate", "--preset", "fig4", "--seed", "-1"]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "expected non-negative integer" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config.seed: must be >= 0, got -1\n"
 
 
 # Imports the CLI, then runs each op in argv[2] (JSON) with --out

@@ -208,14 +208,14 @@ def _oracle_tree():
 def test_the_oracle_has_one_backward_induction():
     # every value-to-go, of the optimum and of each policy at every horizon,
     # is summed by the one value iteration
-    assert _sites(_oracle_tree(), _attribute("np", "bincount")) == ["_iterate"]
+    assert _sites(_oracle_tree(), _attribute("np", "add")) == ["_iterate"]
 
 
 def test_the_check_sees_a_second_induction():
-    tree = ast.parse("def f(v):\n    return np.bincount(v)\nclass C:\n"
-                     "    def g(self, v):\n        return np.bincount(v, minlength=2)\n"
-                     "h = np.bincount\nnp.add.at(w, v, 1)\n")
-    assert _sites(tree, _attribute("np", "bincount")) == ["f", "g", ""]
+    tree = ast.parse("def f(v):\n    return functools.reduce(np.add, v)\nclass C:\n"
+                     "    def g(self, v):\n        return np.add.reduce(v)\n"
+                     "h = np.add\nnp.bincount(w, v)\n")
+    assert _sites(tree, _attribute("np", "add")) == ["f", "g", ""]
 
 
 def _reads(name: str):
@@ -225,17 +225,17 @@ def _reads(name: str):
 
 
 def test_the_oracle_has_one_forward_walk():
-    # the graph's builder, the value iteration and a policy's edge filter
-    # read the depths' edge ends; every reachable layer comes from the walk
-    sites = _sites(_oracle_tree(), _reads("edge_ends"))
-    assert set(sites) == {"_graph", "_iterate", "_chosen", "_layers"}
+    # the graph's builder and the value iteration read the outcomes'
+    # children; every reachable layer comes from the walk
+    sites = _sites(_oracle_tree(), _reads("child"))
+    assert set(sites) == {"_graph", "_iterate", "_layers"}
 
 
 def test_the_check_sees_a_second_forward_walk():
-    tree = ast.parse("def _layers(parts):\n    g, edge_ends = parts\n    yield edge_ends[0]\n"
-                     "class T:\n    def walk(self, edge_ends):\n        return edge_ends[1]\n"
-                     "def other(edges):\n    edge_ends = edges\nx = edge_ends\n")
-    assert _sites(tree, _reads("edge_ends")) == ["_layers", "walk", ""]
+    tree = ast.parse("def _layers(parts):\n    g, child = parts\n    yield child[0]\n"
+                     "class T:\n    def walk(self, child):\n        return child[1]\n"
+                     "def other(edges):\n    child = edges\nx = child\n")
+    assert _sites(tree, _reads("child")) == ["_layers", "walk", ""]
 
 
 def test_the_oracle_has_one_guard():

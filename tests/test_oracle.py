@@ -508,11 +508,11 @@ def _loop_graph(specs, initial, k, horizon):
             parent, branch = np.nonzero((factors != 0.0).all(axis=-1))
             child = layer[parent] + 1
             child[:, arms] = outcomes[branch] * width + 1
-            parts.append((parent * len(subsets) + j, child, pr[parent, branch]))
-        group, child, pr = (np.concatenate(col) for col in zip(*parts))
+            parts.append((parent * len(subsets) + j, branch, child, pr[parent, branch]))
+        group, branch, child, pr = (np.concatenate(col) for col in zip(*parts))
         nxt, child = _lexsort_unique(child)
         layers.append(nxt)
-        edges.append((group, child, pr))
+        edges.append((group, branch, child, pr))
 
 
 def _assert_bitwise(got, want):
@@ -522,18 +522,21 @@ def _assert_bitwise(got, want):
 
 def _assert_union_holds_the_layers(got, want):
     """Each layer of the layered reference `want` is a set of states of the
-    union graph `got` with bitwise equal slot costs and edges (subset,
-    outcome, probability, child codes); depth chunk d is layer d without
-    the states of earlier layers, and its states' edges follow those of
-    every earlier chunk.  Returns the edges and the outcomes dropped."""
-    width, subsets, states, costs, ends, (group, child, pr, edge_ends) = got
+    union graph `got` with bitwise equal slot costs and outcome blocks:
+    each of a state's (outcome, subset) slots holds the child codes and
+    probability of the reference's edge, or child -1 and probability 0.0
+    exactly where the reference drops that outcome; depth chunk d is layer
+    d without the states of earlier layers.  Returns the counts of slots
+    kept and dropped."""
+    width, subsets, states, costs, ends, (child, pr) = got
     _w, ref_costs, _s, layers, ref_edges = want
     assert width == want[0] and subsets == want[2]
-    c = len(subsets)
-    assert len(ends) == len(layers) and len(edge_ends) == len(ref_edges) == len(layers) - 1
+    c, outcomes = len(subsets), 2 ** len(subsets[0])
+    assert len(ends) == len(layers) and len(ref_edges) == len(layers) - 1
+    assert child.shape == pr.shape == (outcomes, ends[-2], c)
     ids = {row.tobytes(): s for s, row in enumerate(states)}
     assert len(ids) == len(states)
-    seen, edges, dropped = set(), 0, 0
+    seen, kept, dropped = set(), 0, 0
     for d, (layer, cost) in enumerate(zip(layers, ref_costs, strict=True)):
         at = np.array([ids[row.tobytes()] for row in layer], dtype=np.intp)
         _assert_bitwise(costs[at], cost)
@@ -542,21 +545,19 @@ def _assert_union_holds_the_layers(got, want):
         seen.update(row.tobytes() for row in layer)
         if d == len(ref_edges):
             break
-        lo = edge_ends[d - 1] if d else 0
-        assert np.array_equal(np.unique(group[lo:edge_ends[d]] // c),
-                              np.arange(ends[d - 1] if d else 0, ends[d]))
-        ref_group, ref_child, ref_pr = ref_edges[d]
-        key = at[ref_group // c] * c + ref_group % c
-        order = np.argsort(key, kind="stable")  # by parent, then subset, keeping outcome order
-        mine = np.flatnonzero(np.isin(group // c, at))
-        mine = mine[np.argsort(group[mine], kind="stable")]
-        _assert_bitwise(group[mine], key[order])
-        _assert_bitwise(pr[mine], ref_pr[order])
-        _assert_bitwise(states[child[mine]], layers[d + 1][ref_child[order]])
-        edges += len(ref_group)
-        dropped += len(layer) * c * 2 ** len(subsets[0]) - len(ref_group)
+        ref_group, ref_branch, ref_child, ref_pr = ref_edges[d]
+        nxt = np.array([ids[row.tobytes()] for row in layers[d + 1]], dtype=np.intp)
+        want_child = np.full((outcomes, len(layer), c), -1, dtype=np.intp)
+        want_pr = np.zeros(want_child.shape)
+        parent, j = np.divmod(ref_group, c)
+        want_child[ref_branch, parent, j] = nxt[ref_child]
+        want_pr[ref_branch, parent, j] = ref_pr
+        _assert_bitwise(child[:, at], want_child)
+        _assert_bitwise(pr[:, at], want_pr)
+        kept += len(ref_group)
+        dropped += want_child.size - len(ref_group)
     assert len(seen) == len(states)
-    return edges, dropped
+    return kept, dropped
 
 
 def test_graph_expands_every_subset_as_the_per_subset_loop_did():
@@ -565,7 +566,7 @@ def test_graph_expands_every_subset_as_the_per_subset_loop_did():
     rng = np.random.default_rng(17)
     pool = [markov_spec(0.3), markov_spec(0.55, 2.0), ComponentSpec(Table((0.0, 1.0)), 1.5),
             ComponentSpec(Table((0.0, 0.4, 1.0)), 0.7), ComponentSpec(Table((0.2, 0.5, 0.6)), 1.0)]
-    dropped = edges = 0
+    dropped = kept = 0
     for trial in range(40):
         n = int(rng.integers(1, 6))
         k = int(rng.integers(1, min(n, 3) + 1))
@@ -574,8 +575,8 @@ def test_graph_expands_every_subset_as_the_per_subset_loop_did():
         horizon = int(rng.integers(2, 7 if n <= 3 else 5))
         got = _graph(specs, initial, k, horizon, 10**7)
         counts = _assert_union_holds_the_layers(got, _loop_graph(specs, initial, k, horizon))
-        edges, dropped = edges + counts[0], dropped + counts[1]
-    assert edges > 10_000 and dropped > 10_000
+        kept, dropped = kept + counts[0], dropped + counts[1]
+    assert kept > 10_000 and dropped > 10_000
 
 
 def test_refused_graph_stays_under_its_recorded_peak():
@@ -625,6 +626,41 @@ def test_underflowing_branch_stays_in_the_graph():
     specs = [ComponentSpec(Table((1e-200, 0.5)), 1.0)] * 2
     _, table = dp_optimal(specs, _fresh(2), 2, 2)
     assert (1, ((1, 1), (1, 1))) in table
+    # its slot (both probes see 1, from the initial state) keeps its child
+    width, _s, states, _c, _e, (child, pr) = _graph(specs, _fresh(2), 2, 2, DEFAULT_BOUND)
+    assert pr[3, 0, 0] == 0.0 and child[3, 0, 0] >= 0
+    assert states[child[3, 0, 0]].tolist() == [width + 1] * 2
+
+
+def test_impossible_outcomes_are_the_empty_slots():
+    # a just-repaired arm at (1, 1) has belief 0 and Table((1.0,)) belief 1:
+    # a slot is empty (child -1, probability 0.0) exactly where one of its
+    # belief factors, from the scalar beliefs, is 0 or 1
+    rng = np.random.default_rng(41)
+    pool = [markov_spec(0.3), ComponentSpec(Table((1.0,)), 1.2),
+            ComponentSpec(Table((0.0, 0.6)), 0.8), ComponentSpec(Table((0.2, 0.5, 0.7)), 1.0)]
+    empty = full = 0
+    for trial in range(30):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(1, min(n, 3) + 1))
+        specs = [pool[j] for j in rng.integers(0, len(pool), n)]
+        initial = [ArmState(int(rng.integers(0, 2)), int(rng.integers(1, 4))) for _ in range(n)]
+        initial[int(rng.integers(0, n))] = ArmState(1, 1)
+        horizon = int(rng.integers(2, 5))
+        width, subsets, states, _c, _e, (child, pr) = _graph(specs, initial, k, horizon, 10**7)
+        for s, codes in enumerate(states[:child.shape[1]].tolist()):
+            b = [belief_abnormal(spec, ArmState(*divmod(c, width)))
+                 for spec, c in zip(specs, codes)]
+            for j, arms in enumerate(subsets):
+                for o, bits in enumerate(itertools.product((0, 1), repeat=k)):
+                    factors = [b[a] if bit else 1.0 - b[a] for a, bit in zip(arms, bits)]
+                    if 0.0 in factors:
+                        assert child[o, s, j] == -1 and pr[o, s, j] == 0.0
+                        empty += 1
+                    else:
+                        assert 0 <= child[o, s, j] < len(states)
+                        full += 1
+    assert empty > 1000 and full > 1000
 
 
 def test_near_tie_keeps_the_first_subset():
@@ -757,14 +793,14 @@ def _layered_value(specs, initial, k, horizon, policy=None):
         layer = layers[slot]
         future = np.zeros((len(layer), len(subsets)))
         if slot < len(edges):
-            group, child, pr = edges[slot]
+            group, _branch, child, pr = edges[slot]
             np.add.at(future.reshape(-1), group, pr * values[child])
-        if policy is None:  # the first subset beating every earlier one by > 1e-15
+        if policy is None:  # the first subset beating every earlier one by > 1e-15 of it
             pick = []
             for row in future.tolist():
                 best = 0
                 for j in range(1, len(row)):
-                    if row[j] < row[best] - 1e-15:
+                    if row[j] < row[best] - 1e-15 * row[best]:
                         best = j
                 pick.append(best)
             pick = np.array(pick, dtype=np.intp)
@@ -927,7 +963,7 @@ def test_a_tie_past_the_cap_keeps_both_clocks():
     assert repr(want) == "2.7800000000000002"
     forced = _graph(specs, initial, 1, 5, DEFAULT_BOUND, 1, [2, 3])
     picks = _rank_picks("myopic", specs, 1, forced[0], forced[2][:forced[4][-2]])
-    assert repr(_iterate(forced, _chosen(forced[5], 2, picks), 5, False)[0][-1]) == "2.84025"
+    assert repr(_iterate(forced, _chosen(forced[5], picks), 5)[0][-1]) == "2.84025"
 
 
 def test_fig3_graph_is_stationary():
