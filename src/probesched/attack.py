@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count, islice, pairwise, repeat
 
 
@@ -67,12 +68,11 @@ class ComponentSpec:
         if not math.isfinite(c) or c < 0.0:
             raise ValueError(f"cost must be finite and nonnegative, got {self.cost!r}")
         object.__setattr__(self, "cost", c)
-        # the dataclass hash of the fields, taken once: `whittle_index`'s
-        # memo hashes the spec on every lookup
-        object.__setattr__(self, "_hash", hash((self.process, c)))
 
-    def __hash__(self):
-        return self._hash
+    @cached_property
+    def index_memo(self) -> list:
+        """`whittle_index`'s W(0, 0), W(0, 1), ...; no field, so ==, repr, hash skip it."""
+        return []
 
 
 def marginals(process: AttackProcess):

@@ -84,15 +84,15 @@ def _write_csv(path, header, rows):
         raise ConfigError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
-def _require(cfg, field, kind, where="config"):
+def _require(cfg, field, kind):
     if field not in cfg:
-        raise ConfigError(f"{where}.{field}: missing required field")
+        raise ConfigError(f"config.{field}: missing required field")
     val = cfg[field]
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"{where}.{field}: expected an integer, got {val!r}")
+            raise ConfigError(f"config.{field}: expected an integer, got {val!r}")
     elif not isinstance(val, kind):
-        raise ConfigError(f"{where}.{field}: expected {kind.__name__}, got {val!r}")
+        raise ConfigError(f"config.{field}: expected {kind.__name__}, got {val!r}")
     return val
 
 
@@ -109,10 +109,10 @@ def _components(cfg):
     return out
 
 
-def _positive(cfg, field, where="config"):
-    val = _require(cfg, field, int, where)
+def _positive(cfg, field):
+    val = _require(cfg, field, int)
     if val < 1:
-        raise ConfigError(f"{where}.{field}: must be >= 1, got {val}")
+        raise ConfigError(f"config.{field}: must be >= 1, got {val}")
     return val
 
 

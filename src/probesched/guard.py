@@ -15,7 +15,10 @@ counts its size in its own unit against its own bound:
     subsidy           slot-walks: S x (1 + log2(S) + 100) for     10^7
                         the S slots its arm tables hold
 
-10^7 is DEFAULT_BOUND and 2^27 is `sim.MAX_UNIFORMS`.
+10^7 is DEFAULT_BOUND and 2^27 is `sim.MAX_UNIFORMS`.  The sweep entries
+charged are those of `oracle`'s value iterations, one for the optimum and
+one per policy, and of one iteration for `evaluate`, though it runs one
+per policy.
 """
 
 DEFAULT_BOUND = 10_000_000

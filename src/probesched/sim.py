@@ -67,6 +67,7 @@ from .policies import POLICY_NAMES, _check_k, by_code, random_k, rank_table, sma
 MAX_UNIFORMS = 2**27
 _TABLE_DRAWS, _SLOT_DRAWS = 20, 1024
 # slots of cumulative cost held per replication before they are aggregated
+# (a per-slot mean keeps these bits only through np.cumsum, slower than a column write)
 _BLOCK_SLOTS = 64
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words)

@@ -18,7 +18,6 @@ rounding; the finite-horizon DP indifference check is on concave ones.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice, pairwise
 
 from .arm import ArmState
@@ -48,26 +47,21 @@ def index_values(spec: ComponentSpec, horizon: int) -> list:
     return list(index_from_marginals(spec.cost, islice(marginals(spec.process), 1, horizon + 2)))
 
 
-@lru_cache(maxsize=512)
-def _cached_values(spec: ComponentSpec, horizon: int) -> tuple:
-    return tuple(index_values(spec, horizon))
-
-
 def whittle_index(spec: ComponentSpec, state: ArmState) -> float:
     """Whittle index of an arm state; W(1, t) shares the W(0, t-1) code
     path bit for bit.
 
-    Values are memoised per spec in power-of-two blocks; the forward
-    accumulation makes every prefix independent of the block length, so
-    cached and uncached lookups agree bitwise.
+    Each spec memoises W(0, .) to twice the largest t read; the forward
+    accumulation makes every prefix independent of how far it ran, so
+    memoised and fresh values agree bitwise.
     """
     t = state.t - state.i
     if t < 0:
         raise ValueError(f"no index is defined at (i={state.i}, t={state.t})")
-    horizon = 8
-    while horizon < t:
-        horizon *= 2
-    return _cached_values(spec, horizon)[t]
+    memo = spec.index_memo
+    if t >= len(memo):
+        memo[:] = index_values(spec, max(2 * t, 8))
+    return memo[t]
 
 
 def index_rows(spec: ComponentSpec, horizon: int):

@@ -22,6 +22,7 @@ from probesched import (
 from probesched.cli import main as cli_main
 from probesched.oracle import SearchSpaceError
 from probesched.policies import POLICY_NAMES, whittle_policy
+from probesched.presets import FIG4
 from probesched.sim import (
     _Streams,
     _advance,
@@ -367,6 +368,11 @@ _GOLDEN_CSV = [
     ("t131-one-replication", {"components": _FIG4_ARMS[:5], "K": 1, "horizon": 131,
                               "replications": 1, "seed": 31, "policies": _ALL_POLICIES},
      "202e92fb36832ed06603f577cc1f854e98f1e62ab8dabf0b8adeb45a9f6104a0"),
+    # the bytes of `probesched simulate --preset fig4 --horizon 1`: the one
+    # (R, 1) block is reduced pairwise (mean 4.563350000000001), where a sum
+    # of the replications in order gives 4.563350000000038
+    ("fig4-one-slot", {**FIG4, "horizon": 1},
+     "a2717d4b13bb1f72fd876630551de0e74c495dda955d971d364e2761fc8048da"),
 ]
 
 

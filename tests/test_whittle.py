@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import deque
 from itertools import accumulate, islice
@@ -260,16 +261,32 @@ def test_index_rows_hold_no_list_of_indices():
     assert peak < 64 * 2**10
 
 
-def test_equal_specs_share_one_memo_entry_without_rehashing(monkeypatch):
-    # the memo hashes the spec on every lookup; the spec hashes its fields
-    # once, when it is built, to the value the dataclass hash gives
+def test_equal_specs_give_equal_bits_without_rehashing(monkeypatch):
+    # each spec keeps its own memo, so a lookup hashes nothing; the spec's
+    # hash is still the dataclass hash of its fields
     a, b = (ComponentSpec(Table((0.2, 0.5, 0.6)), 1.5) for _ in range(2))
     assert a is not b and a == b and hash(a) == hash(b) == hash((a.process, a.cost))
     table_hash, hashed = Table.__hash__, []
     monkeypatch.setattr(Table, "__hash__", lambda self: hashed.append(self) or table_hash(self))
-    probesched.whittle._cached_values.cache_clear()
     values = {whittle_index(spec, ArmState(0, 3)).hex() for spec in (a, b, a)}
-    info = probesched.whittle._cached_values.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
     assert values == {index_values(a, 3)[3].hex()}
     assert hashed == []
+
+
+@pytest.mark.parametrize("spec", [markov_spec(0.3), concave_spec()], ids=["markov", "table"])
+def test_lookups_past_the_memo_read_index_values_bitwise(spec):
+    # each lookup past the memo's end refills it; a later, shorter one
+    # reads the refilled memo
+    for t in (7, 8, 9, 16, 17, 4097, 3):
+        for i in (0, 1):
+            expected = index_values(spec, t - i)[t - i]
+            assert whittle_index(spec, ArmState(i, t)).hex() == expected.hex()
+
+
+def test_the_memo_is_no_field():
+    a, b = ComponentSpec(Table((0.2, 0.5)), 2.0), ComponentSpec(Table((0.2, 0.5)), 2.0)
+    before = repr(a)
+    whittle_index(a, ArmState(0, 20))
+    assert [f.name for f in dataclasses.fields(ComponentSpec)] == ["process", "cost"]
+    assert a.index_memo and not b.index_memo
+    assert a == b and repr(a) == repr(b) == before
