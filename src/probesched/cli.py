@@ -19,6 +19,7 @@ import functools
 import importlib
 import json
 import math
+import operator
 import os
 import sys
 
@@ -124,7 +125,9 @@ _COST_LIMIT = math.sqrt(sys.float_info.max)
 def _bounded_costs(specs, horizon, replications=1):
     """Refuse costs whose running totals over the horizon would overflow."""
     try:
-        total, scale = sum(s.cost for s in specs) * (horizon + 1), math.sqrt(replications)
+        # added left to right, as `sum` adds floats through Python 3.11
+        total = functools.reduce(operator.add, (s.cost for s in specs), 0.0) * (horizon + 1)
+        scale = math.sqrt(replications)
     except OverflowError as exc:  # an integer past float range
         raise ConfigError(f"config.horizon or config.replications: {exc}") from exc
     if not total * scale < _COST_LIMIT:
@@ -342,9 +345,11 @@ def _parser():
 
 def main(argv=None) -> int:
     parser, commands = _parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:  # the subcommand's parser reports them, with the usage that lists its flags
-        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:  # its own parser reads the rest, with its own usage
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # no subcommand, an unknown one or a top-level flag
+        args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
         if args.command not in _CORE_COMMANDS:

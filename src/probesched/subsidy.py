@@ -125,62 +125,12 @@ def optimal_stopping(spec: ComponentSpec, lam: float) -> SubsidyPolicy:
                          activation_rate=1.0 / (t0 + marginal_p(spec.process, t0)))
 
 
-def _activation_prob(w: float, lam: float, gamma: float) -> float:
-    if w > lam:
-        return 1.0
-    if w == lam:
-        return gamma
-    return 0.0
-
-
 def _arm_table(spec: ComponentSpec):
     """(p(t), W(0, t)) for t = 0..stop, the slots `_marginals` keeps: the
     renewal walk and the lambda* candidates both end at stop.  W(0, stop)
     takes the one marginal past them, p(stop + 1)."""
     p = _marginals(spec.process)
     return p, list(index_from_marginals(spec.cost, [*p[1:], marginal_p(spec.process, len(p))]))
-
-
-def _interval_stats(spec: ComponentSpec, lam: float, gamma: float, table):
-    """Distribution of the gap until the next probe after a 0-observation.
-
-    The component restarts immediately, so g slots later it is abnormal
-    with probability p(g) and the interval accrues cost c * sum_{k<=g} p(k).
-    The walk reads the arm table's slots 1..stop.  Returns (E[gap],
-    P(next observation = 1), E[interval cost], first slot that may probe),
-    or None if the arm is parked.
-    """
-    (p, w), c = table, spec.cost
-    stop = len(p) - 1
-    mass = 1.0
-    e_gap = p_obs1 = e_cost = 0.0
-    cum = 0.0
-    first = None
-    for t in range(1, stop + 1):
-        b = p[t]
-        cum += b
-        a = _activation_prob(w[t], lam, gamma)
-        if first is None and a > 0.0:
-            first = t
-        if t == stop:
-            break
-        pr = mass * a
-        e_gap += pr * t
-        p_obs1 += pr * b
-        e_cost += pr * cum * c
-        mass *= 1.0 - a
-        if mass == 0.0:
-            return e_gap, p_obs1, e_cost, first
-    # From stop on, a and b are constant: the rest is probed j >= 1 slots
-    # in with probability a (1-a)^(j-1), E[j] = 1/a, and the cost grows by
-    # b per slot after the first.  a = 0 parks the arm.
-    if a == 0.0:
-        return None
-    extra = 1.0 / a - 1.0
-    e_gap += mass * (t + extra)
-    p_obs1 += mass * b
-    e_cost += mass * (cum + b * extra) * c
-    return e_gap, p_obs1, e_cost, first
 
 
 def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table):
@@ -190,26 +140,66 @@ def _policy_rates(spec: ComponentSpec, lam: float, gamma: float, table):
     index-equal states.  t0* is the first slot after a 0-observation that
     may probe.
 
-    Probes form a Markov renewal process alternating interval types by the
-    last observation; solving for the stationary observation mix gives the
-    long-run rates.  A parked arm is never probed again, so its activation
-    rate is zero, its belief settles at p(T_CAP) and t0* is T_CAP.
+    One renewal walk over the table's slots 1..stop gives the interval
+    after a 0-observation: the component restarts immediately, so g slots
+    later it is abnormal with probability p(g) and the interval accrues
+    cost c * sum_{k<=g} p(k).  Probes form a Markov renewal process
+    alternating interval types by the last observation; solving for the
+    stationary observation mix gives the long-run rates.  A parked arm is
+    never probed again, so its activation rate is zero, its belief settles
+    at p(T_CAP) and t0* is T_CAP.
     """
-    stats0 = _interval_stats(spec, lam, gamma, table)
-    if stats0 is None:
-        return 0.0, spec.cost * marginal_p(spec.process, T_CAP), T_CAP
-    e0, b0, c0, t0 = stats0
+    (p, w), c = table, spec.cost
+    stop = len(p) - 1
+    # A slot whose index is below lam is passive at any gamma and adds an
+    # exact 0.0 to every sum below but cum: the walk starts at the first
+    # slot at or above lam, with the cost accrued before it.
+    cum = 0.0
+    for t in range(1, stop):
+        if w[t] >= lam:
+            break
+        cum += p[t]
+    else:
+        t = stop
+    mass = 1.0
+    e0 = b0 = c0 = 0.0  # E[gap], P(next observation = 1), E[interval cost]
+    first = None
+    for t in range(t, stop + 1):
+        b, v = p[t], w[t]
+        cum += b
+        a = 1.0 if v > lam else gamma if v == lam else 0.0  # P(probe) at index v
+        if first is None and a > 0.0:
+            first = t
+        if t == stop:
+            break
+        pr = mass * a
+        e0 += pr * t
+        b0 += pr * b
+        c0 += pr * cum * c
+        mass *= 1.0 - a
+        if mass == 0.0:
+            break
+    if t == stop:
+        # From stop on, a and b are constant: the rest is probed j >= 1
+        # slots in with probability a (1-a)^(j-1), E[j] = 1/a, and the cost
+        # grows by b per slot after the first.  a = 0 parks the arm.
+        if a == 0.0:
+            return 0.0, c * marginal_p(spec.process, T_CAP), T_CAP
+        extra = 1.0 / a - 1.0
+        e0 += mass * (t + extra)
+        b0 += mass * b
+        c0 += mass * (cum + b * extra) * c
     # After a 1-observation the repair lands one slot later: the first slot
     # sits at index W(0, 0) = 0 and cannot find the component abnormal; if
     # it does not probe, the 0-observation interval follows, one slot late.
-    s = 1.0 - _activation_prob(0.0, lam, gamma)
+    s = 1.0 - (1.0 if 0.0 > lam else gamma if 0.0 == lam else 0.0)
     e1, b1, c1 = 1.0 + s * e0, s * b0, s * c0
     # 1 - b1 + b0 = 1 + b0 (1 - s) >= 1, since b0 and s lie in [0, 1]
     theta = b0 / (1.0 - b1 + b0)
     e_len = (1.0 - theta) * e0 + theta * e1
     rate = 1.0 / e_len
     cost_rate = ((1.0 - theta) * c0 + theta * c1) / e_len
-    return rate, cost_rate, t0
+    return rate, cost_rate, first
 
 
 def solve_lambda_star(specs, K: int) -> RelaxedPlan:
@@ -236,8 +226,14 @@ def solve_lambda_star(specs, K: int) -> RelaxedPlan:
                                "(slots x (1 + log2(slots) + 100 bisection steps))")
     arms = [(s, _arm_table(s)) for s in specs]
 
-    def total(lam: float) -> float:  # the summed rates at gamma = 0
-        return sum(_policy_rates(s, lam, 0.0, table)[0] for s, table in arms)
+    # Each total adds the arms' rates left to right from 0.0, as builtin
+    # `sum` adds floats through Python 3.11; from 3.12 it compensates, which
+    # can move a total's last bit and so the plan.
+    def total(lam: float) -> float:  # the rates at gamma = 0
+        acc = 0.0
+        for s, table in arms:
+            acc += _policy_rates(s, lam, 0.0, table)[0]
+        return acc
 
     def finish(lam: float) -> RelaxedPlan:
         # An arm's rate moves with gamma only where it meets an index equal
@@ -246,9 +242,11 @@ def solve_lambda_star(specs, K: int) -> RelaxedPlan:
         tied = [lam in w for _s, (_p, w) in arms]
         at0 = [_policy_rates(s, lam, 0.0, table) for s, table in arms]
 
-        def mixed_total(gamma: float) -> float:  # summed in arm order, as `total` sums
-            return sum(_policy_rates(s, lam, gamma, table)[0] if tie else r[0]
-                       for tie, r, (s, table) in zip(tied, at0, arms))
+        def mixed_total(gamma: float) -> float:  # the rates at gamma, as `total` adds
+            acc = 0.0
+            for tie, r, (s, table) in zip(tied, at0, arms):
+                acc += _policy_rates(s, lam, gamma, table)[0] if tie else r[0]
+            return acc
 
         lo, hi = 0.0, 1.0
         for _ in range(100):  # bisect the common mixing probability

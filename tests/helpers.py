@@ -1,8 +1,8 @@
 """Shared fixtures: reference processes, random spec generators, the
 scalar references the array code is pinned against (the arm update rule,
 h(t), the random pick, the myopic selector), the reference relaxed-budget
-solve, the inverse of the JSON descriptor parsers and the environment of a
-child interpreter."""
+solve, the renewal walk over every slot, the inverse of the JSON
+descriptor parsers and the environment of a child interpreter."""
 
 import bisect
 import os
@@ -12,9 +12,14 @@ import numpy as np
 
 import probesched
 from probesched import ArmState, ComponentSpec, MarkovIID, Table
-from probesched.attack import hazards
+from probesched.attack import hazards, marginal_p
 from probesched.policies import _check_k, random_k, select_myopic
-from probesched.subsidy import RelaxedPlan, _marginals, _policy_rates
+from probesched.subsidy import (
+    T_CAP,
+    RelaxedPlan,
+    _marginals,
+    _policy_rates,
+)
 from probesched.whittle import index_values
 
 # Concave marginal table used by the bundled index preset: p(1)..p(8).
@@ -139,6 +144,88 @@ def random_relaxed_instances(count, seed):
         yield specs, int(rng.integers(1, n))
 
 
+# The renewal walk as it stood before it scanned past the slots whose index
+# is below lam: every slot from 1 on goes through the full arithmetic.
+# `subsidy._policy_rates` gives the same (rate, cost rate, t0*), bit for bit.
+def _activation_prob(w: float, lam: float, gamma: float) -> float:
+    if w > lam:
+        return 1.0
+    if w == lam:
+        return gamma
+    return 0.0
+
+
+def _reference_interval_stats(spec: ComponentSpec, lam: float, gamma: float, table):
+    """Distribution of the gap until the next probe after a 0-observation.
+
+    The component restarts immediately, so g slots later it is abnormal
+    with probability p(g) and the interval accrues cost c * sum_{k<=g} p(k).
+    The walk reads the arm table's slots 1..stop.  Returns (E[gap],
+    P(next observation = 1), E[interval cost], first slot that may probe),
+    or None if the arm is parked.
+    """
+    (p, w), c = table, spec.cost
+    stop = len(p) - 1
+    mass = 1.0
+    e_gap = p_obs1 = e_cost = 0.0
+    cum = 0.0
+    first = None
+    for t in range(1, stop + 1):
+        b = p[t]
+        cum += b
+        a = _activation_prob(w[t], lam, gamma)
+        if first is None and a > 0.0:
+            first = t
+        if t == stop:
+            break
+        pr = mass * a
+        e_gap += pr * t
+        p_obs1 += pr * b
+        e_cost += pr * cum * c
+        mass *= 1.0 - a
+        if mass == 0.0:
+            return e_gap, p_obs1, e_cost, first
+    # From stop on, a and b are constant: the rest is probed j >= 1 slots
+    # in with probability a (1-a)^(j-1), E[j] = 1/a, and the cost grows by
+    # b per slot after the first.  a = 0 parks the arm.
+    if a == 0.0:
+        return None
+    extra = 1.0 / a - 1.0
+    e_gap += mass * (t + extra)
+    p_obs1 += mass * b
+    e_cost += mass * (cum + b * extra) * c
+    return e_gap, p_obs1, e_cost, first
+
+
+def reference_policy_rates(spec: ComponentSpec, lam: float, gamma: float, table):
+    """Stationary (activation rate, cost rate, t0*) of the threshold-with-
+    mixing policy on the arm table `_arm_table(spec)`: active when
+    the state index exceeds lam, passive below it, Bernoulli(gamma) at
+    index-equal states.  t0* is the first slot after a 0-observation that
+    may probe.
+
+    Probes form a Markov renewal process alternating interval types by the
+    last observation; solving for the stationary observation mix gives the
+    long-run rates.  A parked arm is never probed again, so its activation
+    rate is zero, its belief settles at p(T_CAP) and t0* is T_CAP.
+    """
+    stats0 = _reference_interval_stats(spec, lam, gamma, table)
+    if stats0 is None:
+        return 0.0, spec.cost * marginal_p(spec.process, T_CAP), T_CAP
+    e0, b0, c0, t0 = stats0
+    # After a 1-observation the repair lands one slot later: the first slot
+    # sits at index W(0, 0) = 0 and cannot find the component abnormal; if
+    # it does not probe, the 0-observation interval follows, one slot late.
+    s = 1.0 - _activation_prob(0.0, lam, gamma)
+    e1, b1, c1 = 1.0 + s * e0, s * b0, s * c0
+    # 1 - b1 + b0 = 1 + b0 (1 - s) >= 1, since b0 and s lie in [0, 1]
+    theta = b0 / (1.0 - b1 + b0)
+    e_len = (1.0 - theta) * e0 + theta * e1
+    rate = 1.0 / e_len
+    cost_rate = ((1.0 - theta) * c0 + theta * c1) / e_len
+    return rate, cost_rate, t0
+
+
 def reference_solve_lambda_star(specs, K):
     """The relaxed solve as first written: each arm table's indices from
     `index_values`, and a mixing bisection that walks every arm at each of
@@ -148,8 +235,11 @@ def reference_solve_lambda_star(specs, K):
         p = _marginals(s.process)
         arms.append((s, (p, index_values(s, len(p) - 1))))
 
-    def total(lam, gamma):
-        return sum(_policy_rates(s, lam, gamma, table)[0] for s, table in arms)
+    def total(lam, gamma):  # left to right from 0.0, as `sum` adds floats through 3.11
+        acc = 0.0
+        for s, table in arms:
+            acc += _policy_rates(s, lam, gamma, table)[0]
+        return acc
 
     def finish(lam):
         lo, hi = 0.0, 1.0

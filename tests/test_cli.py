@@ -873,6 +873,84 @@ def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys, command
     assert (flagged.read_bytes() != plain.read_bytes()) == bool(reads)
 
 
+_TOP_USAGE = "usage: probesched [-h] {index,simulate,evaluate,oracle,subsidy} ...\n"
+# argv -> (exit code, stdout, stderr) at 80 columns, recorded when every
+# argv went through the top-level parser and its subparsers; parsing a known
+# subcommand with its own parser alone must give the same bytes.
+_PARSES = {
+    "index --preset fig2 --horizon 2": (0, (
+        "component,state_i,state_t,index\n"
+        "0,0,1,0.3749999999999999\n"
+        "0,0,2,0.7956521739130433\n"
+        "0,1,1,0.0\n"
+        "0,1,2,0.3749999999999999\n"), ""),
+    "simulate --preset fig4 --horizon 2 --replications 3 --seed 4": (0, (
+        "policy,slot,mean_cumulative_cost,stderr\n"
+        "whittle,1,4.366666666666667,0.5206833117271106\n"
+        "whittle,2,9.666666666666666,0.8192137151629679\n"
+        "myopic,1,4.366666666666667,0.5206833117271106\n"
+        "myopic,2,9.299999999999999,0.871779788708135\n"), ""),
+    "evaluate --preset fig3 --horizon 2": (0, (
+        "policy,horizon,expected_cost\n"
+        "whittle,2,3.4000000000000004\n"
+        "myopic,2,3.4000000000000004\n"), ""),
+    "oracle --preset fig3 --horizon 2": (0, (
+        "horizon,optimal_cost,whittle_cost,whittle_rel_gap,myopic_cost,myopic_rel_gap\n"
+        "1,1.672,1.672,0.0,1.672,0.0\n"
+        "2,3.4000000000000004,3.4000000000000004,0.0,3.4000000000000004,0.0\n"), ""),
+    "subsidy --preset fig4": (0, (
+        "arm,t0_star,activation_rate,mixing,lambda_star\n"
+        "0,2,0.3606974362014823,0.6343911958714348,1.1524822695035453\n"
+        "1,2,0.39840637450199207,0.0,1.1524822695035453\n"
+        "2,3,0.27344818156959255,0.0,1.1524822695035453\n"
+        "3,2,0.36363636363636365,0.0,1.1524822695035453\n"
+        "4,2,0.35211267605633806,0.0,1.1524822695035453\n"
+        "5,3,0.2516989680342311,0.0,1.1524822695035453\n"
+        "6,10000,0.0,0.0,1.1524822695035453\n"
+        "7,10000,0.0,0.0,1.1524822695035453\n"), ""),
+    "subsidy -h": (0, (
+        "usage: probesched subsidy [-h] [--config CONFIG] [--preset PRESET] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+        "  --config CONFIG  JSON experiment config\n"
+        "  --preset PRESET  built-in preset: fig2 | fig3 | fig4\n"
+        "  --out OUT        output CSV path (default: stdout)\n"), ""),
+    "subsidy --preset fig4 --bogus 1": (2, "", (
+        "usage: probesched subsidy [-h] [--config CONFIG] [--preset PRESET] [--out OUT]\n"
+        "probesched subsidy: error: unrecognized arguments: --bogus 1\n")),
+    "index --preset": (2, "", (
+        "usage: probesched index [-h] [--config CONFIG] [--preset PRESET]\n"
+        "                        [--horizon HORIZON] [--out OUT]\n"
+        "probesched index: error: argument --preset: expected one argument\n")),
+    "": (2, "", _TOP_USAGE + (
+        "probesched: error: the following arguments are required: command\n")),
+    "bogus --preset fig4": (2, "", _TOP_USAGE + (
+        "probesched: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'index', 'simulate', 'evaluate', 'oracle', 'subsidy')\n")),
+    "-h": (0, _TOP_USAGE + (
+        "\n"
+        "Index-policy probe scheduling: indices, simulation, exact oracles.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {index,simulate,evaluate,oracle,subsidy}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), ""),
+}
+
+
+@pytest.mark.parametrize("argv", _PARSES)
+def test_each_argv_gives_the_recorded_exit_and_output(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == _PARSES[argv]
+
+
 @pytest.mark.parametrize("command", ["simulate", "evaluate", "oracle"])
 def test_a_policy_listed_twice_is_refused(tmp_path, capsys, command):
     # it once wrote the policy's `oracle` columns twice and ran it twice in `simulate`

@@ -41,6 +41,7 @@ from helpers import (
     markov_spec,
     random_relaxed_instances,
     random_strict_specs,
+    reference_policy_rates,
     reference_solve_lambda_star,
 )
 
@@ -393,6 +394,42 @@ def test_walk_matches_renewal_formula_at_index_multipliers():
                 checked += 1
                 t += 1
     assert checked > 1000
+
+
+def _walk_pin_specs():
+    """Seeded Markov arms and random nondecreasing tables: some start with
+    0.0 or end at 1.0, and most break concavity, so W(0, .) may drop."""
+    rng = np.random.default_rng(32)
+    for k in range(48):
+        cost = float(rng.uniform(0.3, 3.0))
+        if k % 4 == 0:
+            yield ComponentSpec(MarkovIID(float(rng.uniform(0.1, 0.95))), cost)
+            continue
+        n = int(rng.integers(1, 13))
+        vals = np.sort(rng.uniform(0.0, 1.0, n))
+        vals[: int(rng.integers(0, n + 1)) // 2] = 0.0
+        if k % 3 == 0:
+            vals[-1] = 1.0
+        yield ComponentSpec(Table(tuple(vals.tolist())), cost)
+
+
+def test_walk_matches_the_full_walk_bit_for_bit():
+    # The walk scans past the leading slots whose index is below lam; the
+    # reference puts every slot through the arithmetic.  Same rate, cost
+    # rate and t0*, bit for bit, at lam on each W(0, t), between them, at
+    # 0 and above the largest, for gammas down to 2^-60.
+    walks = 0
+    for spec in _walk_pin_specs():
+        table = _arm_table(spec)
+        w = sorted(set(table[1]))
+        lams = [0.0, *w, *(0.5 * (a + b) for a, b in zip(w, w[1:])), w[-1] + 1.0]
+        for lam in lams:
+            for gamma in (0.0, 2.0**-60, 0.5, 1.0):
+                got = _policy_rates(spec, lam, gamma, table)
+                assert repr(got) == repr(reference_policy_rates(spec, lam, gamma, table)), (
+                    spec, lam, gamma)
+                walks += 1
+    assert walks > 2000, walks
 
 
 def _terminates(fn, *args, seconds=10.0):
