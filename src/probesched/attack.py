@@ -126,17 +126,22 @@ def check_c1(process: AttackProcess, horizon: int) -> bool:
     return all(a > b for a, b in pairwise(deltas))
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool or a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def process_from_json(obj: dict) -> AttackProcess:
     if not isinstance(obj, dict):
         raise TypeError(f"a process descriptor must be a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "markov":
-        if "q" not in obj:
-            raise ValueError("markov process needs a 'q' field")
+        if not _is_number(obj.get("q")):
+            raise ValueError(f"markov process needs a number 'q', got {obj.get('q')!r}")
         return MarkovIID(q=float(obj["q"]))
     if kind == "table":
-        if "p" not in obj:
-            raise ValueError("table process needs a 'p' field")
+        if not isinstance(obj.get("p"), list) or not all(map(_is_number, obj["p"])):
+            raise ValueError(f"table process needs a list of numbers 'p', got {obj.get('p')!r}")
         return Table(values=tuple(obj["p"]))
     raise ValueError(f"unknown process kind {kind!r}")
 
@@ -144,6 +149,6 @@ def process_from_json(obj: dict) -> AttackProcess:
 def component_from_json(obj: dict) -> ComponentSpec:
     if not isinstance(obj, dict):
         raise TypeError(f"a component descriptor must be a JSON object, got {obj!r}")
-    if "cost" not in obj:
-        raise ValueError("component descriptor needs a 'cost' field")
+    if not _is_number(obj.get("cost")):
+        raise ValueError(f"component descriptor needs a number 'cost', got {obj.get('cost')!r}")
     return ComponentSpec(process=process_from_json(obj), cost=float(obj["cost"]))

@@ -15,7 +15,7 @@ arrays.  The graph is time-homogeneous, so one value iteration over it
 at once: step h reads only the states of depth <= T - h and their
 blocks.  It gives the optimal expected cost (least value-to-go over every
 K-subset) or a policy's exact value (its own selection's), and an
-`exact_graph` value keeps each method's values, made by its first call,
+`exact_graph` object keeps each method's values, made by its first call,
 for calls at every horizon.  A policy is a rank policy's name, which picks each state's K
 arms first in `policies.rank_table` for all states at once, as the
 simulator does, or any callable, asked once for each state its own picks
@@ -23,7 +23,7 @@ reach, slot by slot, by the one forward walk (`_layers`) that lists a
 policy table's layers; a name and its scalar selector (`select_whittle`
 or `select_myopic` on one state) give bitwise equal values.  Names and the
 optimum read the capped graph; callables and the policy table, which need
-true ages, read its uncapped twin (`_twin`).  Each slot costs
+true ages, read its uncapped `twin`.  Each slot costs
 sum(c_n * P(abnormal)) before its probes take effect, from exact
 marginals; `_graph` computes it once per state.
 """
@@ -237,6 +237,29 @@ def _graph(specs, initial, k: int, horizon: int, bound: int, solves: int = 1, ca
             ends, tuple(edges))
 
 
+class _ExactGraph:
+    """`exact_graph`'s value; `optimum`, `layers` and `twin` are made on first read."""
+
+    def __init__(self, key, build, caps=None):
+        self.key, self.parts, self.values = key, build(caps), {}
+        self._build = None if caps is None or caps.count(None) == len(caps) else build
+
+    @functools.cached_property
+    def optimum(self):
+        """The optimum's values and picks at every horizon (`_iterate`)."""
+        return _iterate(self.parts, self.parts[5], len(self.parts[4]))
+
+    @functools.cached_property
+    def layers(self):
+        """The states reachable at each slot, walked for the longest horizon."""
+        return list(_layers(self.parts, len(self.parts[4])))
+
+    @functools.cached_property
+    def twin(self):
+        """This graph with every arm at its true clock: itself where none is capped."""
+        return self if self._build is None else _ExactGraph(self.key, self._build)
+
+
 def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND,
                 solves: int = 1):
     """One instance's graph for `horizon` slots, to pass to `dp_optimal` and
@@ -245,34 +268,21 @@ def exact_graph(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND
     `solves` methods will run on it (`_graph` bounds their work).  Table
     arms are capped where `_caps` allows.  The code width is `horizon`'s,
     which keeps every code's order, so each result is bit for bit that of a
-    graph of its own.  The value, (instance, parts, memo), keeps what the
-    first call of each method computes: the optimum's values and picks at
-    every horizon, each rank policy's values, the states reachable at each
-    slot, listed by the forward walk that also finds a callable's states
-    when a policy table is first read, and the uncapped twin (`_twin`)."""
+    graph of its own.  The value keeps the instance (`key`), `_graph`'s
+    tuple (`parts`) and what the first call of each method computes:
+    `optimum`, the optimum's values and picks at every horizon; `values`,
+    each rank policy's by name; `layers`, the states reachable at each
+    slot; and the uncapped `twin`, built by the same builder and guard."""
     specs, initial = tuple(specs), tuple(initial)
+    if len(initial) != len(specs):
+        raise ValueError(f"{len(specs)} specs but {len(initial)} states")
     _check_k(len(specs), k)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if min(st.t for st in initial) < 1:
         raise ValueError("the (0,0) sentinel is not the state of a trajectory")
-    caps = _caps(specs, initial, horizon, bound)
-    graph = (specs, initial, k, bound), _graph(specs, initial, k, horizon, bound, solves, caps), {}
-    graph[2]["twin"] = graph if caps.count(None) == len(caps) else functools.partial(
-        _graph, specs, initial, k, horizon, bound, solves)
-    return graph
-
-
-def _twin(graph):
-    """`graph` with every arm at its true clock, which a policy table's
-    states and a callable's need: the graph itself where no arm is capped,
-    else built by the same builder, under the same guard, on first read
-    and kept with the graph."""
-    memo = graph[2]
-    if callable(memo["twin"]):
-        twin = graph[0], memo["twin"](), {}
-        twin[2]["twin"] = memo["twin"] = twin
-    return memo["twin"]
+    build = functools.partial(_graph, specs, initial, k, horizon, bound, solves)
+    return _ExactGraph((specs, initial, k, bound), build, _caps(specs, initial, horizon, bound))
 
 
 def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
@@ -280,8 +290,8 @@ def _exact(specs, initial, k: int, horizon: int, bound: int, graph):
     checked against the instance and the horizon."""
     if graph is None:
         graph = exact_graph(specs, initial, k, horizon, bound)
-    longest = len(graph[1][4])
-    if graph[0] != (tuple(specs), tuple(initial), k, bound):
+    longest = len(graph.parts[4])
+    if graph.key != (tuple(specs), tuple(initial), k, bound):
         raise ValueError("the graph passed is another instance's (specs, initial, K, bound)")
     if not 1 <= horizon <= longest:
         raise ValueError(f"horizon must be in 1..{longest} on the graph passed, got {horizon}")
@@ -351,24 +361,15 @@ class _PolicyTable(Mapping):
     found on first read."""
 
     def __init__(self, graph, horizon):
-        self._parts = graph, horizon
-
-    @functools.cached_property
-    def _reached(self):
-        """The states reachable at each slot, walked for the graph's longest
-        horizon and kept with the graph."""
-        (_key, parts, memo), horizon = _twin(self._parts[0]), self._parts[1]
-        if "layers" not in memo:
-            memo["layers"] = list(_layers(parts, len(parts[4])))
-        return memo["layers"][:horizon]
+        self._graph, self._horizon = graph, horizon
 
     @functools.cached_property
     def _entries(self):
-        twin, horizon = _twin(self._parts[0]), self._parts[1]
-        (width, subsets, states, *_), picks = twin[1], _optimum(twin)[1]
+        twin, horizon = self._graph.twin, self._horizon
+        (width, subsets, states, *_), picks = twin.parts, twin.optimum[1]
         pairs = [divmod(code, width) for code in range(2 * width)]  # one (i, t) object per code
         return {(slot, tuple(map(pairs.__getitem__, row))): subsets[j]
-                for slot, layer in enumerate(self._reached)
+                for slot, layer in enumerate(twin.layers[:horizon])
                 for row, j in zip(states.take(layer, axis=0).tolist(),
                                   picks[horizon - slot - 1].take(layer).tolist())}
 
@@ -379,18 +380,10 @@ class _PolicyTable(Mapping):
         return iter(self._entries)
 
     def __len__(self):
-        return sum(map(len, self._reached))
+        return sum(map(len, self._graph.twin.layers[:self._horizon]))
 
     def __repr__(self):
         return repr(self._entries)
-
-
-def _optimum(graph):
-    """The optimum's values and picks at every horizon of `graph`."""
-    _key, parts, memo = graph
-    if None not in memo:
-        memo[None] = _iterate(parts, parts[5], len(parts[4]))
-    return memo[None]
 
 
 def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND, graph=None):
@@ -399,7 +392,7 @@ def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND,
     selection} that is built the first time it is read.  An `exact_graph`
     of this instance passed as `graph` is read in place of a new one."""
     graph = _exact(list(specs), initial, k, horizon, bound, graph)
-    return _optimum(graph)[0][horizon - 1], _PolicyTable(graph, horizon)
+    return graph.optimum[0][horizon - 1], _PolicyTable(graph, horizon)
 
 
 def _rank_picks(policy: str, specs, k: int, width: int, states):
@@ -430,19 +423,18 @@ def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,
     the same chain one state at a time.  A name reads the capped graph and a
     callable its uncapped twin, as `dp_optimal`'s value and table do, so
     both refuse alike."""
-    if isinstance(policy, str) and policy not in EXACT_POLICIES:
+    if not callable(policy) and policy not in EXACT_POLICIES:
         raise ValueError(f"unknown policy {policy!r}: exact evaluation takes a callable "
                          f"or one of {', '.join(EXACT_POLICIES)}")
     specs = list(specs)
     graph = _exact(specs, initial, k, horizon, bound, graph)
     if isinstance(policy, str):
-        _key, parts, memo = graph
-        width, _subsets, states, _costs, ends, edges = parts
-        if policy not in memo:
+        width, _subsets, states, _costs, ends, edges = graph.parts
+        if policy not in graph.values:
             picks = _rank_picks(policy, specs, k, width, states[:edges[0].shape[1]])
-            memo[policy] = _iterate(parts, _chosen(edges, picks), len(ends))[0]
-        return memo[policy][horizon - 1]
-    width, subsets, states, _costs, _ends, edges = parts = _twin(graph)[1]
+            graph.values[policy] = _iterate(graph.parts, _chosen(edges, picks), len(ends))[0]
+        return graph.values[policy][horizon - 1]
+    width, subsets, states, _costs, _ends, edges = parts = graph.twin.parts
     index = {sel: j for j, sel in enumerate(subsets)}
     picks, asked = np.zeros(len(states), dtype=np.intp), np.zeros(len(states), dtype=bool)
     for layer in _layers(parts, horizon, picks):

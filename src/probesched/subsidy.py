@@ -278,6 +278,8 @@ def relaxed_select(specs, states, plan: RelaxedPlan, rng) -> tuple:
     """Arms activated this slot under the relaxed plan: index above lam*
     activates, below deactivates, equal mixes via the caller's generator.
     The number of active arms varies slot to slot; only its average is K."""
+    if len(states) != len(specs):
+        raise ValueError(f"{len(specs)} specs but {len(states)} states")
     active = []
     for idx, (spec, state) in enumerate(zip(specs, states)):
         w = whittle_index(spec, state)

@@ -1004,6 +1004,28 @@ def test_a_component_number_past_float_range_is_refused(tmp_path, capsys, comman
             assert err.startswith("error: " + where) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["index", "evaluate"])
+@pytest.mark.parametrize("bad, field", [
+    ({"kind": "table", "p": {"0.3": 0, "0.6": 0}, "cost": 1.0}, "a list of numbers 'p'"),
+    ({"kind": "table", "p": "1", "cost": 1.0}, "a list of numbers 'p'"),
+    ({"kind": "table", "p": [0.2, True], "cost": 1.0}, "a list of numbers 'p'"),
+    ({"kind": "markov", "q": "0.5", "cost": 1.0}, "a number 'q'"),
+    ({"kind": "markov", "q": 0.5, "cost": "2"}, "a number 'cost'"),
+    ({"kind": "markov", "q": 0.5, "cost": True}, "a number 'cost'"),
+], ids=["p-object", "p-string", "p-bool", "q-string", "cost-string", "cost-bool"])
+def test_a_component_field_that_is_no_number_is_refused(tmp_path, capsys, command, bad, field):
+    # each was once read through `float` or `tuple`, and the op exited 0
+    good = {"kind": "markov", "q": 0.5, "cost": 1.0}
+    cls = {"holding_cost": bad["cost"], "arrival": {k: v for k, v in bad.items() if k != "cost"}}
+    for cfg, where in (({"components": [bad, good], "K": 1}, "config.components[0]: "),
+                       ({"queueing": {"servers": 1, "classes": [cls, cls]}},
+                        "config.queueing: classes[0]: ")):
+        path = _write_cfg(tmp_path, {**cfg, "horizon": 3})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + where) and field in err and err.count("\n") == 1
+
+
 def test_readme_json_examples_run_under_simulate(tmp_path):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     examples = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)

@@ -24,10 +24,10 @@ import probesched.oracle
 import probesched.policies
 from probesched.cli import main
 from probesched.oracle import (DEFAULT_BOUND, EXACT_POLICIES, _caps, _chosen, _graph, _iterate,
-                               _rank_picks, _twin, exact_graph)
+                               _rank_picks, exact_graph)
 from probesched.policies import belief_codes, queue_init, select_whittle, whittle_policy
 from probesched.presets import FIG3
-from probesched.subsidy import single_arm_q, solve_lambda_star
+from probesched.subsidy import relaxed_select, single_arm_q, solve_lambda_star
 from probesched.whittle import index_rows, index_values
 from helpers import markov_spec, myopic_policy
 
@@ -67,9 +67,18 @@ def value_monotonicity_probe(specs, k, horizon, trials, seed=0):
     (lambda: single_arm_q(markov_spec(), 0.5, ArmState(0, 1), 0), "horizon must be >= 1, got 0"),
     (lambda: single_arm_q(markov_spec(), 0.5, ArmState(0, 0), 5), "undefined at the (0,0) sentinel"),
     (lambda: select_whittle([markov_spec()] * 2, [ArmState(0, 1)], 1), "2 specs but 1 states"),
+    # a 4th state was once ignored, a 2nd short one a numpy broadcast error
+    (lambda: dp_optimal([markov_spec(0.3)] * 3, _fresh(4), 1, 3), "3 specs but 4 states"),
+    (lambda: dp_optimal([markov_spec(0.3)] * 3, _fresh(2), 1, 3), "3 specs but 2 states"),
+    (lambda: relaxed_select([markov_spec(0.3)] * 3, _fresh(4),
+                            solve_lambda_star([markov_spec(0.3)] * 3, 1), None),
+     "3 specs but 4 states"),
+    # once "'NoneType' object is not callable", after the uncapped twin was built
+    (lambda: policy_evaluate_exact(_fig3_specs(), _fresh(4), 1, 8, None), "unknown policy None"),
     (lambda: queue_init(0, []), "need N >= 1, got 0"),
 ], ids=["dp-horizon-0", "index-values-negative", "index-rows-0", "single-arm-horizon-0",
-        "single-arm-sentinel", "select-short-states", "queue-no-arms"])
+        "single-arm-sentinel", "select-short-states", "dp-long-states", "dp-short-states",
+        "relaxed-long-states", "evaluate-no-policy", "queue-no-arms"])
 def test_library_rejects_invalid_arguments(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -771,6 +780,27 @@ def test_graph_refuses_another_instance_or_a_longer_horizon(monkeypatch):
     assert builds == [3, 2]
 
 
+def test_the_twin_is_built_once(monkeypatch):
+    # fig3 at T = 8 caps every arm: the optimum and the names read the
+    # capped graph, policy tables and callables at every horizon one twin
+    specs, builds = _fig3_specs(), _count_builds(monkeypatch)
+    graph = exact_graph(specs, _fresh(4), 1, 8)
+    for t in (8, 5):
+        dp_optimal(specs, _fresh(4), 1, t, graph=graph)
+    for name in EXACT_POLICIES:
+        policy_evaluate_exact(specs, _fresh(4), 1, 8, name, graph=graph)
+    assert builds == [8]
+    for t in (8, 5):
+        table = dp_optimal(specs, _fresh(4), 1, t, graph=graph)[1]
+        assert len(dict(table.items())) == len(table)
+    for t in (8, 3):
+        policy_evaluate_exact(specs, _fresh(4), 1, t, whittle_policy(specs, 1), graph=graph)
+    assert builds == [8, 8]
+    assert graph.twin is not graph
+    markov = exact_graph([markov_spec(0.3), markov_spec(0.6)], _fresh(2), 1, 4)
+    assert markov.twin is markov and builds == [8, 8, 4]
+
+
 def test_policy_table_is_built_on_first_read():
     specs = [markov_spec(0.5), markov_spec(0.2)]
     _, table = dp_optimal(specs, _fresh(2), 1, 3)
@@ -947,7 +977,7 @@ def test_capped_graph_gives_the_uncapped_values():
                 assert repr(policy_evaluate_exact(specs, initial, k, h, name, graph=graph)) == want
                 got = policy_evaluate_exact(specs, initial, k, h, make(specs, k), graph=graph)
                 assert repr(got) == want
-        merged += len(graph[1][2]) < len(_twin(graph)[1][2])
+        merged += len(graph.parts[2]) < len(graph.twin.parts[2])
     assert capped > 25 and merged > 15 and twins > 8
 
 
@@ -971,7 +1001,7 @@ def test_fig3_graph_is_stationary():
     # T = 12 on, where every clock kept held 129,281 at T = 15
     specs = _fig3_specs()
     assert _caps(specs, _fresh(4), 12, DEFAULT_BOUND) == [6] * 4
-    assert [len(exact_graph(specs, _fresh(4), 1, t)[1][2]) for t in (12, 15)] == [7009, 7009]
+    assert [len(exact_graph(specs, _fresh(4), 1, t).parts[2]) for t in (12, 15)] == [7009, 7009]
 
 
 def test_table_arms_far_past_their_end_build_a_narrow_graph():
@@ -983,7 +1013,7 @@ def test_table_arms_far_past_their_end_build_a_narrow_graph():
     value, _ = dp_optimal(specs, far, 1, 3)
     assert time.perf_counter() - start < 0.1
     assert repr(value) == repr(dp_optimal(specs, [ArmState(0, 2), ArmState(0, 3)], 1, 3)[0])
-    assert exact_graph(specs, far, 1, 3)[1][0] == 3 + 3  # the largest capped t + T
+    assert exact_graph(specs, far, 1, 3).parts[0] == 3 + 3  # the largest capped t + T
 
 
 def test_fig3_oracle_reaches_horizon_30(tmp_path):
