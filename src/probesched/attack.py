@@ -38,7 +38,11 @@ class Table:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(self.values)
+        for k, v in enumerate(vals, start=1):
+            if not _is_number(v):
+                raise ValueError(f"p({k}) must be a number, got {v!r}")
+        vals = tuple(map(float, vals))
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("a table process needs at least one entry")
@@ -64,6 +68,8 @@ class ComponentSpec:
     def __post_init__(self):
         if not (isinstance(self.process, (MarkovIID, Table))):
             raise ValueError(f"unsupported process {self.process!r}")
+        if not _is_number(self.cost):
+            raise ValueError(f"cost must be a number, got {self.cost!r}")
         c = float(self.cost)
         if not math.isfinite(c) or c < 0.0:
             raise ValueError(f"cost must be finite and nonnegative, got {self.cost!r}")

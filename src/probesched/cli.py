@@ -24,7 +24,7 @@ import os
 import sys
 
 from .arm import ArmState
-from .attack import component_from_json
+from .attack import _is_number, component_from_json
 from .guard import DEFAULT_BOUND, SearchSpaceError
 from .presets import PRESETS
 from .subsidy import solve_lambda_star
@@ -269,6 +269,9 @@ def _queueing(obj):
                 or "holding_cost" not in c:
             raise ConfigError(f"config.queueing: classes[{idx}] needs an 'arrival' object "
                               "and a 'holding_cost'")
+        if not _is_number(c["holding_cost"]):
+            raise ConfigError(f"config.queueing: classes[{idx}]: class needs a number "
+                              f"'holding_cost', got {c['holding_cost']!r}")
         kind = c["arrival"].get("kind")
         components.append({**c["arrival"], "kind": "markov" if kind == "bernoulli" else kind,
                            "cost": c["holding_cost"]})

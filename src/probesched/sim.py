@@ -18,13 +18,13 @@ Replications use one named substream per (seed, replication, arm) --
 numpy's SeedSequence([seed, rep, arm]) feeding PCG64, and [seed, rep, N]
 for the random policy's picks -- which makes results independent of
 iteration order and byte-identical across runs of the same configuration.
-The streams' seed states are hashed for all of them in one array pass, and
-PCG64 itself runs on arrays (`_Streams`): each slot draws its uniforms
-from every stream at once, so a run holds O(R x N) stream state and no
-block of uniforms.  Nor does it hold an (R, T) matrix of costs: each
-replication's cumulative cost is a running sum, copied slot by slot into
-an (R, w) block of at most 64 slots that is aggregated into the (T,)
-trajectory when full.  The horizon splits into blocks of widths as equal
+The streams' seed states are hashed and jumped ahead in array passes over
+chunks of up to 2^16 streams, and PCG64 itself runs on arrays (`_Streams`):
+each slot draws its uniforms from every stream at once, so a run holds
+O(R x N) stream state and no block of uniforms.  Nor does it hold an (R, T)
+matrix of costs: each replication's cumulative cost is a running sum,
+copied slot by slot into an (R, w) block of at most 16 slots that is
+aggregated into the (T,) trajectory when full.  The horizon splits into blocks of widths as equal
 as possible, so no block is one slot wide unless T = 1 (numpy would sum
 an (R, 1) column pairwise, where it adds the rows of a wider block in
 order), and every mean and standard error equals, bit for bit, the
@@ -57,18 +57,23 @@ from .policies import POLICY_NAMES, _check_k, by_code, random_k, rank_table, sma
 
 # a bound on a run's size in uniform draws, 8 B or about 50 ns each: the
 # R x N x T uniforms it draws from its arm streams (about 16 times fig4's),
-# plus each stream's peak state, about 160 B or 20 draws; the per-code
-# tables (hazard thresholds, rank table), which peak at about 160 B or
-# _TABLE_DRAWS draws per arm and slot of the horizon while they are built;
-# and each slot's fixed cost, about 65 us of Python and numpy calls
-# whatever R x N is, or _SLOT_DRAWS draws.  Nothing else a run holds grows
-# with R x T: its cumulative costs go through one block of at most
-# _BLOCK_SLOTS slots per replication.
+# plus 20 draws (160 B) per stream for its state, which peaks at about 128 B
+# while its chunk is set up and 64 B in a slot; the per-code tables (hazard thresholds, rank
+# table), which peak at about 160 B or _TABLE_DRAWS draws per arm and slot
+# of the horizon while they are built; and each slot's fixed cost, about
+# 65 us of Python and numpy calls whatever R x N is, or _SLOT_DRAWS draws.
+# Nothing else a run holds grows with R x T: its cumulative costs go through
+# one block of at most _BLOCK_SLOTS slots per replication.  A run's traced
+# peak is 0.45-0.50 of these bytes for one arm at T = 64 and 0.45-0.58 for
+# fig4's arms at T = 1 (R = 20,000 and 100,000, the index and random
+# policies).
 MAX_UNIFORMS = 2**27
 _TABLE_DRAWS, _SLOT_DRAWS = 20, 1024
 # slots of cumulative cost held per replication before they are aggregated
 # (a per-slot mean keeps these bits only through np.cumsum, slower than a column write)
-_BLOCK_SLOTS = 64
+_BLOCK_SLOTS = 16
+# streams whose seed states are hashed and jumped ahead at once
+_CHUNK = 2**16
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words)
 _POOL = 4
@@ -210,7 +215,7 @@ def _stream_states(seed: int, tails) -> np.ndarray:
             pool[dst] = mix(pool[dst], hashmix(column))
     hash_const = _INIT_B
     state = np.stack([hashmix(pool[i % _POOL], _MULT_B) for i in range(2 * _POOL)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def _halves(values) -> tuple:
@@ -220,18 +225,48 @@ def _halves(values) -> tuple:
 
 
 def _mul128(xh, xl, ah, al) -> tuple:
-    """(x * a) mod 2^128 on (high, low) uint64 halves, in 32-bit limbs."""
+    """(x * a) mod 2^128 on (high, low) uint64 halves, in 32-bit limbs.
+    Each product is summed in place into one made before it, so at most
+    four full-size arrays are held at once."""
     x0, x1 = xl & _MASK32, xl >> 32
     a0, a1 = al & _MASK32, al >> 32
-    p10 = x1 * a0
-    cross = (x0 * a0 >> 32) + (p10 & _MASK32) + x0 * a1  # < 2^64
-    return x1 * a1 + (p10 >> 32) + (cross >> 32) + xl * ah + xh * al, xl * al
+    cross, hi = x1 * a0, x1 * a1
+    del x1
+    hi += cross >> 32
+    cross &= _MASK32
+    cross += x0 * a1
+    low = x0 * a0
+    del x0
+    low >>= 32
+    cross += low  # < 2^64
+    cross >>= 32
+    hi += cross
+    hi += xl * ah
+    hi += xh * al
+    return hi, xl * al
 
 
 def _add128(xh, xl, yh, yl) -> tuple:
-    """(x + y) mod 2^128 on (high, low) uint64 halves."""
-    lo = xl + yl
-    return xh + yh + (lo < yl), lo
+    """(x + y) mod 2^128 on (high, low) uint64 halves, summed into x in
+    place: x must be full-size arrays nothing else reads."""
+    xl += yl
+    xh += yh
+    xh += xl < yl
+    return xh, xl
+
+
+def _seed(seed, tails, step_sum, powers, sums) -> tuple:
+    """The (high, low) halves of the LCG offset (`step_sum` times inc) and
+    of the states M^j start + S_j inc, for each (M^j, S_j) in `powers` and
+    `sums`, of the streams [seed, *tails[s]]."""
+    s = _stream_states(seed, tails).T[:, None, :]
+    inc = (s[2] << 1 | s[3] >> 63, s[3] << 1 | 1)
+    offset, jumped = _mul128(*inc, *step_sum), _mul128(*inc, *sums)
+    # numpy's seeding steps the LCG from 0 (giving inc), adds the seed
+    # state and steps again; draw j is j + 1 steps after that
+    start = _add128(*inc, s[0], s[1])
+    del s, inc
+    return offset, _add128(*_mul128(*start, *powers), *jumped)
 
 
 class _Streams:
@@ -246,26 +281,33 @@ class _Streams:
     draw costs the same array passes for any width."""
 
     def __init__(self, seed: int, tails, width: int = 1):
-        s = _stream_states(seed, tails).T[:, None, :]
-        inc = (s[2] << 1 | s[3] >> 63, s[3] << 1 | 1)
         powers, sums = [1], [0]  # M^j and S_j for j = 0, 1, ...
         for _ in range(width + 1):
             powers.append(powers[-1] * _PCG_MULT & _MASK128)
             sums.append((sums[-1] * _PCG_MULT + 1) & _MASK128)
         self._mult = _halves([powers[width]])
-        self._offset = _mul128(*inc, *_halves([sums[width]]))
-        # numpy's seeding steps the LCG from 0 (giving inc), adds the seed
-        # state and steps again; draw j is j + 1 steps after that
-        start = _add128(*inc, s[0], s[1])
-        self._state = _add128(*_mul128(*start, *_halves(powers[2:])),
-                              *_mul128(*inc, *_halves(sums[2:])))
+        jump = _halves([sums[width]]), _halves(powers[2:]), _halves(sums[2:])
+        count = len(tails)
+        # (high, low) halves, set one chunk of streams at a time
+        self._offset = np.empty((2, 1, count), dtype=np.uint64)
+        self._state = np.empty((2, width, count), dtype=np.uint64)
+        for first in range(0, count, _CHUNK):
+            part = slice(first, first + _CHUNK)
+            self._offset[:, :, part], self._state[:, :, part] = _seed(seed, tails[part], *jump)
 
     def draw(self) -> np.ndarray:
         hi, lo = self._state
         self._state = _add128(*_mul128(hi, lo, *self._mult), *self._offset)
-        x = hi ^ lo  # XSL-RR output, then next_double's top 53 bits
-        rot = hi >> 58
-        return (x >> rot | x << ((64 - rot) & 63)) >> 11
+        # XSL-RR output, then next_double's top 53 bits, made in place in the
+        # old state's arrays
+        x, rot = lo, hi
+        x ^= hi
+        rot >>= 58
+        left = x << ((64 - rot) & 63)
+        x >>= rot
+        x |= left
+        x >>= 11
+        return x
 
 
 def run(config: RunConfig) -> CostTrajectory:
@@ -286,8 +328,7 @@ def run(config: RunConfig) -> CostTrajectory:
         # stream [seed, rep, N] draws N uniforms a slot, one row per arm
         pick_draws = _Streams(config.seed, np.column_stack([np.arange(r), np.full(r, n)]), n)
     # stream [seed, rep, arm] is column arm * R + rep
-    arm, rep = np.divmod(np.arange(n * r), r)
-    arm_draws = _Streams(config.seed, np.column_stack([rep, arm]))
+    arm_draws = _Streams(config.seed, np.indices((n, r), dtype=np.uint32).reshape(2, -1)[::-1].T)
 
     no_probe = np.zeros((n, r), dtype=bool)
     # one hazard step takes the fresh world, every arm healthy at (0, 0),

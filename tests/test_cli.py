@@ -638,8 +638,8 @@ def test_simulate_refuses_an_oversized_uniform_block(capsys):
 
 
 def test_simulate_refuses_many_streams_at_horizon_one(capsys):
-    # R·N = 2^23 streams draw only 2^23 uniforms at T = 1, but their state
-    # peaks at about 160 B each (1.3 GiB): the guard counts it as 20 draws
+    # R·N = 2^23 streams draw only 2^23 uniforms at T = 1, but the guard
+    # counts each one's state as 20 draws (160 B; it peaks at about 128 B)
     start = time.perf_counter()
     argv = ["simulate", "--preset", "fig4", "--replications", str(2**20), "--horizon", "1"]
     assert main(argv) == 3
@@ -1014,16 +1014,18 @@ def test_a_component_number_past_float_range_is_refused(tmp_path, capsys, comman
     ({"kind": "markov", "q": 0.5, "cost": True}, "a number 'cost'"),
 ], ids=["p-object", "p-string", "p-bool", "q-string", "cost-string", "cost-bool"])
 def test_a_component_field_that_is_no_number_is_refused(tmp_path, capsys, command, bad, field):
-    # each was once read through `float` or `tuple`, and the op exited 0
+    # each was once read through `float` or `tuple`, and the op exited 0;
+    # a class's cost is its `holding_cost`, and its message once said 'cost'
     good = {"kind": "markov", "q": 0.5, "cost": 1.0}
     cls = {"holding_cost": bad["cost"], "arrival": {k: v for k, v in bad.items() if k != "cost"}}
-    for cfg, where in (({"components": [bad, good], "K": 1}, "config.components[0]: "),
-                       ({"queueing": {"servers": 1, "classes": [cls, cls]}},
-                        "config.queueing: classes[0]: ")):
+    for cfg, where, name in (({"components": [bad, good], "K": 1}, "config.components[0]: ", field),
+                             ({"queueing": {"servers": 1, "classes": [cls, cls]}},
+                              "config.queueing: classes[0]: ",
+                              field.replace("'cost'", "'holding_cost'"))):
         path = _write_cfg(tmp_path, {**cfg, "horizon": 3})
         assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: " + where) and field in err and err.count("\n") == 1
+        assert err.startswith("error: " + where) and name in err and err.count("\n") == 1
 
 
 def test_readme_json_examples_run_under_simulate(tmp_path):

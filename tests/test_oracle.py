@@ -76,9 +76,15 @@ def value_monotonicity_probe(specs, k, horizon, trials, seed=0):
     # once "'NoneType' object is not callable", after the uncapped twin was built
     (lambda: policy_evaluate_exact(_fig3_specs(), _fresh(4), 1, 8, None), "unknown policy None"),
     (lambda: queue_init(0, []), "need N >= 1, got 0"),
+    # each was once read through `float`: ("0.3", True) was (0.3, 1.0)
+    (lambda: Table(("0.3", 0.5)), "p(1) must be a number, got '0.3'"),
+    (lambda: Table((0.3, True)), "p(2) must be a number, got True"),
+    (lambda: ComponentSpec(MarkovIID(0.3), "2"), "cost must be a number, got '2'"),
+    (lambda: ComponentSpec(MarkovIID(0.3), True), "cost must be a number, got True"),
 ], ids=["dp-horizon-0", "index-values-negative", "index-rows-0", "single-arm-horizon-0",
         "single-arm-sentinel", "select-short-states", "dp-long-states", "dp-short-states",
-        "relaxed-long-states", "evaluate-no-policy", "queue-no-arms"])
+        "relaxed-long-states", "evaluate-no-policy", "queue-no-arms", "table-string",
+        "table-bool", "cost-string", "cost-bool"])
 def test_library_rejects_invalid_arguments(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

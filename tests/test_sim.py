@@ -414,7 +414,7 @@ def test_random_policy_run_holds_no_uniform_block():
 def test_run_holds_no_cost_matrix():
     # one arm at R = 2000, T = 10,000: the (R, T) matrix of cumulative costs
     # is 153 MiB, and its standard error made a second one; a run that
-    # aggregates blocks of 64 slots holds about 1 MiB of them
+    # aggregates blocks of 16 slots holds about 0.25 MiB of them
     cfg = RunConfig(specs=(markov_spec(0.3),), k=1, horizon=10_000, policy="whittle",
                     replications=2000, seed=1)
     tracemalloc.start()
@@ -424,6 +424,30 @@ def test_run_holds_no_cost_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("policy", ["whittle", "random"])
+@pytest.mark.parametrize("specs, k, horizon", [
+    ((markov_spec(0.3),), 1, 64),
+    (tuple(markov_spec(a["q"], a["cost"]) for a in _FIG4_ARMS), 2, 1),
+], ids=["one-arm-64-slots", "fig4-one-slot"])
+def test_run_peak_stays_within_the_guard(monkeypatch, specs, k, horizon, policy):
+    # the guard charges each stream 20 draws of state and each slot one draw
+    # per stream; the peak once read 1.57-1.61 times that at T = 64 (a block
+    # of 64 slots of cumulative cost) and 1.05-1.15 times at T = 1 (the
+    # streams' set-up)
+    fields = dict(specs=specs, k=k, horizon=horizon, policy=policy, replications=20_000, seed=1)
+    with monkeypatch.context() as patch, pytest.raises(SearchSpaceError) as refused:
+        patch.setattr("probesched.sim.MAX_UNIFORMS", 0)  # the refusal reports the count
+        RunConfig(**fields)
+    cfg = RunConfig(**fields)
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * refused.value.count
 
 
 def test_run_refuses_an_oversized_config():
@@ -464,6 +488,17 @@ def test_wide_streams_match_generator_rows(seed, n):
     for rep, block in zip(reps, draws.transpose(2, 0, 1), strict=True):
         reference = np.random.default_rng(np.random.SeedSequence([seed, rep, n]))
         assert np.array_equal(block, reference.random((4, n)))
+
+
+@pytest.mark.parametrize("width", [1, 5])
+def test_streams_set_up_in_chunks_draw_the_same(monkeypatch, width):
+    # streams are seeded 2^16 at a time; chunks of 7 split these 30 unevenly
+    tails = [(rep, arm) for rep in (0, 1, 7, 1999, 2**31) for arm in range(6)]
+    whole = _Streams(3, tails, width)
+    monkeypatch.setattr("probesched.sim._CHUNK", 7)
+    chunked = _Streams(3, tails, width)
+    for _ in range(3):
+        assert np.array_equal(chunked.draw(), whole.draw())
 
 
 def test_negative_seed_rejected():
