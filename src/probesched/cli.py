@@ -269,12 +269,13 @@ def _queueing(obj):
                 or "holding_cost" not in c:
             raise ConfigError(f"config.queueing: classes[{idx}] needs an 'arrival' object "
                               "and a 'holding_cost'")
-        if not _is_number(c["holding_cost"]):
+        cost = c["holding_cost"]  # an int past float range passes, and fails below
+        if not _is_number(cost) or not 0.0 <= cost < math.inf:
             raise ConfigError(f"config.queueing: classes[{idx}]: class needs a number "
-                              f"'holding_cost', got {c['holding_cost']!r}")
+                              f"'holding_cost', finite and nonnegative, got {cost!r}")
         kind = c["arrival"].get("kind")
         components.append({**c["arrival"], "kind": "markov" if kind == "bernoulli" else kind,
-                           "cost": c["holding_cost"]})
+                           "cost": cost})
         try:
             component_from_json(components[-1])
         except (ValueError, TypeError, OverflowError) as exc:

@@ -4,7 +4,7 @@ A joint state is an int32 row of per-arm codes i * width + t, the
 simulator's encoding: a probe observing o moves an arm to o * width + 1,
 waiting adds 1.  A table arm's clock stops where its marginals stop
 changing (`_caps`), unless another arm reaches a code that ties its capped
-code in a rank policy's chain, so the graph of a table instance stops
+code on a rank policy's keys, so the graph of a table instance stops
 growing with the horizon; Markov arms keep their clocks.  `_graph` builds
 the union of the joint states reachable within the horizon when any
 K-subset may be probed, in the order of the slot that first reaches them,
@@ -39,10 +39,9 @@ from collections.abc import Mapping
 import numpy as np
 
 from .arm import ArmState
-from .attack import MarkovIID, marginals
+from .attack import MarkovIID
 from .guard import DEFAULT_BOUND, SearchSpaceError
-from .policies import _check_k, belief_codes, rank_table, smallest_k
-from .whittle import index_from_marginals
+from .policies import _check_k, belief_codes, chain_keys, rank_table, smallest_k
 
 # the rank policies `policy_evaluate_exact` takes by name
 EXACT_POLICIES = ("whittle", "myopic")
@@ -101,30 +100,30 @@ def _caps(specs, initial, horizon: int, bound: int) -> list:
     from the clock c >= 1 of its table's first entry equal to its last on
     (`index_from_marginals` repeats W there), so (i, t) is (i, c + i) for
     t >= c + i.  An arm is capped only where it reaches a clock past c and
-    no other arm reaches a code that ties its capped codes on whittle's or
-    myopic's (primary key, cost-weighted belief): probe age, which the cap
-    drops, would settle that tie.  Markov arms keep their clocks."""
+    no other arm reaches a clock x whose `policies.chain_keys` at code
+    (0, x) tie its capped ones for a name in `EXACT_POLICIES`: probe age,
+    which the cap drops, would settle that tie.  So a name may join only
+    if its keys stay constant past the cap, as the queue's, probe age, do
+    not.  Markov arms keep their clocks."""
+    n = len(specs)
     tops = [st.t - st.i + horizon - 1 for st in initial]  # each arm's largest clock
     caps = [None if isinstance(s.process, MarkovIID) else
             bisect.bisect_left(s.process.values, s.process.values[-1]) + 1 for s in specs]
     caps = [None if c is None or c >= top else c for c, top in zip(caps, tops)]
     markov = [top for s, top in zip(specs, tops) if isinstance(s.process, MarkovIID)]
-    if caps.count(None) == len(caps) or 2 * len(specs) * (max(markov, default=0) + 1) > bound:
+    if caps.count(None) == n or 2 * n * (max(markov, default=0) + 1) > bound:
         return caps  # nothing to check, or a belief table refused whatever the caps
-    keys, at_cap = [], []  # per arm, the (whittle, myopic) keys of the clocks it reaches
-    for s, st, top, c in zip(specs, initial, tops, caps):
-        last = top if c is None else c
-        clocks = zip(index_from_marginals(s.cost, itertools.islice(marginals(s.process), 1, None)),
-                     marginals(s.process))
-        rows = [((w, s.cost * b), (b, s.cost * b))
-                for x, (w, b) in enumerate(itertools.islice(clocks, last + 1))
-                if x < horizon or x >= min(st.t - st.i, last)]
-        keys.append([{row[j] for row in rows} for j in (0, 1)])
-        at_cap.append(rows[-1])
-    for a, c in enumerate(caps):
-        if c is not None and any(at_cap[a][j] in keys[b][j]
-                                 for b in range(len(specs)) if b != a for j in (0, 1)):
-            caps[a] = None
+    lasts = [top if c is None else c for c, top in zip(caps, tops)]
+    clocks = [[x for x in range(last + 1) if x < horizon or x >= min(st.t - st.i, last)]
+              for st, last in zip(initial, lasts)]  # the clocks each arm reaches, to its last
+    for name in EXACT_POLICIES:
+        primary, belief = (np.reshape(key, (n, 2, -1))[:, 0].tolist()
+                           for key in chain_keys(name, specs, max(lasts) + 1))
+        keys = [{(primary[a][x], belief[a][x]) for x in xs} for a, xs in enumerate(clocks)]
+        for a, c in enumerate(caps):
+            if c is not None and any((primary[a][c], belief[a][c]) in keys[b]
+                                     for b in range(n) if b != a):
+                caps[a] = None
     return caps
 
 
@@ -396,19 +395,13 @@ def dp_optimal(specs, initial, k: int, horizon: int, bound: int = DEFAULT_BOUND,
 
 
 def _rank_picks(policy: str, specs, k: int, width: int, states):
-    """Each state's subset id under a rank policy: the K arms whose codes
-    come first in `rank_table`, the simulator's rule."""
+    """Each state's subset id under a rank policy: the place in
+    `itertools.combinations` order of its K arms first in `rank_table`."""
     n = len(specs)
     rank, lift = rank_table(policy, specs, width), np.arange(n)[:, None] * 2 * width
-    # A subset's id is its place in lexicographic order: C(N, K) - 1 minus,
-    # for each arm a in it, C(N - 1 - a, r), where r (`left`) of its arms are >= a.
-    drop = [np.array([math.comb(n - 1 - a, r) for r in range(k + 1)]) for a in range(n)]
     mask = smallest_k(rank.take(np.ascontiguousarray(states.T) + lift), k, rank.size)
-    ids, left = np.full(len(states), math.comb(n, k) - 1), np.full(len(states), k)
-    for a, chosen in enumerate(mask):
-        ids -= chosen * drop[a].take(left)
-        left -= chosen
-    return ids
+    subsets = np.array(list(itertools.combinations(range(n), k)))
+    return mask[subsets].all(axis=1).argmax(axis=0)
 
 
 def policy_evaluate_exact(specs, initial, k: int, horizon: int, policy,

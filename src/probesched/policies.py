@@ -1,14 +1,14 @@
 """Slot-by-slot arm selection rules.
 
-Each rule exists once, as a function on arrays of R independent worlds:
-the simulator calls them on its whole batch, and the scalar selectors
-below are validated R = 1 views of them.  `top_k` ranks (R, N) rows;
-`rank_table` ranks every arm state of every arm once, for the index,
-myopic and queue policies alike; the per-slot rules `smallest_k` and
-`random_k` work on arm-major (N, R) columns, the simulator's layout, where
-every step is a pass over contiguous rows of R.  `by_code` lays per-arm
-values out by arm-state code, the index of every per-code table here, in
-the simulator and in the oracle.
+Each rule exists once.  `chain_keys` computes the chain's keys of every
+arm state of every arm, for the index, myopic and queue policies alike
+(the oracle's clock caps read them too); `top_k` orders one row by the
+chain, and `rank_table` ranks every arm state once by it.  The per-slot
+rules `smallest_k` and `random_k` work on arm-major (N, R) columns of R
+worlds, the simulator's layout, each step a pass over contiguous rows of
+R; the scalar selectors below are one-world views of the same rules.
+`by_code` lays per-arm values out by arm-state code, the index of every
+per-code table here, in the simulator and in the oracle.
 
 All index-ranked selectors break ties by the same deterministic chain:
 larger index, then larger cost-weighted abnormal belief, then longer time
@@ -46,10 +46,10 @@ def belief_codes(specs, width: int) -> np.ndarray:
 
 
 def top_k(primary, weighted_belief, age, k: int) -> np.ndarray:
-    """Per row, the ids of the K arms first in the tie-break chain, in rank
-    order.  lexsort is stable, so an arm's position -- its id -- settles
-    the ties the three keys leave."""
-    return np.lexsort((-age, -weighted_belief, -primary), axis=-1)[:, :k]
+    """The ids of the K arms first in the tie-break chain, in rank order.
+    lexsort is stable, so an arm's position -- its id -- settles the ties
+    the three keys leave."""
+    return np.lexsort((-age, -weighted_belief, -primary))[:k]
 
 
 def smallest_k(keys, k: int, lift) -> np.ndarray:
@@ -70,29 +70,34 @@ def smallest_k(keys, k: int, lift) -> np.ndarray:
     return keys <= kth
 
 
+def chain_keys(policy: str, specs, width: int) -> tuple:
+    """(primary key, cost-weighted belief) of every arm state of every arm:
+    entry arm * 2 * width + i * width + t for (i, t), t < width.  The index
+    and myopic policies key by the index and by the belief.  The queue keys
+    by 2t - i, with no belief key: larger t first, then i = 0 before i = 1."""
+    code = np.arange(2 * len(specs) * width)
+    t = code % width
+    if policy == "queue":
+        return 2 * t - code // width % 2, np.zeros(t.size)
+    beliefs = belief_codes(specs, width).ravel()
+    primary = (by_code([index_values(s, width - 1) for s in specs]).ravel()
+               if policy == "whittle" else beliefs)
+    return primary, np.repeat([s.cost for s in specs], 2 * width) * beliefs
+
+
 def rank_table(policy: str, specs, width: int) -> np.ndarray:
     """rank[arm * 2 * width + i * width + t]: the position of arm state
     (i, t), t < width, in the policy's chain over every state of every arm.
 
-    One `top_k` call over all states, in arm-major order, ranks them once;
-    among equal keys the lower arm comes first, as in a per-slot call.  The
-    index and myopic policies rank by the index and by the belief.  The
-    queue ranks by 2t - i, with no belief key: larger t first, then i = 0
-    before i = 1, then the lower id.  That is `queue_step`'s order whenever
-    every arm starts at (0, 1) and the queue in id order, as in a
-    simulator run: each probe moves a cohort to the back, healthy above
-    abnormal, each in id order, and the cohorts stay ordered by probe age.
+    One `top_k` call sorts every state's `chain_keys` and probe age t, in
+    arm-major order, so the lower arm comes first among equal keys, as in a
+    per-slot call.  The queue's order is `queue_step`'s whenever every arm
+    starts at (0, 1) and the queue in id order, as in a simulator run: each
+    probe moves a cohort to the back, healthy above abnormal, each in id
+    order, and the cohorts stay ordered by probe age.
     """
-    code = np.arange(2 * len(specs) * width)
-    t = code % width
-    if policy == "queue":
-        primary, weighted_belief = 2 * t - code // width % 2, np.zeros(t.size)
-    else:
-        beliefs = belief_codes(specs, width).ravel()
-        primary = (by_code([index_values(s, width - 1) for s in specs]).ravel()
-                   if policy == "whittle" else beliefs)
-        weighted_belief = np.repeat([s.cost for s in specs], 2 * width) * beliefs
-    order = top_k(primary[None], weighted_belief[None], t[None], t.size)[0]
+    primary, weighted_belief = chain_keys(policy, specs, width)
+    order = top_k(primary, weighted_belief, np.arange(primary.size) % width, primary.size)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return rank
@@ -114,10 +119,6 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
 
 
-def _ids(picked) -> tuple:
-    return tuple(sorted(picked[0].tolist()))
-
-
 def _chain(specs, states, k: int, primary) -> tuple:
     """The chain on one world; `primary` maps (spec, state, belief) to the
     arm's first key."""
@@ -128,8 +129,7 @@ def _chain(specs, states, k: int, primary) -> tuple:
     for s, st in zip(specs, states):
         b = belief_abnormal(s, st)
         rows.append((primary(s, st, b), s.cost * b, st.t))
-    p, wb, age = np.array(rows).T[:, None, :]
-    return _ids(top_k(p, wb, age, k))
+    return tuple(sorted(top_k(*np.array(rows).T, k).tolist()))
 
 
 def select_whittle(specs, states, k: int) -> tuple:

@@ -17,7 +17,8 @@ abnormal probability p(1).
 Replications use one named substream per (seed, replication, arm) --
 numpy's SeedSequence([seed, rep, arm]) feeding PCG64, and [seed, rep, N]
 for the random policy's picks -- which makes results independent of
-iteration order and byte-identical across runs of the same configuration.
+iteration order and byte-identical across runs of the same configuration
+(`sample_abnormal_marginals` draws from arm 0's, [seed, rep, 0]).
 The streams' seed states are hashed and jumped ahead in array passes over
 chunks of up to 2^16 streams, and PCG64 itself runs on arrays (`_Streams`):
 each slot draws its uniforms from every stream at once, so a run holds
@@ -126,6 +127,11 @@ def _hazard_table(specs, horizon: int) -> np.ndarray:
     """h[n, i * width + t] = hazard of arm n at clock t - i, the flip
     threshold of its code, for width = horizon + 2 (clock 0 reads 0)."""
     return by_code([[0.0, *islice(hazards(s.process), horizon + 1)] for s in specs])
+
+
+def _draw_thresholds(specs, horizon: int) -> np.ndarray:
+    """`_hazard_table` for `_Streams`' draws n = u 2^53: u < h exactly when n < ceil(h 2^53)."""
+    return np.ceil(_hazard_table(specs, horizon) * 2.0**53).astype(np.uint64)
 
 
 def _advance(abnormal, code, probe, draws, thresholds, first):
@@ -318,8 +324,7 @@ def run(config: RunConfig) -> CostTrajectory:
     r, t_total, k = config.replications, config.horizon, config.k
     costs = np.array([[s.cost] for s in specs])
     width = t_total + 2  # codes i * width + t, t <= horizon
-    # the draws stay integers: u < h exactly when u 2^53 < ceil(h 2^53)
-    thresholds = np.ceil(_hazard_table(specs, t_total) * 2.0**53).astype(np.uint64)
+    thresholds = _draw_thresholds(specs, t_total)
     first = np.arange(n)[:, None] * 2 * width + 1  # each arm's code of (0, 1)
     ranked = config.policy != "random"
     if ranked:
@@ -371,16 +376,14 @@ def aggregate(cumulative: np.ndarray) -> CostTrajectory:
 def sample_abnormal_marginals(spec: ComponentSpec, horizon: int,
                               replications: int, seed: int) -> np.ndarray:
     """Empirical P(abnormal at slot t), t = 1..horizon, for one component
-    left unprobed, using the simulator's transition kernel on a batch of
-    worlds driven by a single named stream."""
-    gen = np.random.default_rng(np.random.SeedSequence([seed]))
-    u = gen.random((replications, horizon))
-    thresholds = _hazard_table([spec], horizon)
+    left unprobed: `run`'s transition on its arm-0 streams [seed, rep, 0],
+    one draw per slot; its arguments are checked as a one-arm `RunConfig`."""
+    RunConfig((spec,), 1, horizon, "random", replications, seed)
+    draws = _Streams(seed, np.column_stack([np.arange(replications), np.zeros(replications, int)]))
+    thresholds, first = _draw_thresholds([spec], horizon), np.ones((1, 1), dtype=np.int64)
     abnormal = no_probe = np.zeros((1, replications), dtype=bool)
-    code = np.zeros((1, replications), dtype=np.int64)  # (0, 0)
-    first = np.ones((1, 1), dtype=np.int64)  # (0, 1)
-    freq = np.empty(horizon)
+    code, freq = first - 1, np.empty(horizon)  # every world at (0, 0)
     for slot in range(horizon):
-        abnormal, code = _advance(abnormal, code, no_probe, u[:, slot], thresholds, first)
+        abnormal, code = _advance(abnormal, code, no_probe, draws.draw(), thresholds, first)
         freq[slot] = abnormal.mean()
     return freq

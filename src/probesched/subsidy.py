@@ -280,6 +280,8 @@ def relaxed_select(specs, states, plan: RelaxedPlan, rng) -> tuple:
     The number of active arms varies slot to slot; only its average is K."""
     if len(states) != len(specs):
         raise ValueError(f"{len(specs)} specs but {len(states)} states")
+    if len(plan.mixing) != len(specs):
+        raise ValueError(f"{len(specs)} specs but a plan for {len(plan.mixing)} arms")
     active = []
     for idx, (spec, state) in enumerate(zip(specs, states)):
         w = whittle_index(spec, state)

@@ -301,8 +301,11 @@ def test_a_config_with_both_forms_is_refused(tmp_path, capsys, both):
      "config.queueing: expected a network descriptor object, got None"),
     ("index", json.dumps({"components": _ARMS[0], "horizon": 2}), [],
      "config.components: expected list, got {"),
+    ("index", json.dumps({"components": [], "K": 1, "horizon": 2}), [],
+     "config.components: must not be empty"),
 ], ids=["preset-and-config", "unreadable", "invalid-json", "top-level-array", "k-above-n",
-        "empty-policies", "policies-not-list", "no-queueing", "components-not-list"])
+        "empty-policies", "policies-not-list", "no-queueing", "components-not-list",
+        "components-empty"])
 def test_invalid_config_exits_2(tmp_path, capsys, command, text, flags, message):
     path = tmp_path / "cfg.json"
     if text is not None:
@@ -1026,6 +1029,19 @@ def test_a_component_field_that_is_no_number_is_refused(tmp_path, capsys, comman
         assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + where) and name in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cost", ["-1", "NaN", "Infinity", "1e400"])
+def test_a_holding_cost_out_of_range_is_named(tmp_path, capsys, cost):
+    # each was once reported as 'cost', the component field a class maps it to
+    cls = '{"arrival": {"kind": "bernoulli", "q": 0.5}, "holding_cost": %s}' % cost
+    path = tmp_path / "cfg.json"
+    path.write_text('{"queueing": {"servers": 1, "classes": [%s, %s]}, "horizon": 2}' % (cls, cls))
+    for command in COMMANDS:
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config.queueing: classes[0]: class needs a number 'holding_cost', finite "
+            "and nonnegative, got ")
 
 
 def test_readme_json_examples_run_under_simulate(tmp_path):

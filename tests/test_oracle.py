@@ -27,6 +27,7 @@ from probesched.oracle import (DEFAULT_BOUND, EXACT_POLICIES, _caps, _chosen, _g
                                _rank_picks, exact_graph)
 from probesched.policies import belief_codes, queue_init, select_whittle, whittle_policy
 from probesched.presets import FIG3
+from probesched.sim import sample_abnormal_marginals
 from probesched.subsidy import relaxed_select, single_arm_q, solve_lambda_star
 from probesched.whittle import index_rows, index_values
 from helpers import markov_spec, myopic_policy
@@ -81,10 +82,20 @@ def value_monotonicity_probe(specs, k, horizon, trials, seed=0):
     (lambda: Table((0.3, True)), "p(2) must be a number, got True"),
     (lambda: ComponentSpec(MarkovIID(0.3), "2"), "cost must be a number, got '2'"),
     (lambda: ComponentSpec(MarkovIID(0.3), True), "cost must be a number, got True"),
+    # once an IndexError from the plan's mixing, or no error where no index tied lambda*
+    (lambda: relaxed_select([markov_spec(0.3)] * 3, _fresh(3),
+                            solve_lambda_star([markov_spec(0.3)] * 2, 1), None),
+     "3 specs but a plan for 2 arms"),
+    # once [], a RuntimeWarning "Mean of empty slice" and numpy's "negative dimensions"
+    (lambda: sample_abnormal_marginals(markov_spec(), 0, 10, 0), "horizon must be >= 1, got 0"),
+    (lambda: sample_abnormal_marginals(markov_spec(), -1, 10, 0), "horizon must be >= 1, got -1"),
+    (lambda: sample_abnormal_marginals(markov_spec(), 5, 0, 0),
+     "replications must be >= 1, got 0"),
 ], ids=["dp-horizon-0", "index-values-negative", "index-rows-0", "single-arm-horizon-0",
         "single-arm-sentinel", "select-short-states", "dp-long-states", "dp-short-states",
         "relaxed-long-states", "evaluate-no-policy", "queue-no-arms", "table-string",
-        "table-bool", "cost-string", "cost-bool"])
+        "table-bool", "cost-string", "cost-bool", "relaxed-short-plan", "sample-horizon-0",
+        "sample-horizon-negative", "sample-replications-0"])
 def test_library_rejects_invalid_arguments(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -1000,6 +1011,21 @@ def test_a_tie_past_the_cap_keeps_both_clocks():
     forced = _graph(specs, initial, 1, 5, DEFAULT_BOUND, 1, [2, 3])
     picks = _rank_picks("myopic", specs, 1, forced[0], forced[2][:forced[4][-2]])
     assert repr(_iterate(forced, _chosen(forced[5], picks), 5)[0][-1]) == "2.84025"
+
+
+def test_a_whittle_tie_past_the_cap_keeps_both_clocks():
+    # both arms reach whittle keys (0.25, 0.5) at their caps, 1 and 2, where
+    # their myopic keys, (0.5, 0.5) and (0.25, 0.5), differ: a cap check on
+    # myopic's keys alone caps both, and the policy would read 1.78125
+    specs = [ComponentSpec(Table((0.5,)), 1.0), ComponentSpec(Table((0.1875, 0.25)), 2.0)]
+    initial = [ArmState(0, 2)] * 2
+    assert _caps(specs, initial, 2, DEFAULT_BOUND) == [None, None]
+    want = _layered_value(specs, initial, 1, 2, "whittle")[0]
+    assert repr(policy_evaluate_exact(specs, initial, 1, 2, "whittle")) == repr(want)
+    assert repr(want) == "1.75"
+    forced = _graph(specs, initial, 1, 2, DEFAULT_BOUND, 1, [1, 2])
+    picks = _rank_picks("whittle", specs, 1, forced[0], forced[2][:forced[4][-2]])
+    assert repr(_iterate(forced, _chosen(forced[5], picks), 2)[0][-1]) == "1.78125"
 
 
 def test_fig3_graph_is_stationary():

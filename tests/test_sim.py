@@ -185,6 +185,21 @@ def test_unprobed_marginals_match_process():
         assert abs(freq[t - 1] - p) <= 3.5 * sigma
 
 
+def test_unprobed_sampler_replays_the_arm_0_streams():
+    # `run`'s arm-0 streams [seed, rep, 0], one uniform a slot, through the
+    # float transition with no probe: the sampler's integer draws agree
+    spec, horizon, reps, seed = ComponentSpec(Table((0.1, 0.3, 0.6)), 1.0), 5, 64, 3
+    abnormal = np.zeros((reps, horizon), dtype=bool)
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, rep, 0]))
+        world = _fresh(1)
+        for slot in range(horizon):
+            world, _, _ = _step(world, (), rng, [spec])
+            abnormal[rep, slot] = world[0][0, 0]
+    want = abnormal.mean(axis=0).tolist()
+    assert sample_abnormal_marginals(spec, horizon, reps, seed).tolist() == want
+
+
 def test_monte_carlo_matches_exact_expectation():
     specs = [markov_spec(0.5, 1.0), markov_spec(0.3, 2.0)]
     k, horizon, reps = 1, 4, 40_000
